@@ -12,18 +12,19 @@ with Armijo-style backtracking and an extragradient update.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linops import as_vector, inflated_op_norm, sfp_gradient
 from .problem import (
-    IterateRecord,
     ProblemSpec,
     SolveResult,
     Status,
+    Stop,
+    iterate,
     sfp_residual_value,
+    start_point,
 )
 
 __all__ = [
@@ -68,43 +69,28 @@ def solve_cq(P: ProblemSpec, x0, opts: CqOptions | None = None) -> SolveResult:
     """
     if opts is None:
         opts = CqOptions()
-    step = opts.resolve_step(P)
-    x = as_vector(x0, "x0")
-    if x.shape[0] != P.n:
-        raise ValueError("x0 must match the column dimension of A")
+    stepsize = opts.resolve_step(P)
+    x, _ = start_point(P, x0, project=False)
 
-    t0 = time.perf_counter()
-    res0 = sfp_residual_value(P, x)
-    trace = [
-        IterateRecord(
-            k=0,
-            objective=res0,
-            step_norm=0.0,
-            grad_residual=float(np.linalg.norm(sfp_gradient(P.A, P.Q, x))),
-            elapsed_ms=0.0,
-            sfp_residual=res0,
-        )
-    ]
-    status = Status.MAX_ITERATIONS
-    for k in range(1, opts.max_iter + 1):
-        x_next = P.C.project(x - step * sfp_gradient(P.A, P.Q, x))
-        move = float(np.linalg.norm(x_next - x))
-        x = x_next
-        res = sfp_residual_value(P, x)
-        trace.append(
-            IterateRecord(
-                k=k,
-                objective=res,
-                step_norm=move,
-                grad_residual=move / step,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                sfp_residual=res,
-            )
-        )
-        if move <= opts.step_tol:
-            status = Status.CONVERGED
-            break
-    return SolveResult(x=x, status=status, trace=trace, residual_is_proxy=True)
+    def step(k, x):
+        x_next = P.C.project(x - stepsize * sfp_gradient(P.A, P.Q, x))
+        return x_next, float(np.linalg.norm(x_next - x)), None
+
+    def monitor(k, x, move):
+        return _residual_columns(P, k, x, move, stepsize)
+
+    return iterate(x, step, monitor, opts.max_iter, opts.step_tol, residual_is_proxy=True)
+
+
+def _residual_columns(P: ProblemSpec, k: int, x: np.ndarray, move: float, scale: float) -> dict:
+    """Trace columns of the projection baselines at iteration ``k``.
+
+    The objective is the feasibility residual; the stationarity column is the
+    gradient norm at the start and ``move / scale`` after each step.
+    """
+    res = sfp_residual_value(P, x)
+    grad_residual = move / scale if k else float(np.linalg.norm(sfp_gradient(P.A, P.Q, x)))
+    return {"objective": res, "grad_residual": grad_residual, "sfp_residual": res}
 
 
 def select_subgradient(x) -> np.ndarray:
@@ -176,60 +162,27 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     projections use the half-space cut taken at ``x_k``.  ``P.C`` is unused:
     the constraint is the l1 level ``opts.t``.
     """
-    x = as_vector(x0, "x0")
-    if x.shape[0] != P.n:
-        raise ValueError("x0 must match the column dimension of A")
+    x, _ = start_point(P, x0, project=False)
+    alpha = opts.sigma  # the accepted step scale, read by the monitor
 
-    t0 = time.perf_counter()
-    res0 = sfp_residual_value(P, x)
-    trace = [
-        IterateRecord(
-            k=0,
-            objective=res0,
-            step_norm=0.0,
-            grad_residual=float(np.linalg.norm(sfp_gradient(P.A, P.Q, x))),
-            elapsed_ms=0.0,
-            sfp_residual=res0,
-            l1_norm=float(np.sum(np.abs(x))),
-        )
-    ]
-    status = Status.MAX_ITERATIONS
-    message = ""
-    for k in range(1, opts.max_iter + 1):
+    def step(k, x):
+        nonlocal alpha
         g = sfp_gradient(P.A, P.Q, x)
         alpha = opts.sigma
-        g_bar = g
-        accepted = False
         for _ in range(opts.backtrack_cap + 1):
             x_bar = project_level_set(x, opts.t, x - alpha * g)
             g_bar = sfp_gradient(P.A, P.Q, x_bar)
             gap = float(np.linalg.norm(g - g_bar))
             if gap <= opts.mu * float(np.linalg.norm(x - x_bar)) / alpha:
-                accepted = True
                 break
             alpha *= opts.l
-        if not accepted:
+        else:
             message = f"backtracking cap {opts.backtrack_cap} reached at iteration {k}"
-            status = Status.MAX_ITERATIONS
-            break
+            return None, 0.0, Stop(Status.MAX_ITERATIONS, message)
         x_next = project_level_set(x, opts.t, x - alpha * g_bar)
-        move = float(np.linalg.norm(x_next - x))
-        x = x_next
-        res = sfp_residual_value(P, x)
-        trace.append(
-            IterateRecord(
-                k=k,
-                objective=res,
-                step_norm=move,
-                grad_residual=move / alpha,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                sfp_residual=res,
-                l1_norm=float(np.sum(np.abs(x))),
-            )
-        )
-        if move <= opts.step_tol:
-            status = Status.CONVERGED
-            break
-    return SolveResult(
-        x=x, status=status, trace=trace, residual_is_proxy=True, message=message
-    )
+        return x_next, float(np.linalg.norm(x_next - x)), None
+
+    def monitor(k, x, move):
+        return {**_residual_columns(P, k, x, move, alpha), "l1_norm": float(np.sum(np.abs(x)))}
+
+    return iterate(x, step, monitor, opts.max_iter, opts.step_tol, residual_is_proxy=True)

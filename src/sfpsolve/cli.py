@@ -14,22 +14,21 @@ without converging, 2 on configuration or parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from .baselines import CqOptions, McqOptions, solve_cq, solve_mcq
-from .dca import DcaOptions, solve_dca
-from .fbsplit import FbOptions, solve_fb
 from .harness import (
     ALGORITHMS,
+    SOLVERS,
     parse_bench_config,
     run_benchmark,
+    trace_csv,
     write_atomic,
 )
-from .inner import InnerOptions
+from .inner import INNER_SOLVERS, InnerOptions
 from .linops import read_matrix, read_vector
-from .minefuku import MfOptions, solve_mf
 from .oracles import prox_check
 from .problem import ConfigurationError, ProblemSpec, Status
 from .sets import FullSpace, parse_set
@@ -54,27 +53,32 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--gamma", type=float, default=None, help="regularization weight")
     ps.add_argument("--x0", default=None, help="start vector file (default zeros)")
     ps.add_argument("--trace", default=None, help="write per-iteration CSV here")
-    ps.add_argument("--max-iter", type=int, default=1000)
-    ps.add_argument("--step-tol", type=float, default=1e-5)
-    ps.add_argument("--step", type=float, default=None, help="fb/cq step size")
-    ps.add_argument("--inner-solver", default="dr-in-fb", choices=["fb-in-dr", "dr-in-fb"])
-    ps.add_argument("--kappa", type=float, default=None, help="inner solver scale")
-    ps.add_argument("--inner-tol", type=float, default=1e-6)
-    ps.add_argument("--inner-max", type=int, default=2000)
-    ps.add_argument("--inner-tau", type=float, default=1.0, help="inner DR relaxation in (0,2)")
-    ps.add_argument("--inner-lambda", type=float, default=1.0, help="inner FB relaxation in (0,1]")
-    ps.add_argument("--inner-step-fraction", type=float, default=0.9)
-    ps.add_argument("--inner-budget-base", type=int, default=5)
-    ps.add_argument("--inner-budget-cap", type=int, default=50)
-    ps.add_argument("--zero-tol", type=float, default=None, help="dca zero-iterate threshold")
-    ps.add_argument("--mu", type=float, default=None, help="mf quadratic shift")
-    ps.add_argument("--lambda-max", type=float, default=2.0, help="mf line-search bracket")
-    ps.add_argument("--gs-evals", type=int, default=40, help="mf golden-section budget")
-    ps.add_argument("--stationarity-tol", type=float, default=1e-5)
-    ps.add_argument("--t", type=float, default=None, help="mcq l1 level")
-    ps.add_argument("--sigma", type=float, default=1.0, help="mcq initial step scale")
-    ps.add_argument("--l", type=float, default=0.5, help="mcq backtracking ratio")
-    ps.add_argument("--mu-armijo", type=float, default=0.5, help="mcq acceptance constant")
+    # Each flag's dest is the options field it sets (``inner_<field>`` for
+    # the DCA inner solver); unset flags keep the library defaults.
+    ps.add_argument("--max-iter", type=int)
+    ps.add_argument("--step-tol", type=float)
+    ps.add_argument("--step", type=float, help="fb/cq step size")
+    ps.add_argument("--inner-solver", choices=sorted(INNER_SOLVERS))
+    ps.add_argument("--kappa", dest="inner_kappa", type=float, help="inner solver scale")
+    ps.add_argument("--inner-tol", type=float)
+    ps.add_argument("--inner-max", dest="inner_outer_max", type=int)
+    ps.add_argument("--inner-tau", type=float, help="inner DR relaxation in (0,2)")
+    ps.add_argument(
+        "--inner-lambda", dest="inner_lambda_relax", type=float,
+        help="inner FB relaxation in (0,1]",
+    )
+    ps.add_argument("--inner-step-fraction", type=float)
+    ps.add_argument("--inner-budget-base", type=int)
+    ps.add_argument("--inner-budget-cap", type=int)
+    ps.add_argument("--zero-tol", type=float, help="dca zero-iterate threshold")
+    ps.add_argument("--mu", dest="mu_shift", type=float, help="mf quadratic shift")
+    ps.add_argument("--lambda-max", type=float, help="mf line-search bracket")
+    ps.add_argument("--gs-evals", dest="golden_evals", type=int, help="mf golden-section budget")
+    ps.add_argument("--stationarity-tol", type=float)
+    ps.add_argument("--t", type=float, help="mcq l1 level")
+    ps.add_argument("--sigma", type=float, help="mcq initial step scale")
+    ps.add_argument("--l", type=float, help="mcq backtracking ratio")
+    ps.add_argument("--mu-armijo", dest="mu", type=float, help="mcq acceptance constant")
 
     for kind in ("bench-random", "bench-sparse"):
         pb = sub.add_parser(kind, help=f"run the {kind.split('-')[1]} benchmark")
@@ -94,89 +98,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _trace_csv_lines(result) -> str:
-    lines = ["iter,objective,residual,step_norm,elapsed_ms"]
-    for rec in result.trace:
-        lines.append(
-            f"{rec.k},{rec.objective:.10g},{rec.sfp_residual:.10g},"
-            f"{rec.step_norm:.10g},{rec.elapsed_ms:.3f}"
-        )
-    return "\n".join(lines) + "\n"
+def _options(solver, args):
+    """The solver's options from the flags that were set; the rest keep their defaults."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    fields = {f.name for f in dataclasses.fields(solver.options)}
+    settings = {name: given[name] for name in fields & given.keys()}
+    if "max_iter" in given:
+        settings[solver.limit] = given["max_iter"]
+    inner_flags = {f"inner_{f.name}": f.name for f in dataclasses.fields(InnerOptions)}
+    inner = {inner_flags[k]: v for k, v in given.items() if k in inner_flags}
+    if inner and "inner" in fields:
+        settings["inner"] = InnerOptions(**inner)
+    return solver.options(**settings)
 
 
 def _run_solve(args) -> int:
+    solver = SOLVERS[args.algo]
     A = read_matrix(args.A)
     m, n = A.shape
     Q = parse_set(args.Q)
     C = parse_set(args.C) if args.C else FullSpace(n)
-    needs_gamma = args.algo in ("dca", "fb", "mf")
-    if needs_gamma and args.gamma is None:
+    if solver.regularized and args.gamma is None:
         raise ConfigurationError(f"--gamma is required for --algo {args.algo}")
+    if solver.level and args.t is None:
+        raise ConfigurationError(f"--t is required for --algo {args.algo}")
     gamma = args.gamma if args.gamma is not None else 1.0
     problem = ProblemSpec(A=A, C=C, Q=Q, gamma=gamma)
     x0 = read_vector(args.x0) if args.x0 else np.zeros(n)
-
-    if args.algo == "dca":
-        opts = DcaOptions(
-            inner_solver=args.inner_solver,
-            inner=InnerOptions(
-                kappa=args.kappa,
-                tau=args.inner_tau,
-                lambda_relax=args.inner_lambda,
-                step_fraction=args.inner_step_fraction,
-                budget_base=args.inner_budget_base,
-                budget_cap=args.inner_budget_cap,
-                tol=args.inner_tol,
-                outer_max=args.inner_max,
-            ),
-            max_outer=args.max_iter,
-            step_tol=args.step_tol,
-            zero_tol=args.zero_tol,
-        )
-        result = solve_dca(problem, x0, opts)
-    elif args.algo == "fb":
-        result = solve_fb(
-            problem,
-            x0,
-            FbOptions(step=args.step, max_iter=args.max_iter, step_tol=args.step_tol),
-        )
-    elif args.algo == "mf":
-        result = solve_mf(
-            problem,
-            x0,
-            MfOptions(
-                mu_shift=args.mu,
-                lambda_max=args.lambda_max,
-                golden_evals=args.gs_evals,
-                max_iter=args.max_iter,
-                step_tol=args.step_tol,
-                stationarity_tol=args.stationarity_tol,
-            ),
-        )
-    elif args.algo == "cq":
-        result = solve_cq(
-            problem,
-            x0,
-            CqOptions(step=args.step, max_iter=args.max_iter, step_tol=args.step_tol),
-        )
-    else:  # mcq
-        if args.t is None:
-            raise ConfigurationError("--t is required for --algo mcq")
-        result = solve_mcq(
-            problem,
-            x0,
-            McqOptions(
-                t=args.t,
-                l=args.l,
-                mu=args.mu_armijo,
-                sigma=args.sigma,
-                max_iter=args.max_iter,
-                step_tol=args.step_tol,
-            ),
-        )
+    result = solver.solve(problem, x0, _options(solver, args))
 
     if args.trace:
-        write_atomic(args.trace, _trace_csv_lines(result))
+        write_atomic(args.trace, trace_csv(result))
     last = result.trace[-1]
     print(f"status={result.status.value} iters={result.iterations} objective={last.objective:.10g}")
     return EXIT_OK if result.status != Status.MAX_ITERATIONS else EXIT_NOT_CONVERGED

@@ -10,7 +10,6 @@ non-increasing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,14 +17,14 @@ import numpy as np
 from .inner import INNER_SOLVERS, InnerOptions, SubproblemSpec
 from .linops import as_vector
 from .problem import (
-    IterateRecord,
     ProblemSpec,
     SolveResult,
     Status,
-    gamma_objective,
+    Stop,
     has_exact_residual,
-    sfp_residual_value,
-    stationarity_residual,
+    iterate,
+    objective_columns,
+    start_point,
 )
 
 __all__ = ["DcaOptions", "dca_step", "solve_dca"]
@@ -60,6 +59,11 @@ class DcaOptions:
         if self.zero_tol is not None and self.zero_tol < 0:
             raise ValueError("zero_tol must be nonnegative")
 
+    def resolve_zero_tol(self, x: np.ndarray) -> float:
+        if self.zero_tol is not None:
+            return self.zero_tol
+        return 1e-12 * (1.0 + float(np.linalg.norm(x)))
+
 
 def _resolved_inner(opts: DcaOptions) -> InnerOptions:
     tol = min(opts.inner.tol, opts.step_tol / 10.0)
@@ -81,11 +85,7 @@ def dca_step(
         opts = DcaOptions()
     x_k = as_vector(x_k, "x_k")
     if zero_tol is None:
-        zero_tol = (
-            opts.zero_tol
-            if opts.zero_tol is not None
-            else 1e-12 * (1.0 + float(np.linalg.norm(x_k)))
-        )
+        zero_tol = opts.resolve_zero_tol(x_k)
     norm_x = float(np.linalg.norm(x_k))
     if norm_x <= zero_tol:
         v = np.zeros_like(x_k)
@@ -113,59 +113,27 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     """
     if opts is None:
         opts = DcaOptions()
-    x = as_vector(x0, "x0")
-    message = ""
-    if not P.C.contains(x, 1e-9):
-        x = P.C.project(x)
-        message = "x0 projected onto C before start"
-    zero_tol = (
-        opts.zero_tol
-        if opts.zero_tol is not None
-        else 1e-12 * (1.0 + float(np.linalg.norm(x)))
-    )
+    x, message = start_point(P, x0)
+    zero_tol = opts.resolve_zero_tol(x)
 
-    t0 = time.perf_counter()
-    trace = [
-        IterateRecord(
-            k=0,
-            objective=gamma_objective(P, x),
-            step_norm=0.0,
-            grad_residual=stationarity_residual(P, x),
-            elapsed_ms=0.0,
-            sfp_residual=sfp_residual_value(P, x),
-            l1_norm=float(np.sum(np.abs(x))),
-        )
-    ]
-    status = Status.MAX_ITERATIONS
-    for k in range(1, opts.max_outer + 1):
-        prev_zero = float(np.linalg.norm(x)) <= zero_tol
-        inner = dca_step(P, x, opts, zero_tol=zero_tol)
-        x_next = inner.x
-        step = float(np.linalg.norm(x_next - x))
-        now_zero = float(np.linalg.norm(x_next)) <= zero_tol
-        x = x_next
-        trace.append(
-            IterateRecord(
-                k=k,
-                objective=gamma_objective(P, x),
-                step_norm=step,
-                grad_residual=stationarity_residual(P, x),
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                sfp_residual=sfp_residual_value(P, x),
-                l1_norm=float(np.sum(np.abs(x))),
-            )
-        )
-        if prev_zero and now_zero:
-            status = Status.ZERO_STATIONARY
-            x = np.zeros_like(x)
-            break
-        if step <= opts.step_tol:
-            status = Status.CONVERGED
-            break
-    return SolveResult(
-        x=x,
-        status=status,
-        trace=trace,
-        residual_is_proxy=not has_exact_residual(P.C),
+    def step(k, x):
+        x_next = dca_step(P, x, opts, zero_tol=zero_tol).x
+        both_zero = max(np.linalg.norm(x), np.linalg.norm(x_next)) <= zero_tol
+        stop = Stop(Status.ZERO_STATIONARY) if both_zero else None
+        return x_next, float(np.linalg.norm(x_next - x)), stop
+
+    def monitor(k, x, move):
+        return {**objective_columns(P, x), "l1_norm": float(np.sum(np.abs(x)))}
+
+    result = iterate(
+        x,
+        step,
+        monitor,
+        opts.max_outer,
+        opts.step_tol,
         message=message,
+        residual_is_proxy=not has_exact_residual(P.C),
     )
+    if result.status is Status.ZERO_STATIONARY:
+        result.x = np.zeros_like(result.x)
+    return result

@@ -17,19 +17,18 @@ bound unless explicitly disabled for experiments.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import as_vector, inflated_op_norm, sfp_gradient
+from .linops import inflated_op_norm, sfp_gradient
 from .problem import (
     ConfigurationError,
-    IterateRecord,
     ProblemSpec,
     SolveResult,
-    Status,
+    iterate,
     sfp_residual_value,
+    start_point,
     stationarity_residual,
 )
 from .prox import l1_l2, prox_l1_minus_l2
@@ -90,42 +89,19 @@ def solve_fb(P: ProblemSpec, x0, opts: FbOptions | None = None) -> SolveResult:
             f"got C = {P.C!r}.  For constrained problems compose the prox with "
             "Douglas-Rachford iterations (see sfpsolve.inner) or use solve_dca."
         )
-    step = opts.resolve_step(P)
-    x = as_vector(x0, "x0")
-    if x.shape[0] != P.n:
-        raise ValueError("x0 must match the column dimension of A")
+    stepsize = opts.resolve_step(P)
+    x, _ = start_point(P, x0, project=False)
 
-    def scaled_objective(v: np.ndarray) -> float:
-        return sfp_residual_value(P, v) / P.gamma + l1_l2(v)
-
-    t0 = time.perf_counter()
-    trace = [
-        IterateRecord(
-            k=0,
-            objective=scaled_objective(x),
-            step_norm=0.0,
-            grad_residual=stationarity_residual(P, x),
-            elapsed_ms=0.0,
-            sfp_residual=sfp_residual_value(P, x),
-        )
-    ]
-    status = Status.MAX_ITERATIONS
-    for k in range(1, opts.max_iter + 1):
+    def step(k, x):
         grad = sfp_gradient(P.A, P.Q, x) / P.gamma
-        x_next = prox_l1_minus_l2(x - step * grad, step)
-        move = float(np.linalg.norm(x_next - x))
-        x = x_next
-        trace.append(
-            IterateRecord(
-                k=k,
-                objective=scaled_objective(x),
-                step_norm=move,
-                grad_residual=stationarity_residual(P, x),
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                sfp_residual=sfp_residual_value(P, x),
-            )
-        )
-        if move <= opts.step_tol:
-            status = Status.CONVERGED
-            break
-    return SolveResult(x=x, status=status, trace=trace, residual_is_proxy=False)
+        x_next = prox_l1_minus_l2(x - stepsize * grad, stepsize)
+        return x_next, float(np.linalg.norm(x_next - x)), None
+
+    def monitor(k, x, move):
+        return {
+            "objective": sfp_residual_value(P, x) / P.gamma + l1_l2(x),
+            "grad_residual": stationarity_residual(P, x),
+            "sfp_residual": sfp_residual_value(P, x),
+        }
+
+    return iterate(x, step, monitor, opts.max_iter, opts.step_tol)

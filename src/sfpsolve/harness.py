@@ -14,9 +14,12 @@ non-timing output byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .baselines import CqOptions, McqOptions, solve_cq, solve_mcq
 from .dca import DcaOptions, solve_dca
 from .fbsplit import FbOptions, solve_fb
 from .minefuku import MfOptions, solve_mf
-from .problem import ProblemSpec, SolveResult
+from .problem import ConfigurationError, ProblemSpec, SolveResult
 from .sets import FullSpace, NonnegativeOrthant, Singleton
 
 __all__ = [
@@ -38,11 +41,34 @@ __all__ = [
     "BenchConfig",
     "parse_bench_config",
     "run_benchmark",
+    "Solver",
+    "SOLVERS",
     "ALGORITHMS",
+    "trace_csv",
     "write_atomic",
 ]
 
-ALGORITHMS = ("dca", "fb", "mf", "cq", "mcq")
+
+class Solver(NamedTuple):
+    """How the command line and the benchmark run one algorithm."""
+
+    solve: Callable[..., SolveResult]
+    options: type
+    limit: str = "max_iter"  # the options field that caps the iterations
+    regularized: bool = True  # minimizes the gamma objective, so needs gamma
+    full_space: bool = False  # requires C = R^n; benchmarks drop C for it
+    level: bool = False  # takes the instance's l1 level as option ``t``
+
+
+SOLVERS = {
+    "dca": Solver(solve_dca, DcaOptions, limit="max_outer"),
+    "fb": Solver(solve_fb, FbOptions, full_space=True),
+    "mf": Solver(solve_mf, MfOptions),
+    "cq": Solver(solve_cq, CqOptions, regularized=False),
+    "mcq": Solver(solve_mcq, McqOptions, regularized=False, level=True),
+}
+
+ALGORITHMS = tuple(SOLVERS)
 
 SUPPORT_THRESHOLD_FACTOR = 1e-4
 
@@ -268,34 +294,14 @@ def parse_bench_config(path, kind: str) -> BenchConfig:
 
 
 def _solve_one(algo: str, inst: Instance, cfg: BenchConfig) -> SolveResult:
+    solver = SOLVERS[algo]
     P = inst.problem
-    if algo == "dca":
-        return solve_dca(
-            P, inst.x0, DcaOptions(max_outer=cfg.max_iter, step_tol=cfg.step_tol)
-        )
-    if algo == "fb":
-        # The scheme requires an unconstrained domain; benchmark instances
-        # with a different C run it on the unconstrained variant.
-        if not isinstance(P.C, FullSpace):
-            P = ProblemSpec(A=P.A, C=FullSpace(P.n), Q=P.Q, gamma=P.gamma)
-        return solve_fb(
-            P, inst.x0, FbOptions(max_iter=cfg.max_iter, step_tol=cfg.step_tol)
-        )
-    if algo == "mf":
-        return solve_mf(
-            P, inst.x0, MfOptions(max_iter=cfg.max_iter, step_tol=cfg.step_tol)
-        )
-    if algo == "cq":
-        return solve_cq(
-            P, inst.x0, CqOptions(max_iter=cfg.max_iter, step_tol=cfg.step_tol)
-        )
-    if algo == "mcq":
-        return solve_mcq(
-            P,
-            inst.x0,
-            McqOptions(t=inst.t_level, max_iter=cfg.max_iter, step_tol=cfg.step_tol),
-        )
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if solver.full_space and not isinstance(P.C, FullSpace):
+        P = ProblemSpec(A=P.A, C=FullSpace(P.n), Q=P.Q, gamma=P.gamma)
+    settings = {solver.limit: cfg.max_iter, "step_tol": cfg.step_tol}
+    if solver.level:
+        settings["t"] = inst.t_level
+    return solver.solve(P, inst.x0, solver.options(**settings))
 
 
 def _instance(cfg: BenchConfig, trial: int) -> Instance:
@@ -314,11 +320,26 @@ def _instance(cfg: BenchConfig, trial: int) -> Instance:
 
 
 def write_atomic(path, content: str) -> None:
-    """Write via a temporary file and rename, so readers never see a prefix."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    """Write via a temporary file and rename, so readers never see a prefix.
+
+    The temporary file is unique, so concurrent writers into one directory
+    never touch each other's files, and it is removed if the write fails.
+    The result gets the permissions a plain ``open(path, "w")`` would give.
+    """
+    fd, tmp = tempfile.mkstemp(
+        prefix=f"{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(content)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 _SUMMARY_HEADER = (
@@ -331,7 +352,8 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _trace_csv(result: SolveResult) -> str:
+def trace_csv(result: SolveResult) -> str:
+    """The per-iteration trace as CSV text; the timing column comes last."""
     lines = ["iter,objective,residual,step_norm,elapsed_ms"]
     for rec in result.trace:
         lines.append(
@@ -379,8 +401,9 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
 
     Produces ``summary.csv`` (one row per pair, sorted by trial then
     algorithm), optional per-run ``trace_<algo>_<trial>.csv`` files, and
-    per-algorithm quantile files.  A solver raising an exception yields a row
-    with status ``error``; the run continues.
+    per-algorithm quantile files.  A solver that rejects its problem or
+    options, or fails numerically, yields a row with status ``error`` and the
+    run continues; any other exception propagates.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows: list[dict] = []
@@ -391,7 +414,7 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
             t_start = time.perf_counter()
             try:
                 result = _solve_one(algo, inst, cfg)
-            except Exception as exc:  # solver failure: report and continue
+            except (ConfigurationError, ValueError, FloatingPointError) as exc:
                 rows.append(
                     {
                         "trial": trial,
@@ -434,7 +457,7 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
             if cfg.traces:
                 write_atomic(
                     os.path.join(cfg.out_dir, f"trace_{algo}_{trial}.csv"),
-                    _trace_csv(result),
+                    trace_csv(result),
                 )
     rows.sort(key=lambda r: (r["trial"], r["algo"]))
     lines = [_SUMMARY_HEADER]

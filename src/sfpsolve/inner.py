@@ -20,19 +20,20 @@ mutual cross-checks in the test suite.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linops import as_vector, inflated_op_norm
 from .problem import (
-    IterateRecord,
     ProblemSpec,
     SolveResult,
     Status,
+    Stop,
     has_exact_residual,
+    iterate,
     sfp_residual_value,
+    start_point,
 )
 from .prox import soft_threshold
 
@@ -128,15 +129,6 @@ class InnerOptions:
         return self.kappa if self.kappa is not None else spec.base.gamma
 
 
-def _start_point(spec: SubproblemSpec, x0) -> tuple[np.ndarray, str]:
-    x0 = as_vector(x0, "x0")
-    if x0.shape[0] != spec.base.n:
-        raise ValueError("x0 must match the column dimension of A")
-    if spec.base.C.contains(x0, 1e-9):
-        return x0.copy(), ""
-    return spec.base.C.project(x0), "x0 projected onto C before start"
-
-
 def solve_fb_in_dr(
     spec: SubproblemSpec, x0, opts: InnerOptions | None = None
 ) -> SolveResult:
@@ -162,53 +154,43 @@ def solve_fb_in_dr(
     lam = opts.lambda_relax
     thresh = kappa * P.gamma
 
-    y_half, message = _start_point(spec, x0)
-    y = y_half.copy()
-    trace: list[IterateRecord] = []
-    t0 = time.perf_counter()
-    status = Status.MAX_ITERATIONS
-    for k in range(opts.outer_max):
+    y_half, message = start_point(P, x0)
+    y = y_half
+
+    def step(k, y_half):
+        nonlocal y
         x_in = y_half
-        for _ in range(opts.budget(k)):
+        for _ in range(opts.budget(k - 1)):
             grad = kappa * spec.smooth_gradient(x_in)
             z = (x_in - gstep * (grad - y)) / (1.0 + gstep)
             x_in = x_in + lam * (P.C.project(z) - x_in)
-        y_half = x_in
-        y_next = y + opts.tau * (soft_threshold(2.0 * y_half - y, thresh) - y_half)
-        step = float(np.linalg.norm(y_next - y))
+        y_next = y + opts.tau * (soft_threshold(2.0 * x_in - y, thresh) - x_in)
+        move = float(np.linalg.norm(y_next - y))
         y = y_next
-        last_k, last_step = k + 1, step
-        if opts.record_trace:
-            trace.append(
-                IterateRecord(
-                    k=k + 1,
-                    objective=spec.objective(y_half),
-                    step_norm=step,
-                    grad_residual=step / kappa,
-                    elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                    sfp_residual=sfp_residual_value(P, y_half),
-                )
-            )
-        if step / kappa <= opts.tol:
-            status = Status.CONVERGED
-            break
-    if not opts.record_trace:
-        trace.append(
-            IterateRecord(
-                k=last_k,
-                objective=spec.objective(y_half),
-                step_norm=last_step,
-                grad_residual=last_step / kappa,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                sfp_residual=sfp_residual_value(P, y_half),
-            )
-        )
-    return SolveResult(
-        x=y_half,
-        status=status,
-        trace=trace,
-        residual_is_proxy=not has_exact_residual(P.C),
+        return x_in, move, Stop(Status.CONVERGED) if move / kappa <= opts.tol else None
+
+    return _run_inner(spec, y_half, step, kappa, opts, message)
+
+
+def _run_inner(spec, x, step, scale, opts, message) -> SolveResult:
+    """Drive an inner solver; its residual column is the move divided by ``scale``."""
+
+    def monitor(k, x, move):
+        return {
+            "objective": spec.objective(x),
+            "grad_residual": move / scale,
+            "sfp_residual": sfp_residual_value(spec.base, x),
+        }
+
+    return iterate(
+        x,
+        step,
+        monitor,
+        opts.outer_max,
+        record_start=False,
+        record_trace=opts.record_trace,
         message=message,
+        residual_is_proxy=not has_exact_residual(spec.base.C),
     )
 
 
@@ -262,51 +244,16 @@ def solve_dr_in_fb(
     # subproblem's own l1 weight so both inner solvers target the same problem.
     thresh = gstep * kappa
 
-    x, message = _start_point(spec, x0)
-    trace: list[IterateRecord] = []
-    t0 = time.perf_counter()
-    status = Status.MAX_ITERATIONS
-    for k in range(opts.outer_max):
+    x, message = start_point(P, x0)
+
+    def step(k, x):
         x_prime = x - gstep * spec.smooth_gradient(x)
-        y_half, _ = _constrained_l1_prox_dr(
-            x_prime, thresh, P.C, opts.budget(k), opts.tau
-        )
+        y_half, _ = _constrained_l1_prox_dr(x_prime, thresh, P.C, opts.budget(k - 1), opts.tau)
         x_next = x + lam * (y_half - x)
-        step = float(np.linalg.norm(x_next - x))
-        x = x_next
-        last_k, last_step = k + 1, step
-        if opts.record_trace:
-            trace.append(
-                IterateRecord(
-                    k=k + 1,
-                    objective=spec.objective(x),
-                    step_norm=step,
-                    grad_residual=step / gstep,
-                    elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                    sfp_residual=sfp_residual_value(P, x),
-                )
-            )
-        if step / gstep <= opts.tol:
-            status = Status.CONVERGED
-            break
-    if not opts.record_trace:
-        trace.append(
-            IterateRecord(
-                k=last_k,
-                objective=spec.objective(x),
-                step_norm=last_step,
-                grad_residual=last_step / gstep,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                sfp_residual=sfp_residual_value(P, x),
-            )
-        )
-    return SolveResult(
-        x=x,
-        status=status,
-        trace=trace,
-        residual_is_proxy=not has_exact_residual(P.C),
-        message=message,
-    )
+        move = float(np.linalg.norm(x_next - x))
+        return x_next, move, Stop(Status.CONVERGED) if move / gstep <= opts.tol else None
+
+    return _run_inner(spec, x, step, gstep, opts, message)
 
 
 INNER_SOLVERS = {

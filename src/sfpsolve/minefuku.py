@@ -19,22 +19,22 @@ objective never increases.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linops import as_vector, inflated_op_norm, sfp_gradient
 from .problem import (
     ConfigurationError,
-    IterateRecord,
     ProblemSpec,
     SolveResult,
     Status,
+    Stop,
     gamma_objective,
     has_exact_residual,
-    sfp_residual_value,
-    stationarity_residual,
+    iterate,
+    objective_columns,
+    start_point,
 )
 from .prox import soft_threshold
 from .sets import Ball, Box, L1Ball, Singleton, interval_bounds
@@ -233,60 +233,32 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     """
     if opts is None:
         opts = MfOptions()
-    x = as_vector(x0, "x0")
-    message = ""
-    if not P.C.contains(x, 1e-9):
-        x = P.C.project(x)
-        message = "x0 projected onto C before start"
-    mu = opts.resolve_mu(P)
-    stat_tol = opts.resolve_stationarity_tol(P)
-    resolved = MfOptions(
-        mu_shift=mu,
-        lambda_max=opts.lambda_max,
-        golden_evals=opts.golden_evals,
-        max_iter=opts.max_iter,
-        step_tol=opts.step_tol,
-        stationarity_tol=stat_tol,
+    x, message = start_point(P, x0)
+    resolved = replace(
+        opts, mu_shift=opts.resolve_mu(P), stationarity_tol=opts.resolve_stationarity_tol(P)
     )
+    residual = float("inf")  # stationarity residual of the last recorded iterate
 
-    t0 = time.perf_counter()
-    trace = [
-        IterateRecord(
-            k=0,
-            objective=gamma_objective(P, x),
-            step_norm=0.0,
-            grad_residual=stationarity_residual(P, x),
-            elapsed_ms=0.0,
-            sfp_residual=sfp_residual_value(P, x),
-        )
-    ]
-    status = Status.MAX_ITERATIONS
-    for k in range(1, opts.max_iter + 1):
-        if trace[-1].grad_residual <= stat_tol:
-            status = Status.CONVERGED
-            break
+    def step(k, x):
+        if residual <= resolved.stationarity_tol:
+            return None, 0.0, Stop(Status.CONVERGED)
         x_tilde = mf_direction(P, x, resolved)
         lam = mf_line_search(P, x, x_tilde, resolved)
         x_next = (1.0 - lam) * x + lam * x_tilde
-        step = float(np.linalg.norm(x_next - x))
-        x = x_next
-        trace.append(
-            IterateRecord(
-                k=k,
-                objective=gamma_objective(P, x),
-                step_norm=step,
-                grad_residual=stationarity_residual(P, x),
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-                sfp_residual=sfp_residual_value(P, x),
-            )
-        )
-        if step <= opts.step_tol:
-            status = Status.CONVERGED
-            break
-    return SolveResult(
-        x=x,
-        status=status,
-        trace=trace,
-        residual_is_proxy=not has_exact_residual(P.C),
+        return x_next, float(np.linalg.norm(x_next - x)), None
+
+    def monitor(k, x, move):
+        nonlocal residual
+        columns = objective_columns(P, x)
+        residual = columns["grad_residual"]
+        return columns
+
+    return iterate(
+        x,
+        step,
+        monitor,
+        opts.max_iter,
+        opts.step_tol,
         message=message,
+        residual_is_proxy=not has_exact_residual(P.C),
     )

@@ -12,7 +12,9 @@ and +inf outside ``C``.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,9 +28,13 @@ __all__ = [
     "Status",
     "IterateRecord",
     "SolveResult",
+    "Stop",
+    "start_point",
+    "iterate",
     "gamma_objective",
     "sfp_residual_value",
     "stationarity_residual",
+    "objective_columns",
     "has_exact_residual",
 ]
 
@@ -118,6 +124,77 @@ class SolveResult:
         return np.array([r.step_norm for r in self.trace])
 
 
+class Stop(NamedTuple):
+    """A stop that a solver's step decides itself (see :func:`iterate`)."""
+
+    status: Status
+    message: str = ""
+
+
+def start_point(P: ProblemSpec, x0, project: bool = True) -> tuple[np.ndarray, str]:
+    """Check ``x0`` against ``P`` and return a copy, projected onto ``C`` if needed.
+
+    The second value is the message a solve reports when ``x0`` was moved;
+    ``project=False`` skips the membership test for solvers that do not
+    require a start in ``C``.
+    """
+    x = as_vector(x0, "x0")
+    if x.shape[0] != P.n:
+        raise ValueError("x0 must match the column dimension of A")
+    if not project or P.C.contains(x, 1e-9):
+        return x.copy(), ""
+    return P.C.project(x), "x0 projected onto C before start"
+
+
+def iterate(
+    x: np.ndarray,
+    step: Callable[[int, np.ndarray], tuple[np.ndarray | None, float, Stop | None]],
+    monitor: Callable[[int, np.ndarray, float], dict],
+    max_iter: int,
+    step_tol: float | None = None,
+    *,
+    record_start: bool = True,
+    record_trace: bool = True,
+    message: str = "",
+    residual_is_proxy: bool = False,
+) -> SolveResult:
+    """Run ``x <- step(k, x)`` for ``k = 1..max_iter``, tracing the iterates.
+
+    ``step`` returns ``(x_next, move, stop)``.  ``x_next = None`` ends the run
+    with ``stop`` and no record; otherwise ``x_next`` is recorded with the
+    columns ``monitor(k, x_next, move)`` returns, and the run ends with
+    ``stop`` if given, else as ``CONVERGED`` once ``move <= step_tol``, else
+    as ``MAX_ITERATIONS``.  The start is recorded as ``k = 0`` if
+    ``record_start``; without ``record_trace`` only the last iterate is.
+    A stop's message is joined to ``message``.
+    """
+    t0 = time.perf_counter()
+
+    def record(k: int, x: np.ndarray, move: float) -> IterateRecord:
+        elapsed_ms = (time.perf_counter() - t0) * 1e3 if k else 0.0
+        return IterateRecord(k=k, step_norm=move, elapsed_ms=elapsed_ms, **monitor(k, x, move))
+
+    trace = [record(0, x, 0.0)] if record_start else []
+    status, last_k, last_move = Status.MAX_ITERATIONS, 0, 0.0
+    for k in range(1, max_iter + 1):
+        x_next, move, stop = step(k, x)
+        if x_next is not None:
+            x, last_k, last_move = x_next, k, move
+            if record_trace:
+                trace.append(record(k, x, move))
+            if stop is None and step_tol is not None and move <= step_tol:
+                stop = Stop(Status.CONVERGED)
+        if stop is not None:
+            status = stop.status
+            message = "; ".join(m for m in (message, stop.message) if m)
+            break
+    if not record_trace:
+        trace.append(record(last_k, x, last_move))
+    return SolveResult(
+        x=x, status=status, trace=trace, residual_is_proxy=residual_is_proxy, message=message
+    )
+
+
 def sfp_residual_value(P: ProblemSpec, x) -> float:
     """The unregularized feasibility residual ``0.5*||Ax - P_Q(Ax)||^2``."""
     Ax = P.A @ as_vector(x)
@@ -194,3 +271,12 @@ def stationarity_residual(
     hi = sub_hi + cone_hi
     dist = np.maximum(lo - target, 0.0) + np.maximum(target - hi, 0.0)
     return float(np.linalg.norm(dist))
+
+
+def objective_columns(P: ProblemSpec, x) -> dict:
+    """Trace columns of the l1-l2 solvers at ``x`` (see :func:`iterate`)."""
+    return {
+        "objective": gamma_objective(P, x),
+        "grad_residual": stationarity_residual(P, x),
+        "sfp_residual": sfp_residual_value(P, x),
+    }

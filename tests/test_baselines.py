@@ -169,3 +169,19 @@ def test_cq_options_validation():
         CqOptions(step=0.0)
     with pytest.raises(ValueError):
         CqOptions(max_iter=0)
+
+
+def test_mcq_backtracking_cap_stops_without_recording_the_failed_step():
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 10))
+    b = A @ rng.standard_normal(10)
+    P = ProblemSpec(A=A, C=FullSpace(10), Q=Singleton(b), gamma=1.0)
+    # From the origin the gradient is -A'b != 0; steps of this size fail the
+    # gradient-variation test on both allowed trials.
+    r = solve_mcq(P, np.zeros(10), McqOptions(t=5.0, sigma=1e6, backtrack_cap=1))
+    assert r.status == Status.MAX_ITERATIONS
+    assert r.message == "backtracking cap 1 reached at iteration 1"
+    assert [rec.k for rec in r.trace] == [0]
+    assert r.iterations == 0
+    assert np.array_equal(r.x, np.zeros(10))
+

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sfpsolve.cli import main
+from sfpsolve.harness import SparseSpec, gen_sparse_recovery
 from sfpsolve.linops import write_matrix, write_vector
+from sfpsolve.minefuku import solve_mf
 
 
 @pytest.fixture()
@@ -148,3 +150,30 @@ def test_trace_has_no_partial_writes(instance_files, tmp_path):
             lines = fh.readlines()
         assert lines[0].startswith("iter,") and lines[-1].endswith("\n")
     assert not os.path.exists(trace + ".tmp")
+
+
+def test_solve_unset_flags_take_library_defaults(tmp_path, capsys):
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=2, m=10, n=25, sparsity=3, noise_variance=1e-4, gamma=0.6), 0
+    )
+    write_matrix(tmp_path / "a.mat", inst.problem.A)
+    write_vector(tmp_path / "b.vec", inst.problem.Q.point)
+    expected = solve_mf(inst.problem, inst.x0)
+    assert expected.iterations == 72
+    code = main(
+        ["solve", "--algo", "mf", "--A", str(tmp_path / "a.mat"),
+         "--Q", f"singleton:{tmp_path / 'b.vec'}", "--gamma", "0.6"]
+    )
+    assert code == 0
+    assert f"iters={expected.iterations} " in capsys.readouterr().out
+
+
+def test_solve_inner_flags_only_reach_dca(instance_files, capsys):
+    a_path, b_path, _ = instance_files
+    args = ["solve", "--A", a_path, "--Q", f"singleton:{b_path}", "--gamma", "0.6",
+            "--inner-tau", "1.5", "--kappa", "0.3"]
+    assert main(args + ["--algo", "mf"]) in (0, 1)
+    assert main(args + ["--algo", "dca"]) in (0, 1)
+    assert main(args + ["--algo", "dca", "--inner-tau", "2.5"]) == 2
+    assert "tau must lie in (0, 2)" in capsys.readouterr().err
+

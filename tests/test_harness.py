@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from sfpsolve import harness
 from sfpsolve.harness import (
     BenchConfig,
     RandomSpec,
@@ -13,6 +14,7 @@ from sfpsolve.harness import (
     parse_bench_config,
     recovery_metrics,
     run_benchmark,
+    write_atomic,
 )
 from sfpsolve.sets import FullSpace, NonnegativeOrthant, Singleton
 
@@ -225,3 +227,45 @@ def test_quantile_median_matches_traces(tmp_path):
     assert len(med) == max_len
     for j in range(max_len):
         assert med[j] == pytest.approx(float(np.median(padded[:, j])), rel=1e-9)
+
+
+def test_write_atomic_leaves_other_writers_temp_files_alone(tmp_path):
+    path = tmp_path / "summary.csv"
+    other = tmp_path / "summary.csv.tmp"
+    other.write_text("another writer's partial output")
+    write_atomic(str(path), "a,b\n")
+    assert path.read_text() == "a,b\n"
+    assert other.read_text() == "another writer's partial output"
+
+
+def test_write_atomic_cleans_up_and_keeps_open_permissions(tmp_path):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w") as fh:
+        fh.write("x\n")
+    path = tmp_path / "out.csv"
+    write_atomic(str(path), "x\n")
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(str(tmp_path / "bad.csv"), "\u00e9")
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "plain.csv"]
+
+
+def test_run_benchmark_reports_solver_errors_and_raises_bugs(tmp_path, monkeypatch):
+    def fails_with(exc):
+        def solve(P, x0, opts):
+            raise exc
+
+        return harness.SOLVERS["cq"]._replace(solve=solve)
+
+    cfg = small_config(tmp_path / "out")
+    monkeypatch.setitem(harness.SOLVERS, "cq", fails_with(ValueError("bad instance")))
+    rows = run_benchmark(cfg)
+    errors = [r for r in rows if r["algo"] == "cq"]
+    assert [r["status"] for r in errors] == ["error", "error"]
+    assert errors[0]["message"] == "bad instance"
+    assert all(r["status"] != "error" for r in rows if r["algo"] == "fb")
+
+    monkeypatch.setitem(harness.SOLVERS, "cq", fails_with(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        run_benchmark(cfg)
+

@@ -145,3 +145,16 @@ def test_status_reports_budget_exhaustion(name):
     sub = unit_subproblem([5.0, -4.0, 3.0], gamma=0.2)
     r = INNER_SOLVERS[name](sub, np.zeros(3), InnerOptions(tol=1e-14, outer_max=2))
     assert r.status == Status.MAX_ITERATIONS
+
+
+def test_fb_in_dr_without_trace_records_only_the_last_iterate():
+    spec = unit_subproblem([1.0, -0.4, 0.05, 2.0], gamma=0.3, v=[0.1, 0.0, -0.2, 0.0])
+    x0 = np.array([0.5, 0.5, -0.5, 0.0])
+    full = solve_fb_in_dr(spec, x0, InnerOptions(record_trace=True))
+    last = solve_fb_in_dr(spec, x0, InnerOptions(record_trace=False))
+    assert len(full.trace) > 1 and len(last.trace) == 1
+    assert last.trace[0].k == full.trace[-1].k
+    assert last.trace[0].objective == full.trace[-1].objective
+    assert last.status == full.status
+    assert np.array_equal(last.x, full.x)
+

@@ -230,3 +230,19 @@ def test_options_validation():
         MfOptions(golden_evals=2)
     with pytest.raises(ValueError):
         MfOptions(stationarity_tol=0.0)
+
+
+def test_mf_stationary_start_converges_after_zero_iterations():
+    # At x = 0 the l1 subdifferential [-gamma, gamma] contains A'b once
+    # gamma exceeds ||A'b||_inf, so the origin is already stationary.
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((5, 8))
+    b = rng.standard_normal(5)
+    gamma = 2.0 * float(np.max(np.abs(A.T @ b)))
+    P = ProblemSpec(A=A, C=FullSpace(8), Q=Singleton(b), gamma=gamma)
+    r = solve_mf(P, np.zeros(8))
+    assert r.status == Status.CONVERGED
+    assert r.iterations == 0
+    assert len(r.trace) == 1 and r.trace[0].grad_residual == 0.0
+    assert np.array_equal(r.x, np.zeros(8))
+
