@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import as_vector, inflated_op_norm, sfp_gradient
+from .linops import inflated_op_norm, sfp_gradient
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -95,7 +95,7 @@ def _residual_columns(P: ProblemSpec, k: int, x: np.ndarray, move: float, scale:
 
 def select_subgradient(x) -> np.ndarray:
     """Subgradient of the l1 norm: componentwise sign, zero at zero entries."""
-    return np.sign(as_vector(x))
+    return np.sign(np.asarray(x, dtype=float))
 
 
 def project_level_set(x_k, t: float, y) -> np.ndarray:
@@ -107,8 +107,8 @@ def project_level_set(x_k, t: float, y) -> np.ndarray:
     feasible points.  Raises ValueError for the degenerate empty relaxation
     (only possible when ``x_k = 0`` and ``t < 0``).
     """
-    x_k = as_vector(x_k, "x_k")
-    y = as_vector(y, "y")
+    x_k = np.asarray(x_k, dtype=float)
+    y = np.asarray(y, dtype=float)
     xi = select_subgradient(x_k)
     violation = float(np.sum(np.abs(x_k)) - t + xi @ (y - x_k))
     if violation <= 0.0:

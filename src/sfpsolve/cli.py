@@ -7,8 +7,8 @@ Subcommands::
     bench-sparse  sparse-recovery benchmark from a config file
     prox-check    compare the closed-form l1-l2 prox against a grid oracle
 
-Exit codes: 0 on success, 1 when a solver stops at its iteration limit
-without converging, 2 on configuration or parse errors.
+Exit codes: 0 on success, 1 when a solver stops without converging (at its
+iteration limit or on divergence), 2 on configuration or parse errors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .harness import (
 from .inner import INNER_SOLVERS, InnerOptions
 from .linops import read_matrix, read_vector
 from .oracles import prox_check
-from .problem import ConfigurationError, ProblemSpec, Status
+from .problem import ConfigurationError, ProblemSpec
 from .sets import FullSpace, parse_set
 
 EXIT_OK = 0
@@ -53,32 +53,38 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--gamma", type=float, default=None, help="regularization weight")
     ps.add_argument("--x0", default=None, help="start vector file (default zeros)")
     ps.add_argument("--trace", default=None, help="write per-iteration CSV here")
-    # Each flag's dest is the options field it sets (``inner_<field>`` for
-    # the DCA inner solver); unset flags keep the library defaults.
-    ps.add_argument("--max-iter", type=int)
-    ps.add_argument("--step-tol", type=float)
-    ps.add_argument("--step", type=float, help="fb/cq step size")
-    ps.add_argument("--inner-solver", choices=sorted(INNER_SOLVERS))
-    ps.add_argument("--kappa", dest="inner_kappa", type=float, help="inner solver scale")
-    ps.add_argument("--inner-tol", type=float)
-    ps.add_argument("--inner-max", dest="inner_outer_max", type=int)
-    ps.add_argument("--inner-tau", type=float, help="inner DR relaxation in (0,2)")
-    ps.add_argument(
+    # Each solver flag's dest is the options field it sets (``inner_<field>``
+    # for the DCA inner solver); unset flags keep the library defaults.
+    solver_flags = {}  # dest -> flag, to name the flags a solver cannot take
+
+    def solver_flag(flag, **kwargs):
+        solver_flags[ps.add_argument(flag, **kwargs).dest] = flag
+
+    solver_flag("--max-iter", type=int)
+    solver_flag("--step-tol", type=float)
+    solver_flag("--step", type=float, help="fb/cq step size")
+    solver_flag("--inner-solver", choices=sorted(INNER_SOLVERS))
+    solver_flag("--kappa", dest="inner_kappa", type=float, help="inner solver scale")
+    solver_flag("--inner-tol", type=float)
+    solver_flag("--inner-max", dest="inner_outer_max", type=int)
+    solver_flag("--inner-tau", type=float, help="inner DR relaxation in (0,2)")
+    solver_flag(
         "--inner-lambda", dest="inner_lambda_relax", type=float,
         help="inner FB relaxation in (0,1]",
     )
-    ps.add_argument("--inner-step-fraction", type=float)
-    ps.add_argument("--inner-budget-base", type=int)
-    ps.add_argument("--inner-budget-cap", type=int)
-    ps.add_argument("--zero-tol", type=float, help="dca zero-iterate threshold")
-    ps.add_argument("--mu", dest="mu_shift", type=float, help="mf quadratic shift")
-    ps.add_argument("--lambda-max", type=float, help="mf line-search bracket")
-    ps.add_argument("--gs-evals", dest="golden_evals", type=int, help="mf golden-section budget")
-    ps.add_argument("--stationarity-tol", type=float)
-    ps.add_argument("--t", type=float, help="mcq l1 level")
-    ps.add_argument("--sigma", type=float, help="mcq initial step scale")
-    ps.add_argument("--l", type=float, help="mcq backtracking ratio")
-    ps.add_argument("--mu-armijo", dest="mu", type=float, help="mcq acceptance constant")
+    solver_flag("--inner-step-fraction", type=float)
+    solver_flag("--inner-budget-base", type=int)
+    solver_flag("--inner-budget-cap", type=int)
+    solver_flag("--zero-tol", type=float, help="dca zero-iterate threshold")
+    solver_flag("--mu", dest="mu_shift", type=float, help="mf quadratic shift")
+    solver_flag("--lambda-max", type=float, help="mf line-search bracket")
+    solver_flag("--gs-evals", dest="golden_evals", type=int, help="mf golden-section budget")
+    solver_flag("--stationarity-tol", type=float)
+    solver_flag("--t", type=float, help="mcq l1 level")
+    solver_flag("--sigma", type=float, help="mcq initial step scale")
+    solver_flag("--l", type=float, help="mcq backtracking ratio")
+    solver_flag("--mu-armijo", dest="mu", type=float, help="mcq acceptance constant")
+    ps.set_defaults(solver_flags=solver_flags)
 
     for kind in ("bench-random", "bench-sparse"):
         pb = sub.add_parser(kind, help=f"run the {kind.split('-')[1]} benchmark")
@@ -99,15 +105,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _options(solver, args):
-    """The solver's options from the flags that were set; the rest keep their defaults."""
-    given = {k: v for k, v in vars(args).items() if v is not None}
+    """The solver's options from the flags that were set; the rest keep their defaults.
+
+    A set flag that the solver has no option for is a ConfigurationError.
+    """
+    given = {k: getattr(args, k) for k in args.solver_flags if getattr(args, k) is not None}
     fields = {f.name for f in dataclasses.fields(solver.options)}
+    inner_flags = {}
+    if "inner" in fields:
+        inner_flags = {f"inner_{f.name}": f.name for f in dataclasses.fields(InnerOptions)}
+    accepted = fields | inner_flags.keys() | {"max_iter"}
+    unused = [args.solver_flags[k] for k in given if k not in accepted]
+    if unused:
+        raise ConfigurationError(f"--algo {args.algo} takes no {', '.join(unused)}")
     settings = {name: given[name] for name in fields & given.keys()}
     if "max_iter" in given:
         settings[solver.limit] = given["max_iter"]
-    inner_flags = {f"inner_{f.name}": f.name for f in dataclasses.fields(InnerOptions)}
     inner = {inner_flags[k]: v for k, v in given.items() if k in inner_flags}
-    if inner and "inner" in fields:
+    if inner:
         settings["inner"] = InnerOptions(**inner)
     return solver.options(**settings)
 
@@ -131,7 +146,7 @@ def _run_solve(args) -> int:
         write_atomic(args.trace, trace_csv(result))
     last = result.trace[-1]
     print(f"status={result.status.value} iters={result.iterations} objective={last.objective:.10g}")
-    return EXIT_OK if result.status != Status.MAX_ITERATIONS else EXIT_NOT_CONVERGED
+    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
 def _run_bench(args, kind: str) -> int:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .inner import INNER_SOLVERS, InnerOptions, SubproblemSpec
-from .linops import as_vector
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -83,7 +82,7 @@ def dca_step(
     """
     if opts is None:
         opts = DcaOptions()
-    x_k = as_vector(x_k, "x_k")
+    x_k = np.asarray(x_k, dtype=float)
     if zero_tol is None:
         zero_tol = opts.resolve_zero_tol(x_k)
     norm_x = float(np.linalg.norm(x_k))

@@ -62,7 +62,6 @@ class SubproblemSpec:
 
     def objective(self, x, member_tol: float = 1e-9) -> float:
         """Subproblem objective, +inf outside ``C``."""
-        x = as_vector(x)
         if not self.base.C.contains(x, member_tol):
             return float("inf")
         return (

@@ -1,8 +1,9 @@
 """Dense linear algebra kernels shared by every solver.
 
 Matrices are plain 2-D float64 ``numpy`` arrays (row-major), vectors are
-1-D arrays.  The helpers here add the validation the solvers rely on:
-consistent dimensions and finite entries.
+1-D arrays.  :func:`as_vector` and :func:`as_matrix` reject non-finite
+entries where data enters the program; kernels called inside iterations,
+such as :func:`sfp_gradient`, check no entries.
 """
 
 from __future__ import annotations
@@ -79,12 +80,6 @@ def sfp_gradient(A, Q, x) -> np.ndarray:
     ``project`` method (see :mod:`sfpsolve.sets`).  The gradient is
     ``||A||^2``-Lipschitz because ``I - P_Q`` is nonexpansive.
     """
-    A = as_matrix(A)
-    x = as_vector(x)
-    if x.shape[0] != A.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, x has length {x.shape[0]}"
-        )
     Ax = A @ x
     return A.T @ (Ax - Q.project(Ax))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linops import as_vector, inflated_op_norm, sfp_gradient
+from .linops import inflated_op_norm, sfp_gradient
 from .problem import (
     ConfigurationError,
     ProblemSpec,
@@ -139,7 +139,7 @@ def direction_minimizer(w, gamma: float, mu: float, C) -> np.ndarray:
     splitting iteration.  ``mu = 0`` requires a bounded set, since otherwise
     the subproblem is unbounded below whenever ``||w||_inf > gamma``.
     """
-    w = as_vector(w, "w")
+    w = np.asarray(w, dtype=float)
     if isinstance(C, Singleton):
         return C.point.copy()
     bounds = interval_bounds(C)
@@ -168,7 +168,7 @@ def mf_direction(P: ProblemSpec, x_k, opts: MfOptions | None = None) -> np.ndarr
     """Minimizer of the shifted direction subproblem at ``x_k``."""
     if opts is None:
         opts = MfOptions()
-    x_k = as_vector(x_k, "x_k")
+    x_k = np.asarray(x_k, dtype=float)
     mu = opts.resolve_mu(P)
     w = _direction_coefficient(P, x_k, mu)
     return direction_minimizer(w, P.gamma, mu, P.C)
@@ -208,8 +208,8 @@ def mf_line_search(
     """
     if opts is None:
         opts = MfOptions()
-    x_k = as_vector(x_k, "x_k")
-    x_tilde = as_vector(x_tilde, "x_tilde")
+    x_k = np.asarray(x_k, dtype=float)
+    x_tilde = np.asarray(x_tilde, dtype=float)
     if float(np.linalg.norm(x_tilde - x_k)) == 0.0:
         return 0.0
 
@@ -253,7 +253,7 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
         residual = columns["grad_residual"]
         return columns
 
-    return iterate(
+    result = iterate(
         x,
         step,
         monitor,
@@ -262,3 +262,8 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
         message=message,
         residual_is_proxy=not has_exact_residual(P.C),
     )
+    # The stationarity stop is tested before each step, so an iterate that
+    # passes it at max_iter would otherwise be reported as MAX_ITERATIONS.
+    if result.status is Status.MAX_ITERATIONS and residual <= resolved.stationarity_tol:
+        result.status = Status.CONVERGED
+    return result

@@ -47,6 +47,7 @@ class Status(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERATIONS = "max_iterations"
     ZERO_STATIONARY = "zero_stationary"
+    DIVERGED = "diverged"
 
 
 @dataclass(frozen=True)
@@ -164,9 +165,10 @@ def iterate(
     with ``stop`` and no record; otherwise ``x_next`` is recorded with the
     columns ``monitor(k, x_next, move)`` returns, and the run ends with
     ``stop`` if given, else as ``CONVERGED`` once ``move <= step_tol``, else
-    as ``MAX_ITERATIONS``.  The start is recorded as ``k = 0`` if
-    ``record_start``; without ``record_trace`` only the last iterate is.
-    A stop's message is joined to ``message``.
+    as ``MAX_ITERATIONS``.  A non-finite ``x_next`` is not recorded: the run
+    ends as ``DIVERGED`` with the last finite iterate.  The start is recorded
+    as ``k = 0`` if ``record_start``; without ``record_trace`` only the last
+    iterate is.  A stop's message is joined to ``message``.
     """
     t0 = time.perf_counter()
 
@@ -178,6 +180,8 @@ def iterate(
     status, last_k, last_move = Status.MAX_ITERATIONS, 0, 0.0
     for k in range(1, max_iter + 1):
         x_next, move, stop = step(k, x)
+        if x_next is not None and not np.all(np.isfinite(x_next)):
+            x_next, stop = None, Stop(Status.DIVERGED, f"non-finite iterate at iteration {k}")
         if x_next is not None:
             x, last_k, last_move = x_next, k, move
             if record_trace:
@@ -197,13 +201,12 @@ def iterate(
 
 def sfp_residual_value(P: ProblemSpec, x) -> float:
     """The unregularized feasibility residual ``0.5*||Ax - P_Q(Ax)||^2``."""
-    Ax = P.A @ as_vector(x)
+    Ax = P.A @ x
     return 0.5 * float(np.sum((Ax - P.Q.project(Ax)) ** 2))
 
 
 def gamma_objective(P: ProblemSpec, x, member_tol: float = 1e-9) -> float:
     """Regularized objective; +inf when ``x`` is not in ``C`` within tolerance."""
-    x = as_vector(x)
     if not P.C.contains(x, member_tol):
         return float("inf")
     return sfp_residual_value(P, x) + P.gamma * l1_l2(x)
@@ -244,7 +247,7 @@ def stationarity_residual(
     the l1 subdifferential (default ``1e-8 * (1 + max|x_i|)``); ``active_tol``
     does the same for bound activity in ``N_C``.
     """
-    x = as_vector(x)
+    x = np.asarray(x, dtype=float)
     if x.shape[0] != P.n:
         raise ValueError("dimension mismatch between x and problem")
     g = _smooth_gradient(P, x)

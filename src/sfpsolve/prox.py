@@ -33,7 +33,7 @@ def soft_threshold(x, lam: float) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError("soft-threshold parameter must be nonnegative")
-    x = as_vector(x)
+    x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
@@ -55,7 +55,7 @@ def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
     """
     if lam <= 0:
         raise ValueError("prox scale must be positive")
-    y = as_vector(y, "y")
+    y = np.asarray(y, dtype=float)
     y_inf = float(np.max(np.abs(y))) if y.size else 0.0
     if y_inf == 0.0:
         return np.zeros_like(y)

@@ -42,14 +42,13 @@ class ConvexSet:
         """True iff ``x`` is within ``tol`` (Euclidean) of the set."""
         if tol < 0:
             raise ValueError("tol must be nonnegative")
-        x = self._check(x)
         return float(np.linalg.norm(x - self.project(x))) <= tol
 
     def _check(self, x) -> np.ndarray:
-        x = as_vector(x)
-        if x.shape[0] != self.dim:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
             raise ValueError(
-                f"dimension mismatch: set lives in R^{self.dim}, point has length {x.shape[0]}"
+                f"dimension mismatch: set lives in R^{self.dim}, point has shape {x.shape}"
             )
         return x
 

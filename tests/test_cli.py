@@ -172,8 +172,32 @@ def test_solve_inner_flags_only_reach_dca(instance_files, capsys):
     a_path, b_path, _ = instance_files
     args = ["solve", "--A", a_path, "--Q", f"singleton:{b_path}", "--gamma", "0.6",
             "--inner-tau", "1.5", "--kappa", "0.3"]
-    assert main(args + ["--algo", "mf"]) in (0, 1)
+    assert main(args + ["--algo", "mf"]) == 2
     assert main(args + ["--algo", "dca"]) in (0, 1)
     assert main(args + ["--algo", "dca", "--inner-tau", "2.5"]) == 2
     assert "tau must lie in (0, 2)" in capsys.readouterr().err
 
+
+def test_solve_rejects_flags_the_solver_has_no_option_for(instance_files, capsys):
+    a_path, b_path, tmp_path = instance_files
+    args = ["solve", "--A", a_path, "--Q", f"singleton:{b_path}", "--gamma", "0.6"]
+    assert main(args + ["--algo", "mf", "--step", "0.1", "--t", "2"]) == 2
+    assert "--algo mf takes no --step, --t" in capsys.readouterr().err
+    assert main(args + ["--algo", "cq", "--zero-tol", "1e-9"]) == 2
+    assert "--algo cq takes no --zero-tol" in capsys.readouterr().err
+    # the iteration controls and the problem flags reach every solver
+    write_vector(tmp_path / "x0.vec", np.zeros(25))
+    args += ["--C", "fullspace:25", "--x0", str(tmp_path / "x0.vec"),
+             "--trace", str(tmp_path / "t.csv"), "--max-iter", "3", "--step-tol", "1e-3"]
+    for extra in (["--algo", "dca"], ["--algo", "fb"], ["--algo", "mf"], ["--algo", "cq"],
+                  ["--algo", "mcq", "--t", "3"]):
+        assert main(args + extra) in (0, 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the iterates overflow
+def test_solve_divergence_exits_not_converged(instance_files, capsys):
+    a_path, b_path, _ = instance_files
+    code = main(["solve", "--algo", "cq", "--A", a_path, "--Q", f"singleton:{b_path}",
+                 "--step", "5"])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("status=diverged ")

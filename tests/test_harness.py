@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from sfpsolve import harness
+from sfpsolve.baselines import solve_cq
 from sfpsolve.harness import (
     BenchConfig,
     RandomSpec,
@@ -269,3 +271,19 @@ def test_run_benchmark_reports_solver_errors_and_raises_bugs(tmp_path, monkeypat
     with pytest.raises(TypeError, match="a bug"):
         run_benchmark(cfg)
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the iterates overflow
+def test_run_benchmark_reports_divergence_with_its_trace(tmp_path, monkeypatch):
+    def oversized_step(P, x0, opts):
+        return solve_cq(P, x0, dataclasses.replace(opts, step=50.0))
+
+    cfg = small_config(tmp_path / "out", traces=True)
+    monkeypatch.setitem(harness.SOLVERS, "cq", harness.SOLVERS["cq"]._replace(solve=oversized_step))
+    rows = [r for r in run_benchmark(cfg) if r["algo"] == "cq"]
+    assert [r["status"] for r in rows] == ["diverged", "diverged"]
+    assert all(0 < r["iterations"] < cfg.max_iter for r in rows)
+    with open(os.path.join(cfg.out_dir, "summary.csv")) as fh:
+        summary = list(csv.DictReader(fh))
+    assert [r["status"] for r in summary if r["algo"] == "cq"] == ["diverged", "diverged"]
+    with open(os.path.join(cfg.out_dir, "trace_cq_0.csv")) as fh:
+        assert len(fh.readlines()) == 1 + rows[0]["iterations"] + 1  # header, k = 0..iterations

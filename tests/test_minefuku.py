@@ -246,3 +246,16 @@ def test_mf_stationary_start_converges_after_zero_iterations():
     assert len(r.trace) == 1 and r.trace[0].grad_residual == 0.0
     assert np.array_equal(r.x, np.zeros(8))
 
+
+def test_mf_last_iterate_passing_the_stationarity_stop_is_converged():
+    # The default run stops at the top of iteration 73; with max_iter=72 the
+    # same iterate 72 ends the run at the limit and still counts as converged.
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=2, m=10, n=25, sparsity=3, noise_variance=1e-4, gamma=0.6), 0
+    )
+    opts = MfOptions(max_iter=72)
+    r = solve_mf(inst.problem, inst.x0, opts)
+    assert r.status == Status.CONVERGED
+    assert r.iterations == 72
+    assert r.trace[-1].grad_residual <= opts.resolve_stationarity_tol(inst.problem)
+    assert solve_mf(inst.problem, inst.x0, MfOptions(max_iter=71)).status == Status.MAX_ITERATIONS

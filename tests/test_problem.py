@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from sfpsolve.baselines import CqOptions, solve_cq
+from sfpsolve.dca import solve_dca
+from sfpsolve.fbsplit import FbOptions, solve_fb
+from sfpsolve.inner import SubproblemSpec
+from sfpsolve.linops import read_vector
 from sfpsolve.problem import (
     ProblemSpec,
+    Status,
     gamma_objective,
     has_exact_residual,
     sfp_residual_value,
@@ -137,3 +143,50 @@ def test_objective_nonnegative_on_C():
         assert sfp_residual_value(P, x) >= 0.0
         assert l1_l2(x) >= -1e-12
         assert gamma_objective(P, x) >= -1e-12
+
+
+def gaussian_problem(m=20, n=50, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    x_true = np.zeros(n)
+    x_true[:3] = 1.0
+    return ProblemSpec(A=A, C=FullSpace(n), Q=Singleton(A @ x_true), gamma=0.6)
+
+
+# Steps far above gamma/||A||^2 (fb) and 2/||A||^2 (cq): the iterates
+# overflow, which numpy reports with RuntimeWarnings on the way.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "solve, opts",
+    [(solve_fb, FbOptions(step=50.0, allow_unsafe_step=True)), (solve_cq, CqOptions(step=1.0))],
+)
+def test_divergence_returns_the_trace(solve, opts):
+    P = gaussian_problem()
+    r = solve(P, np.zeros(P.n), opts)
+    assert r.status == Status.DIVERGED and not r.converged
+    assert 0 < r.iterations < opts.max_iter
+    assert np.all(np.isfinite(r.x))
+    assert len(r.trace) == r.iterations + 1
+    assert r.message == f"non-finite iterate at iteration {r.iterations + 1}"
+
+
+@pytest.mark.parametrize(
+    "enter",
+    [
+        lambda tmp: ProblemSpec(
+            A=[[np.nan, 0.0], [0.0, 1.0]], C=FullSpace(2), Q=Singleton([0.0, 0.0]), gamma=0.5
+        ),
+        lambda tmp: solve_dca(unit_problem([1.0, 2.0]), [np.inf, 0.0]),
+        lambda tmp: solve_fb(unit_problem([1.0, 2.0]), [np.nan, 0.0]),
+        lambda tmp: Ball([np.nan, 0.0], 1.0),
+        lambda tmp: Box([np.nan, 0.0], [1.0, 1.0]),
+        lambda tmp: Box([0.0, 0.0], [np.inf, 1.0]),
+        lambda tmp: SubproblemSpec(base=unit_problem([1.0, 2.0]), v=[np.nan, 0.0]),
+        lambda tmp: read_vector(tmp / "v.vec"),
+    ],
+    ids=["A", "dca-x0", "fb-x0", "ball-center", "box-lower", "box-upper", "subproblem-v", "file"],
+)
+def test_non_finite_input_is_rejected_where_it_enters(enter, tmp_path):
+    (tmp_path / "v.vec").write_text("2\n1.0 nan\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        enter(tmp_path)
