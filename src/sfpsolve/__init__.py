@@ -44,7 +44,6 @@ from .linops import (
     apply,
     apply_transpose,
     inflated_op_norm,
-    op_norm_estimate,
     read_matrix,
     read_vector,
     sfp_gradient,
@@ -90,7 +89,6 @@ __all__ = [
     "apply",
     "apply_transpose",
     "sfp_gradient",
-    "op_norm_estimate",
     "inflated_op_norm",
     "read_matrix",
     "write_matrix",

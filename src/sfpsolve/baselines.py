@@ -56,8 +56,7 @@ class CqOptions:
     def resolve_step(self, P: ProblemSpec) -> float:
         if self.step is not None:
             return self.step
-        norm_a = inflated_op_norm(P.A)
-        return 1.0 / norm_a**2 if norm_a > 0 else 1.0
+        return 1.0 / inflated_op_norm(P.A) ** 2
 
 
 def solve_cq(P: ProblemSpec, x0, opts: CqOptions | None = None) -> SolveResult:

@@ -147,8 +147,7 @@ def solve_fb_in_dr(
     # The smooth block handled in the inner loop has a kappa*||A||^2-Lipschitz
     # gradient; the quadratic coupling term is treated implicitly, so the
     # step bound is 2 / (kappa*||A||^2).
-    norm_a = inflated_op_norm(P.A)
-    step_cap = 2.0 / (kappa * norm_a**2) if norm_a > 0 else 1.0
+    step_cap = 2.0 / (kappa * inflated_op_norm(P.A) ** 2)
     gstep = opts.step_fraction * step_cap
     lam = opts.lambda_relax
     thresh = kappa * P.gamma
@@ -235,8 +234,7 @@ def solve_dr_in_fb(
         opts = InnerOptions()
     P = spec.base
     kappa = opts.resolve_kappa(spec)
-    norm_a = inflated_op_norm(P.A)
-    step_cap = 2.0 / norm_a**2 if norm_a > 0 else 1.0
+    step_cap = 2.0 / inflated_op_norm(P.A) ** 2
     gstep = opts.step_fraction * step_cap
     lam = opts.lambda_relax
     # kappa is the weight of the constrained l1 block here; it defaults to the

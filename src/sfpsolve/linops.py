@@ -16,19 +16,12 @@ __all__ = [
     "apply",
     "apply_transpose",
     "sfp_gradient",
-    "op_norm_estimate",
     "inflated_op_norm",
     "read_matrix",
     "write_matrix",
     "read_vector",
     "write_vector",
 ]
-
-# Relative safety margin added on top of the power-iteration estimate before
-# it is used in a step-size bound.  The estimate is a lower bound of the true
-# spectral norm, so step sizes derived from the inflated value stay strictly
-# inside their admissible interval.
-NORM_SAFETY = 1e-6
 
 
 def as_vector(x, name: str = "x") -> np.ndarray:
@@ -84,45 +77,13 @@ def sfp_gradient(A, Q, x) -> np.ndarray:
     return A.T @ (Ax - Q.project(Ax))
 
 
-def op_norm_estimate(A, max_iters: int = 200, tol: float = 1e-8) -> float:
-    """Estimate the spectral norm of ``A`` by power iteration on ``A.T @ A``.
+def inflated_op_norm(A) -> float:
+    """Exact spectral norm ``||A||_2`` (the largest singular value) of ``A``.
 
-    Uses a deterministic start vector (normalized all-ones) so repeated calls
-    return identical values.  The returned value is ``||A v||`` for a unit
-    vector ``v``, hence never exceeds the true norm; iteration stops once the
-    estimate changes by less than ``tol`` or ``max_iters`` is reached.  A zero
-    matrix yields 0.0.
+    Every step-size bound of the form ``c / ||A||^2`` is computed from this
+    value.  It is exact, so the bounds need no safety margin.
     """
-    A = as_matrix(A)
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = A.shape[1]
-    if n == 0 or A.shape[0] == 0:
-        return 0.0
-    v = np.full(n, 1.0 / np.sqrt(n))
-    estimate = 0.0
-    for _ in range(max_iters):
-        w = A.T @ (A @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_estimate = float(np.linalg.norm(A @ v))
-        if abs(new_estimate - estimate) <= tol * max(1.0, new_estimate):
-            return new_estimate
-        estimate = new_estimate
-    return estimate
-
-
-def inflated_op_norm(A, max_iters: int = 200, tol: float = 1e-8) -> float:
-    """Spectral-norm estimate inflated by a small safety factor.
-
-    Step-size bounds of the form ``c / ||A||^2`` should be computed from this
-    value rather than the raw estimate.
-    """
-    return op_norm_estimate(A, max_iters=max_iters, tol=tol) * (1.0 + NORM_SAFETY)
+    return float(np.linalg.norm(A, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linops import inflated_op_norm, sfp_gradient
+from .linops import inflated_op_norm
 from .problem import (
     ConfigurationError,
     ProblemSpec,
     SolveResult,
     Status,
     Stop,
+    _smooth_gradient,
     gamma_objective,
     has_exact_residual,
     iterate,
@@ -100,12 +101,7 @@ class MfOptions:
 
 def _direction_coefficient(P: ProblemSpec, x_k: np.ndarray, mu: float) -> np.ndarray:
     """Linear coefficient ``w_k`` of the direction subproblem at ``x_k``."""
-    w = sfp_gradient(P.A, P.Q, x_k)
-    norm_x = float(np.linalg.norm(x_k))
-    if norm_x > 0.0:
-        w = w - P.gamma * (x_k / norm_x)
-    # At the origin the zero subgradient of ||.||_2 is used.
-    return w - mu * x_k
+    return _smooth_gradient(P, x_k) - mu * x_k
 
 
 def _direction_dr(w, gamma, mu, C, tol=1e-10, max_iter=5000):
@@ -234,9 +230,8 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     if opts is None:
         opts = MfOptions()
     x, message = start_point(P, x0)
-    resolved = replace(
-        opts, mu_shift=opts.resolve_mu(P), stationarity_tol=opts.resolve_stationarity_tol(P)
-    )
+    resolved = replace(opts, mu_shift=opts.resolve_mu(P))
+    resolved = replace(resolved, stationarity_tol=resolved.resolve_stationarity_tol(P))
     residual = float("inf")  # stationarity residual of the last recorded iterate
 
     def step(k, x):

@@ -63,6 +63,8 @@ class ProblemSpec:
         A = as_matrix(self.A).copy()
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
+        if not np.any(A):
+            raise ValueError("A must have a nonzero entry")
         if self.C.dim != A.shape[1]:
             raise ValueError(
                 f"C lives in R^{self.C.dim} but A has {A.shape[1]} columns"

@@ -201,3 +201,13 @@ def test_solve_divergence_exits_not_converged(instance_files, capsys):
                  "--step", "5"])
     assert code == 1
     assert capsys.readouterr().out.startswith("status=diverged ")
+
+
+def test_solve_all_zero_matrix_is_config_error(instance_files, capsys):
+    _, b_path, tmp_path = instance_files
+    zero_path = tmp_path / "zero.mat"
+    write_matrix(zero_path, np.zeros((10, 25)))
+    code = main(["solve", "--algo", "fb", "--A", str(zero_path), "--Q", f"singleton:{b_path}",
+                 "--gamma", "0.6"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: A must have a nonzero entry")

@@ -30,6 +30,13 @@ def test_step_bound_enforced():
     assert len(r.trace) == 6
 
 
+def test_step_bound_uses_the_exact_norm():
+    # ||A|| = 1 exactly, so gamma/||A||^2 = 1 and this step is just above it.
+    P = ProblemSpec(A=np.diag([0.999, 1.0]), C=FullSpace(2), Q=Singleton(np.ones(2)), gamma=1.0)
+    with pytest.raises(ValueError, match="descent bound"):
+        FbOptions(step=1.0003).resolve_step(P)
+
+
 def test_constrained_domain_rejected():
     P = ProblemSpec(A=np.eye(2), C=NonnegativeOrthant(2), Q=Singleton(np.ones(2)), gamma=0.5)
     with pytest.raises(ConfigurationError, match="Douglas-Rachford"):

@@ -4,7 +4,7 @@ import pytest
 from sfpsolve.linops import (
     apply,
     apply_transpose,
-    op_norm_estimate,
+    inflated_op_norm,
     read_matrix,
     read_vector,
     sfp_gradient,
@@ -119,7 +119,7 @@ def test_sfp_gradient_lipschitz():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((6, 5))
     Q = Ball(rng.standard_normal(6), 1.0)
-    bound = (op_norm_estimate(A) * (1 + 1e-6)) ** 2
+    bound = inflated_op_norm(A) ** 2
     for _ in range(30):
         x1 = rng.standard_normal(5)
         x2 = rng.standard_normal(5)
@@ -127,31 +127,14 @@ def test_sfp_gradient_lipschitz():
         assert lhs <= bound * np.linalg.norm(x1 - x2) + 1e-12
 
 
-def test_op_norm_identity():
-    assert op_norm_estimate(np.eye(4)) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_op_norm_diagonal():
-    assert op_norm_estimate(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-6)
-
-
-def test_op_norm_matches_svd():
+def test_op_norm_is_the_largest_singular_value():
     rng = np.random.default_rng(11)
-    A = rng.standard_normal((10, 6))
-    sigma = np.linalg.svd(A, compute_uv=False)[0]
-    assert op_norm_estimate(A, max_iters=500) == pytest.approx(sigma, rel=1e-6)
-
-
-def test_op_norm_zero_matrix():
-    assert op_norm_estimate(np.zeros((3, 4))) == 0.0
-
-
-def test_op_norm_never_exceeds_truth():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        A = rng.standard_normal((7, 5))
+    matrices = [rng.standard_normal(shape) for shape in [(10, 6), (7, 5), (100, 256)]]
+    # Two nearly equal singular values: an iterative estimate converges slowly here.
+    matrices.append(np.diag([0.999, 1.0]))
+    for A in matrices:
         sigma = np.linalg.svd(A, compute_uv=False)[0]
-        assert op_norm_estimate(A, max_iters=50) <= sigma * (1 + 1e-12)
+        assert inflated_op_norm(A) == pytest.approx(sigma, rel=1e-12, abs=0.0)
 
 
 def test_matrix_roundtrip(tmp_path):

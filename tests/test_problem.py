@@ -57,6 +57,11 @@ def test_problem_validation():
         ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.zeros(2)), gamma=0.0)
 
 
+def test_all_zero_matrix_is_rejected():
+    with pytest.raises(ValueError, match="nonzero entry"):
+        ProblemSpec(A=np.zeros((2, 3)), C=FullSpace(3), Q=Singleton(np.ones(2)), gamma=0.5)
+
+
 def test_stationarity_residual_at_fixed_point():
     # On the unit design the scheme's fixed point x = shrink(b + g*x/|x|, g)
     # satisfies the optimality inclusion; the residual certifies it.
