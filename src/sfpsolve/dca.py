@@ -28,6 +28,8 @@ from .problem import (
 
 __all__ = ["DcaOptions", "dca_step", "solve_dca"]
 
+_DISCARDED = "inner result discarded: no majorizer improvement"
+
 
 @dataclass
 class DcaOptions:
@@ -97,9 +99,7 @@ def dca_step(
     # result preserves monotone descent.
     if spec.objective(inner.x) > spec.objective(x_k):
         inner.x = x_k.copy()
-        inner.message = (inner.message + "; " if inner.message else "") + (
-            "inner result discarded: no majorizer improvement"
-        )
+        inner.message = "; ".join(m for m in (inner.message, _DISCARDED) if m)
     return inner
 
 
@@ -109,14 +109,22 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     Stops when the step norm drops to ``step_tol`` (``CONVERGED``), when two
     consecutive iterates are both zero (``ZERO_STATIONARY``: the origin is
     already a fixed point of the scheme), or at ``max_outer`` iterations.
+    The message names the steps whose inner solve ran out of ``outer_max``
+    and those whose inner result the majorizer safeguard discarded.
     """
     if opts is None:
         opts = DcaOptions()
     x, message = start_point(P, x0)
     zero_tol = opts.resolve_zero_tol(x)
+    capped, discarded = [], []
 
     def step(k, x):
-        x_next = dca_step(P, x, opts, zero_tol=zero_tol).x
+        inner = dca_step(P, x, opts, zero_tol=zero_tol)
+        if inner.status is Status.MAX_ITERATIONS:
+            capped.append(k)
+        if _DISCARDED in inner.message:
+            discarded.append(k)
+        x_next = inner.x
         both_zero = max(np.linalg.norm(x), np.linalg.norm(x_next)) <= zero_tol
         stop = Stop(Status.ZERO_STATIONARY) if both_zero else None
         return x_next, float(np.linalg.norm(x_next - x)), stop
@@ -135,4 +143,10 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     )
     if result.status is Status.ZERO_STATIONARY:
         result.x = np.zeros_like(result.x)
+    notes = [
+        f"{what} at steps {', '.join(map(str, steps))}"
+        for what, steps in (("inner solve hit outer_max", capped), ("inner result discarded", discarded))
+        if steps
+    ]
+    result.message = "; ".join(m for m in (result.message, *notes) if m)
     return result

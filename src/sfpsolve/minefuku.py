@@ -38,7 +38,7 @@ from .problem import (
     start_point,
 )
 from .prox import soft_threshold
-from .sets import Ball, Box, L1Ball, Singleton, interval_bounds
+from .sets import Ball, Box, L1Ball, Singleton
 
 __all__ = [
     "MfOptions",
@@ -105,15 +105,16 @@ def _direction_coefficient(P: ProblemSpec, x_k: np.ndarray, mu: float) -> np.nda
 
 
 def _direction_dr(w, gamma, mu, C, tol=1e-10, max_iter=5000):
-    """Solve ``min_{x in C} <w, x> + gamma*||x||_1 + mu*||x||^2/2`` exactly.
+    """Solve ``min_{x in C} <w, x> + gamma*||x||_1 + mu*||x||^2/2`` iteratively.
 
     Douglas-Rachford between the constraint (projection) and the remaining
-    strongly convex term, whose prox is a closed-form shrink:
-    ``prox(z) = soft_threshold(z - s*w, s*gamma) / (1 + s*mu)``.
+    term, whose prox is a closed-form shrink:
+    ``prox(z) = soft_threshold(z - s*w, s*gamma) / (1 + s*mu)``.  Only the
+    sets without a closed form reach it: a ball with a nonzero centre, and
+    ``mu = 0`` on a ball or l1 ball.
     """
     scale = 1.0
     y = np.zeros_like(w)
-    x = C.project(y)
     for _ in range(max_iter):
         x = C.project(y)
         u = soft_threshold(2.0 * x - y - scale * w, scale * gamma) / (1.0 + scale * mu)
@@ -128,29 +129,28 @@ def _direction_dr(w, gamma, mu, C, tol=1e-10, max_iter=5000):
 def direction_minimizer(w, gamma: float, mu: float, C) -> np.ndarray:
     """Minimize ``<w, x> + gamma*||x||_1 + mu*||x||^2/2`` over ``C``.
 
-    Separable sets with ``mu > 0`` use the closed form
-    ``clamp(soft_threshold(-w/mu, gamma/mu))`` (the scalar objective is
-    strongly convex, so clamping the free minimizer into the bounds is
-    exact); singletons are trivial; balls and l1 balls fall back to the
-    splitting iteration.  ``mu = 0`` requires a bounded set, since otherwise
-    the subproblem is unbounded below whenever ``||w||_inf > gamma``.
+    With ``mu > 0`` the minimizer is the prox of ``(gamma/mu)*||.||_1 + i_C``
+    at ``-w/mu``, which is ``P_C(soft_threshold(-w/mu, gamma/mu))`` on the
+    full space, orthant, box, l1 ball and a ball centred at the origin (Yu,
+    "On decomposing the proximal map", 2013); singletons are trivial, and
+    only a ball with a nonzero centre takes the splitting iteration.
+    ``mu = 0`` requires a bounded set, since otherwise the subproblem is
+    unbounded below whenever ``||w||_inf > gamma``.
     """
     w = np.asarray(w, dtype=float)
     if isinstance(C, Singleton):
         return C.point.copy()
-    bounds = interval_bounds(C)
-    if mu > 0.0 and bounds is not None:
-        lower, upper = bounds
-        return np.clip(soft_threshold(-w / mu, gamma / mu), lower, upper)
+    if mu > 0.0 and not (isinstance(C, Ball) and np.any(C.center)):
+        return C.project(soft_threshold(-w / mu, gamma / mu))
     if mu == 0.0:
         if not isinstance(C, (Ball, Box, L1Ball)):
             raise ConfigurationError(
                 "mu_shift = 0 requires a bounded constraint set; the direction "
                 "subproblem is unbounded below on unbounded sets"
             )
-        if bounds is not None:
+        if isinstance(C, Box):
             # Piecewise-linear per coordinate: the minimum sits at a bound or 0.
-            lower, upper = bounds
+            lower, upper = C.lower, C.upper
             candidates = np.stack(
                 [lower, upper, np.clip(np.zeros_like(w), lower, upper)]
             )

@@ -241,9 +241,12 @@ def stationarity_residual(
     the l2 norm at the origin).  For separable ``C`` (full space, orthant,
     box) the Minkowski sum is an interval per coordinate and the Euclidean
     distance is computed exactly.  For the remaining sets the value is the
-    fixed-point proxy ``||x - P_C(soft_threshold(x - g(x), gamma))||``, a
-    monitoring quantity rather than a certificate
-    (see :func:`has_exact_residual`).
+    fixed-point proxy ``||x - P_C(soft_threshold(x - g(x), gamma))||``, not
+    a distance (see :func:`has_exact_residual`).  On the l1 ball and a ball
+    centred at the origin the proxy equals
+    ``||x - prox_{gamma*||.||_1 + i_C}(x - g(x))||``, which is zero iff ``x``
+    is stationary; on an off-centre ball or a singleton it is a monitoring
+    quantity only.
 
     ``coord_zero_tol`` controls which coordinates count as zero when picking
     the l1 subdifferential (default ``1e-8 * (1 + max|x_i|)``); ``active_tol``

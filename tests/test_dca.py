@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfpsolve.dca import DcaOptions, dca_step, solve_dca
-from sfpsolve.harness import RandomSpec, gen_random_problem
+from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
 from sfpsolve.inner import InnerOptions
 from sfpsolve.problem import ProblemSpec, Status, stationarity_residual
 from sfpsolve.prox import soft_threshold
@@ -102,3 +102,31 @@ def test_both_inner_solvers_reach_same_point():
     xa = solve_dca(P, np.zeros(3), DcaOptions(inner_solver="fb-in-dr")).x
     xb = solve_dca(P, np.zeros(3), DcaOptions(inner_solver="dr-in-fb")).x
     assert np.linalg.norm(xa - xb) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "inner_solver,status,message",
+    [
+        ("dr-in-fb", Status.MAX_ITERATIONS, "inner solve hit outer_max at steps 1, 2, 3"),
+        (
+            "fb-in-dr",
+            Status.CONVERGED,
+            "inner solve hit outer_max at steps 1, 2, 3; inner result discarded at steps 3",
+        ),
+    ],
+    ids=["dr-in-fb", "fb-in-dr"],
+)
+def test_message_names_capped_and_discarded_inner_steps(inner_solver, status, message):
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=0, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
+    )
+    P = inst.problem
+    opts = DcaOptions(inner_solver=inner_solver, inner=InnerOptions(outer_max=1), max_outer=3)
+    r = solve_dca(P, inst.x0, opts)
+    assert r.status == status
+    assert r.message == message
+    # The report changes nothing: the iterates are the chained dca_step results.
+    x = inst.x0
+    for _ in range(r.iterations):
+        x = dca_step(P, x, opts, zero_tol=opts.resolve_zero_tol(inst.x0)).x
+    assert np.array_equal(r.x, x)

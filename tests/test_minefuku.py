@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from sfpsolve import minefuku
 from sfpsolve.minefuku import (
     MfOptions,
+    _direction_dr,
     direction_minimizer,
     mf_direction,
     mf_line_search,
@@ -60,18 +62,68 @@ def test_direction_matches_grid(C, lo, hi):
     assert abs(val - grid_val) <= 1e-3
 
 
-def test_direction_splitting_agrees_with_closed_form():
-    # The splitting fallback and the separable closed form solve the same
-    # strongly convex subproblem.
-    from sfpsolve.minefuku import _direction_dr
+def _subproblem_value(w, gamma, mu, x):
+    return float(w @ x) + gamma * float(np.sum(np.abs(x))) + 0.5 * mu * float(x @ x)
 
-    rng = np.random.default_rng(4)
-    C = NonnegativeOrthant(5)
-    for _ in range(10):
-        w = rng.standard_normal(5)
-        exact = direction_minimizer(w, 0.7, 0.9, C)
-        iterated = _direction_dr(w, 0.7, 0.9, C)
-        assert np.linalg.norm(exact - iterated) <= 1e-7
+
+def test_direction_splitting_agrees_with_closed_form():
+    # The splitting fallback and the closed form P_C(soft_threshold(.)) solve
+    # the same strongly convex subproblem.  At these w a radius of 20 leaves
+    # the constraint inactive and a radius of 0.3 makes it active.
+    sets = [
+        NonnegativeOrthant(5),
+        L1Ball(20.0, 5),
+        L1Ball(0.3, 5),
+        Ball(np.zeros(5), 20.0),
+        Ball(np.zeros(5), 0.3),
+    ]
+    gamma, mu = 0.7, 0.9
+    for C in sets:
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            w = 2.0 * rng.standard_normal(5)
+            exact = direction_minimizer(w, gamma, mu, C)
+            iterated = _direction_dr(w, gamma, mu, C)
+            assert np.linalg.norm(exact - iterated) <= 1e-7, C
+            closed, split = (_subproblem_value(w, gamma, mu, x) for x in (exact, iterated))
+            assert closed <= split + 1e-12 * max(1.0, abs(split)), C
+
+
+def test_direction_on_l1_ball_is_exact():
+    # gamma = 0.5, mu = 1.  w = (-4, 1): soft_threshold gives (3.5, -0.5) and
+    # the unit l1 ball shrinks it by 2.5 more to (1, 0).  w = (-3, 2.75):
+    # (2.5, -2.25) shrinks by 0.875 onto the radius-3 ball, to
+    # (1.625, -1.375); the splitting iteration is off here by ~1e-11.
+    x = direction_minimizer([-4.0, 1.0], 0.5, 1.0, L1Ball(1.0, 2))
+    assert np.array_equal(x, [1.0, 0.0])
+    x = direction_minimizer([-3.0, 2.75], 0.5, 1.0, L1Ball(3.0, 2))
+    assert np.array_equal(x, [1.625, -1.375])
+
+
+@pytest.mark.parametrize("C", [L1Ball(0.5, 4), Ball(np.zeros(4), 0.5)], ids=repr)
+def test_direction_closed_form_needs_no_splitting(C, monkeypatch):
+    def no_splitting(*args, **kwargs):
+        raise AssertionError("splitting iteration called")
+
+    monkeypatch.setattr(minefuku, "_direction_dr", no_splitting)
+    x = direction_minimizer([-3.0, 2.0, 0.1, -0.5], 0.4, 1.5, C)
+    assert C.contains(x, 1e-12)
+
+
+def test_direction_off_centre_ball_matches_grid():
+    # A ball that does not contain the origin has no closed form and keeps
+    # the splitting iteration.
+    C = Ball(np.array([1.5, -1.0]), 0.8)
+    w = np.array([-3.0, 0.4])
+    gamma, mu = 1.0, 1.0
+
+    def objective_batch(V):
+        return w @ V + gamma * np.sum(np.abs(V), axis=0) + 0.5 * mu * np.sum(V * V, axis=0)
+
+    _, grid_val = grid_minimize(objective_batch, C, [0.7, -1.8], [2.3, -0.2], 1e-3)
+    x = direction_minimizer(w, gamma, mu, C)
+    assert C.contains(x, 1e-8)
+    assert abs(_subproblem_value(w, gamma, mu, x) - grid_val) <= 1e-3
 
 
 def test_direction_on_l1_ball_is_feasible_and_optimal():
@@ -219,6 +271,32 @@ def test_zero_iterate_continues():
     P = ProblemSpec(A=A, C=FullSpace(6), Q=Singleton(rng.standard_normal(4) * 3), gamma=0.4)
     r = solve_mf(P, np.zeros(6), MfOptions(max_iter=50))
     assert np.linalg.norm(r.x) > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_run_matches_splitting_run(seed, monkeypatch):
+    # A whole mf run on an l1 ball with the closed-form direction and the
+    # same run with every direction from the splitting iteration stop alike.
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=seed, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
+    )
+    b = inst.problem.Q.point
+    P = ProblemSpec(
+        A=inst.problem.A, C=L1Ball(inst.t_level, 50), Q=Ball(b, 0.1), gamma=inst.problem.gamma
+    )
+    closed = solve_mf(P, inst.x0)
+    calls = []
+
+    def splitting(w, gamma, mu, C):
+        calls.append(1)
+        return _direction_dr(w, gamma, mu, C)
+
+    monkeypatch.setattr(minefuku, "direction_minimizer", splitting)
+    split = solve_mf(P, inst.x0)
+    assert len(calls) == split.iterations
+    assert closed.status == split.status
+    assert closed.iterations == split.iterations
+    assert np.linalg.norm(closed.x - split.x) <= 1e-7
 
 
 def test_options_validation():
