@@ -109,8 +109,10 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     Stops when the step norm drops to ``step_tol`` (``CONVERGED``), when two
     consecutive iterates are both zero (``ZERO_STATIONARY``: the origin is
     already a fixed point of the scheme), or at ``max_outer`` iterations.
-    The message names the steps whose inner solve ran out of ``outer_max``
-    and those whose inner result the majorizer safeguard discarded.
+    A step whose inner result the majorizer safeguard discards ends the run
+    as ``MAX_ITERATIONS`` at the last recorded iterate.  The message names
+    the steps whose inner solve ran out of ``outer_max`` and the discarded
+    step.
     """
     if opts is None:
         opts = DcaOptions()
@@ -123,7 +125,10 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
         if inner.status is Status.MAX_ITERATIONS:
             capped.append(k)
         if _DISCARDED in inner.message:
+            # The step returned x unchanged, and a retry from x would repeat
+            # the same inner solve: the run has stalled, not converged.
             discarded.append(k)
+            return None, 0.0, Stop(Status.MAX_ITERATIONS)
         x_next = inner.x
         both_zero = max(np.linalg.norm(x), np.linalg.norm(x_next)) <= zero_tol
         stop = Stop(Status.ZERO_STATIONARY) if both_zero else None

@@ -13,7 +13,8 @@ every supported constraint set.  Each iteration minimizes the linearization
 
 then line-searches the segment from ``x_k`` towards the minimizer.  The
 search compares the candidate against the endpoints explicitly, so the
-objective never increases.
+objective never increases beyond round-off (the search evaluates it from
+cached images under ``A``, see :func:`mf_line_search`).
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from .problem import (
     Status,
     Stop,
     _smooth_gradient,
-    gamma_objective,
+    columns_and_gradient,
     has_exact_residual,
     iterate,
-    objective_columns,
     start_point,
 )
 from .prox import soft_threshold
-from .sets import Ball, Box, L1Ball, Singleton
+from .sets import Ball, Box, FullSpace, L1Ball, Singleton
 
 __all__ = [
     "MfOptions",
@@ -97,11 +97,6 @@ class MfOptions:
         if self.stationarity_tol is not None:
             return self.stationarity_tol
         return self.step_tol * max(1.0, self.resolve_mu(P))
-
-
-def _direction_coefficient(P: ProblemSpec, x_k: np.ndarray, mu: float) -> np.ndarray:
-    """Linear coefficient ``w_k`` of the direction subproblem at ``x_k``."""
-    return _smooth_gradient(P, x_k) - mu * x_k
 
 
 def _direction_dr(w, gamma, mu, C, tol=1e-10, max_iter=5000):
@@ -166,8 +161,7 @@ def mf_direction(P: ProblemSpec, x_k, opts: MfOptions | None = None) -> np.ndarr
         opts = MfOptions()
     x_k = np.asarray(x_k, dtype=float)
     mu = opts.resolve_mu(P)
-    w = _direction_coefficient(P, x_k, mu)
-    return direction_minimizer(w, P.gamma, mu, P.C)
+    return direction_minimizer(_smooth_gradient(P, x_k) - mu * x_k, P.gamma, mu, P.C)
 
 
 def _golden_section(phi, a: float, b: float, evals: int):
@@ -200,17 +194,31 @@ def mf_line_search(
     Minimizes ``phi(lam) = objective((1-lam)*x_k + lam*x_tilde)`` over
     ``[0, lambda_max]`` by golden-section search, then compares against the
     candidates ``lam in {0, 1, lambda_max}`` so the returned step never does
-    worse than staying put or taking the full step.
+    worse than staying put or taking the full step.  ``x_k`` and ``x_tilde``
+    must lie in ``C``.  Each evaluation combines the cached images
+    ``A x_k`` and ``A (x_tilde - x_k)`` instead of applying ``A``, so ``phi``
+    agrees with :func:`gamma_objective` up to round-off.
     """
     if opts is None:
         opts = MfOptions()
     x_k = np.asarray(x_k, dtype=float)
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    if float(np.linalg.norm(x_tilde - x_k)) == 0.0:
+    d = np.asarray(x_tilde, dtype=float) - x_k
+    if float(np.linalg.norm(d)) == 0.0:
         return 0.0
+    Ax_k, Ad = P.A @ x_k, P.A @ d
+    C, Q, gamma = P.C, P.Q, P.gamma
+    # For lam in [0, 1], x is a convex combination of x_k and x_tilde, which
+    # both lie in C, so only the extrapolated points need the membership
+    # test, and on R^n none does.
+    test_beyond_one = not isinstance(C, FullSpace)
 
     def phi(lam: float) -> float:
-        return gamma_objective(P, (1.0 - lam) * x_k + lam * x_tilde)
+        x = x_k + lam * d
+        if test_beyond_one and lam > 1.0 and not C.contains(x, 1e-9):
+            return math.inf
+        Ax = Ax_k + lam * Ad
+        r = Ax - Q.project(Ax)
+        return 0.5 * float(r @ r) + gamma * (float(np.abs(x).sum()) - math.sqrt(x @ x))
 
     gs_x, gs_f = _golden_section(phi, 0.0, opts.lambda_max, opts.golden_evals)
     candidates = [(0.0, phi(0.0)), (1.0, phi(1.0)), (opts.lambda_max, phi(opts.lambda_max)), (gs_x, gs_f)]
@@ -232,19 +240,22 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     x, message = start_point(P, x0)
     resolved = replace(opts, mu_shift=opts.resolve_mu(P))
     resolved = replace(resolved, stationarity_tol=resolved.resolve_stationarity_tol(P))
-    residual = float("inf")  # stationarity residual of the last recorded iterate
+    mu = resolved.mu_shift
+    # Stationarity residual and smooth gradient of the last recorded
+    # iterate, which is the next step's start.
+    residual, gradient = float("inf"), None
 
     def step(k, x):
         if residual <= resolved.stationarity_tol:
             return None, 0.0, Stop(Status.CONVERGED)
-        x_tilde = mf_direction(P, x, resolved)
+        x_tilde = direction_minimizer(gradient - mu * x, P.gamma, mu, P.C)
         lam = mf_line_search(P, x, x_tilde, resolved)
         x_next = (1.0 - lam) * x + lam * x_tilde
         return x_next, float(np.linalg.norm(x_next - x)), None
 
     def monitor(k, x, move):
-        nonlocal residual
-        columns = objective_columns(P, x)
+        nonlocal residual, gradient
+        columns, gradient = columns_and_gradient(P, x)
         residual = columns["grad_residual"]
         return columns
 

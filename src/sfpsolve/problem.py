@@ -12,6 +12,7 @@ and +inf outside ``C``.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -35,6 +36,7 @@ __all__ = [
     "sfp_residual_value",
     "stationarity_residual",
     "objective_columns",
+    "columns_and_gradient",
     "has_exact_residual",
 ]
 
@@ -167,38 +169,50 @@ def iterate(
     with ``stop`` and no record; otherwise ``x_next`` is recorded with the
     columns ``monitor(k, x_next, move)`` returns, and the run ends with
     ``stop`` if given, else as ``CONVERGED`` once ``move <= step_tol``, else
-    as ``MAX_ITERATIONS``.  A non-finite ``x_next`` is not recorded: the run
-    ends as ``DIVERGED`` with the last finite iterate.  The start is recorded
-    as ``k = 0`` if ``record_start``; without ``record_trace`` only the last
-    iterate is.  A stop's message is joined to ``message``.
+    as ``MAX_ITERATIONS``.  An ``x_next`` that is not finite, or whose
+    recorded step norm or columns are not, is not recorded: the run ends as
+    ``DIVERGED`` with the last recorded iterate; numpy's overflow and
+    invalid-value warnings are silenced for the run, since this test reports
+    them.  The start is recorded as ``k = 0`` if ``record_start``; without
+    ``record_trace`` only the last iterate is.  A stop's message is joined
+    to ``message``.
     """
     t0 = time.perf_counter()
 
-    def record(k: int, x: np.ndarray, move: float) -> IterateRecord:
+    def record(k: int, x: np.ndarray, move: float) -> tuple[IterateRecord, str]:
+        """The record of ``x`` and the name of its first non-finite column, or ``""``."""
         elapsed_ms = (time.perf_counter() - t0) * 1e3 if k else 0.0
-        return IterateRecord(k=k, step_norm=move, elapsed_ms=elapsed_ms, **monitor(k, x, move))
+        columns = {"step_norm": move, **monitor(k, x, move)}
+        bad = next((name for name, value in columns.items() if not math.isfinite(value)), "")
+        return IterateRecord(k=k, elapsed_ms=elapsed_ms, **columns), bad
 
-    trace = [record(0, x, 0.0)] if record_start else []
-    status, last_k, last_move = Status.MAX_ITERATIONS, 0, 0.0
-    for k in range(1, max_iter + 1):
-        x_next, move, stop = step(k, x)
-        if x_next is not None and not np.all(np.isfinite(x_next)):
-            x_next, stop = None, Stop(Status.DIVERGED, f"non-finite iterate at iteration {k}")
-        if x_next is not None:
-            x, last_k, last_move = x_next, k, move
-            if record_trace:
-                trace.append(record(k, x, move))
-            if stop is None and step_tol is not None and move <= step_tol:
-                stop = Stop(Status.CONVERGED)
-        if stop is not None:
-            status = stop.status
-            message = "; ".join(m for m in (message, stop.message) if m)
-            break
-    if not record_trace:
-        trace.append(record(last_k, x, last_move))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [record(0, x, 0.0)[0]] if record_start else []
+        status, last_k, last_move = Status.MAX_ITERATIONS, 0, 0.0
+        for k in range(1, max_iter + 1):
+            x_next, move, stop = step(k, x)
+            if x_next is not None and not np.all(np.isfinite(x_next)):
+                x_next, stop = None, Stop(Status.DIVERGED, f"non-finite iterate at iteration {k}")
+            if x_next is not None and record_trace:
+                rec, bad = record(k, x_next, move)
+                if bad:
+                    x_next, stop = None, Stop(Status.DIVERGED, f"non-finite {bad} at iteration {k}")
+                else:
+                    trace.append(rec)
+            if x_next is not None:
+                x, last_k, last_move = x_next, k, move
+                if stop is None and step_tol is not None and move <= step_tol:
+                    stop = Stop(Status.CONVERGED)
+            if stop is not None:
+                status = stop.status
+                message = "; ".join(m for m in (message, stop.message) if m)
+                break
+        if not record_trace:
+            trace.append(record(last_k, x, last_move)[0])
     return SolveResult(
         x=x, status=status, trace=trace, residual_is_proxy=residual_is_proxy, message=message
     )
+
 
 
 def sfp_residual_value(P: ProblemSpec, x) -> float:
@@ -255,7 +269,17 @@ def stationarity_residual(
     x = np.asarray(x, dtype=float)
     if x.shape[0] != P.n:
         raise ValueError("dimension mismatch between x and problem")
-    g = _smooth_gradient(P, x)
+    return _stationarity_from_gradient(P, x, _smooth_gradient(P, x), coord_zero_tol, active_tol)
+
+
+def _stationarity_from_gradient(
+    P: ProblemSpec,
+    x: np.ndarray,
+    g: np.ndarray,
+    coord_zero_tol: float | None = None,
+    active_tol: float = 1e-9,
+) -> float:
+    """:func:`stationarity_residual` at ``x`` given the smooth gradient ``g`` there."""
     target = -g
     bounds = interval_bounds(P.C)
     if bounds is None:
@@ -281,10 +305,31 @@ def stationarity_residual(
     return float(np.linalg.norm(dist))
 
 
+def columns_and_gradient(P: ProblemSpec, x) -> tuple[dict, np.ndarray]:
+    """Trace columns of the l1-l2 solvers at ``x`` and the smooth gradient there.
+
+    One product with ``A`` and one with ``A.T`` serve all of them.  Each
+    column is computed with the operations of :func:`gamma_objective`,
+    :func:`stationarity_residual` and :func:`sfp_residual_value`, so it is
+    the same float those functions return at ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    Ax = P.A @ x
+    r = Ax - P.Q.project(Ax)
+    sfp = 0.5 * float(np.sum(r**2))
+    g = P.A.T @ r
+    norm_x = float(np.linalg.norm(x))
+    if norm_x > 0.0:
+        g = g - P.gamma * (x / norm_x)
+    objective = sfp + P.gamma * l1_l2(x) if P.C.contains(x, 1e-9) else float("inf")
+    columns = {
+        "objective": objective,
+        "grad_residual": _stationarity_from_gradient(P, x, g),
+        "sfp_residual": sfp,
+    }
+    return columns, g
+
+
 def objective_columns(P: ProblemSpec, x) -> dict:
     """Trace columns of the l1-l2 solvers at ``x`` (see :func:`iterate`)."""
-    return {
-        "objective": gamma_objective(P, x),
-        "grad_residual": stationarity_residual(P, x),
-        "sfp_residual": sfp_residual_value(P, x),
-    }
+    return columns_and_gradient(P, x)[0]

@@ -194,7 +194,6 @@ def test_solve_rejects_flags_the_solver_has_no_option_for(instance_files, capsys
         assert main(args + extra) in (0, 1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the iterates overflow
 def test_solve_divergence_exits_not_converged(instance_files, capsys):
     a_path, b_path, _ = instance_files
     code = main(["solve", "--algo", "cq", "--A", a_path, "--Q", f"singleton:{b_path}",

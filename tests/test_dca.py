@@ -105,28 +105,43 @@ def test_both_inner_solvers_reach_same_point():
 
 
 @pytest.mark.parametrize(
-    "inner_solver,status,message",
+    "inner_solver,iterations,message",
     [
-        ("dr-in-fb", Status.MAX_ITERATIONS, "inner solve hit outer_max at steps 1, 2, 3"),
+        ("dr-in-fb", 3, "inner solve hit outer_max at steps 1, 2, 3"),
+        # The discarded step 3 moves nothing: the run stalls at iterate 2.
         (
             "fb-in-dr",
-            Status.CONVERGED,
+            2,
             "inner solve hit outer_max at steps 1, 2, 3; inner result discarded at steps 3",
         ),
     ],
     ids=["dr-in-fb", "fb-in-dr"],
 )
-def test_message_names_capped_and_discarded_inner_steps(inner_solver, status, message):
+def test_message_names_capped_and_discarded_inner_steps(inner_solver, iterations, message):
     inst = gen_sparse_recovery(
         SparseSpec(seed=0, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
     )
     P = inst.problem
     opts = DcaOptions(inner_solver=inner_solver, inner=InnerOptions(outer_max=1), max_outer=3)
     r = solve_dca(P, inst.x0, opts)
-    assert r.status == status
+    assert r.status == Status.MAX_ITERATIONS
+    assert r.iterations == iterations and len(r.trace) == iterations + 1
     assert r.message == message
     # The report changes nothing: the iterates are the chained dca_step results.
     x = inst.x0
     for _ in range(r.iterations):
         x = dca_step(P, x, opts, zero_tol=opts.resolve_zero_tol(inst.x0)).x
     assert np.array_equal(r.x, x)
+
+
+def test_discarded_step_ends_the_run_well_before_the_limit():
+    # Retrying from the same iterate repeats the discarded inner solve, so
+    # the run stops there instead of reading the zero move as convergence.
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=0, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
+    )
+    opts = DcaOptions(inner_solver="fb-in-dr", inner=InnerOptions(outer_max=1), max_outer=10)
+    r = solve_dca(inst.problem, inst.x0, opts)
+    assert r.status == Status.MAX_ITERATIONS and not r.converged
+    assert r.iterations == 2
+    assert r.message.endswith("inner result discarded at steps 3")

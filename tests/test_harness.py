@@ -272,7 +272,6 @@ def test_run_benchmark_reports_solver_errors_and_raises_bugs(tmp_path, monkeypat
         run_benchmark(cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the iterates overflow
 def test_run_benchmark_reports_divergence_with_its_trace(tmp_path, monkeypatch):
     def oversized_step(P, x0, opts):
         return solve_cq(P, x0, dataclasses.replace(opts, step=50.0))

@@ -337,3 +337,95 @@ def test_mf_last_iterate_passing_the_stationarity_stop_is_converged():
     assert r.iterations == 72
     assert r.trace[-1].grad_residual <= opts.resolve_stationarity_tol(inst.problem)
     assert solve_mf(inst.problem, inst.x0, MfOptions(max_iter=71)).status == Status.MAX_ITERATIONS
+
+
+def _sparse_problems(seed):
+    """The 20x50 instance with C = R^n, and with C = l1 ball, Q = ball around b."""
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=seed, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
+    )
+    P = inst.problem
+    ball = ProblemSpec(A=P.A, C=L1Ball(inst.t_level, 50), Q=Ball(P.Q.point, 0.1), gamma=P.gamma)
+    return inst, {"fullspace": P, "l1ball": ball}
+
+
+class Counting(np.ndarray):
+    """A view of ``A`` that counts its products (``A.T`` is a counting view too)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        Counting.products += 1
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("case", ["fullspace", "l1ball"])
+def test_products_with_A_per_iteration(case):
+    # Per iteration: Ax and A'r for the record (its columns and the next
+    # gradient), A x_k and A x_tilde for the line search.  The start record
+    # adds two.  Evaluating the objective for each line-search candidate
+    # took 49 products per iteration.
+    inst, problems = _sparse_problems(0)
+    P = problems[case]
+    object.__setattr__(P, "A", P.A.view(Counting))
+    Counting.products = 0
+    r = solve_mf(P, inst.x0)
+    assert r.status == Status.CONVERGED and r.iterations > 10
+    assert Counting.products <= 4 * r.iterations + 2
+
+
+def test_line_search_tests_membership_beyond_the_full_step():
+    # x_tilde sits on the boundary of the unit l1 ball and the target lies
+    # beyond it, so the objective keeps falling past lam = 1, where the
+    # segment leaves C.
+    C = L1Ball(1.0, 2)
+    P = unit_problem([-2.0, 3.0], gamma=0.1, C=C)
+    x_k, x_t = np.array([0.9, 0.0]), np.array([0.0, 1.0])
+    assert not C.contains(-1.0 * x_k + 2.0 * x_t, 1e-9)
+    lam = mf_line_search(P, x_k, x_t, MfOptions(lambda_max=2.0))
+    assert C.contains((1 - lam) * x_k + lam * x_t, 1e-9)
+    assert lam == 1.0
+
+    rng = np.random.default_rng(8)
+    P = ProblemSpec(A=rng.standard_normal((3, 4)), C=L1Ball(1.0, 4),
+                    Q=Singleton(3.0 * rng.standard_normal(3)), gamma=0.3)
+    for _ in range(20):
+        x_k = P.C.project(2.0 * rng.standard_normal(4))
+        x_t = P.C.project(2.0 * rng.standard_normal(4))
+        lam = mf_line_search(P, x_k, x_t, MfOptions())
+        assert P.C.contains((1 - lam) * x_k + lam * x_t, 1e-9)
+        phi = lambda t: gamma_objective(P, (1 - t) * x_k + t * x_t)
+        assert phi(lam) <= min(phi(0.0), phi(1.0)) + 1e-12
+
+
+def _objective_per_candidate_search(P, x_k, x_tilde, opts=None):
+    """The line search that evaluates ``gamma_objective`` at every candidate."""
+    if opts is None:
+        opts = MfOptions()
+    x_k = np.asarray(x_k, dtype=float)
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    if float(np.linalg.norm(x_tilde - x_k)) == 0.0:
+        return 0.0
+
+    def phi(lam):
+        return gamma_objective(P, (1.0 - lam) * x_k + lam * x_tilde)
+
+    gs_x, gs_f = minefuku._golden_section(phi, 0.0, opts.lambda_max, opts.golden_evals)
+    candidates = [(0.0, phi(0.0)), (1.0, phi(1.0)), (opts.lambda_max, phi(opts.lambda_max)), (gs_x, gs_f)]
+    return float(min(candidates, key=lambda item: item[1])[0])
+
+
+@pytest.mark.parametrize("case", ["fullspace", "l1ball"])
+@pytest.mark.parametrize("seed", range(4))
+def test_cached_image_search_run_matches_objective_search_run(seed, case, monkeypatch):
+    # phi on cached images differs from gamma_objective by round-off only,
+    # so whole runs stop alike.
+    inst, problems = _sparse_problems(seed)
+    P = problems[case]
+    cached = solve_mf(P, inst.x0)
+    monkeypatch.setattr(minefuku, "mf_line_search", _objective_per_candidate_search)
+    plain = solve_mf(P, inst.x0)
+    assert cached.status == plain.status
+    assert abs(cached.iterations - plain.iterations) <= 2
+    f_cached, f_plain = gamma_objective(P, cached.x), gamma_objective(P, plain.x)
+    assert abs(f_cached - f_plain) <= 1e-9 * abs(f_plain)
