@@ -20,6 +20,7 @@ cached images under ``A``, see :func:`mf_line_search`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -186,6 +187,76 @@ def _golden_section(phi, a: float, b: float, evals: int):
     return best_x, best_f
 
 
+def _squared_norm_along(u, v):
+    """``(e, c, lam0)`` with ``||u + lam*v||^2 = e + c*(lam - lam0)^2``.
+
+    ``e`` is the squared distance from the origin to the line, computed as a
+    norm, so the form keeps its relative accuracy where the line passes
+    close to the origin (the expanded quadratic cancels there).
+    """
+    c = float(v @ v)
+    lam0 = -float(u @ v) / c if c > 0.0 else 0.0
+    nearest = u + lam0 * v
+    return float(nearest @ nearest), c, lam0
+
+
+def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
+    """``phi(lam) = gamma_objective(P, x_k + lam*d)`` as O(log n) scalar work.
+
+    ``Ax_k`` and ``Ad`` are the images of ``x_k`` and ``d`` under ``A``, and
+    ``x_k`` and ``x_k + d`` must lie in ``C``.  Along the segment
+    ``||x||_2^2`` is a quadratic in ``lam`` and ``||x||_1`` is piecewise
+    linear with breakpoints ``-x_k[i]/d[i]``; both are set up once here, from
+    a few dot products and the prefix sums of the sorted breakpoints.  A
+    ball or singleton ``Q`` makes the residual a function of the quadratic
+    ``||Ax - center||^2``; any other ``Q`` is projected onto per evaluation.
+    Membership in ``C`` is tested only for ``lam > 1`` (on ``[0, 1]`` the
+    point is a convex combination of two points of ``C``), and never on R^n.
+    """
+    C, Q, gamma = P.C, P.Q, P.gamma
+    test_beyond_one = not isinstance(C, FullSpace)
+    e, c, lam0 = _squared_norm_along(x_k, d)
+    # ||x_k + lam*d||_1 = lam*(2W_j - W_n) - (2V_j - V_n) + c0, where j counts
+    # the breakpoints beta_i <= lam, W sums |d_i| and V sums |d_i|*beta_i in
+    # breakpoint order, and c0 collects the coordinates that do not move.
+    moving = d != 0.0
+    x_m, d_m = x_k[moving], d[moving]
+    beta = -x_m / d_m
+    order = np.argsort(beta)
+    breakpoints = beta[order].tolist()
+    W = np.concatenate(([0.0], np.cumsum(np.abs(d_m)[order]))).tolist()
+    V = np.concatenate(([0.0], np.cumsum((-np.sign(d_m) * x_m)[order]))).tolist()
+    W_n, V_n = W[-1], V[-1]
+    c0 = float(np.abs(x_k[~moving]).sum())
+
+    if isinstance(Q, (Ball, Singleton)):
+        center, radius = (Q.point, 0.0) if isinstance(Q, Singleton) else (Q.center, Q.radius)
+        p, t, lam_q = _squared_norm_along(Ax_k - center, Ad)
+
+        def residual(lam):
+            q = p + t * (lam - lam_q) ** 2
+            if radius == 0.0:
+                return 0.5 * q
+            return 0.5 * max(math.sqrt(q) - radius, 0.0) ** 2
+
+    else:
+        # No closed-form distance to a box, orthant or l1 ball: project.
+        def residual(lam):
+            Ax = Ax_k + lam * Ad
+            r = Ax - Q.project(Ax)
+            return 0.5 * float(r @ r)
+
+    def phi(lam: float) -> float:
+        if test_beyond_one and lam > 1.0 and not C.contains(x_k + lam * d, 1e-9):
+            return math.inf
+        j = bisect_right(breakpoints, lam)
+        l1 = lam * (2.0 * W[j] - W_n) - (2.0 * V[j] - V_n) + c0
+        l2 = math.sqrt(e + c * (lam - lam0) ** 2)
+        return residual(lam) + gamma * (l1 - l2)
+
+    return phi
+
+
 def mf_line_search(
     P: ProblemSpec, x_k, x_tilde, opts: MfOptions | None = None
 ) -> float:
@@ -195,9 +266,12 @@ def mf_line_search(
     ``[0, lambda_max]`` by golden-section search, then compares against the
     candidates ``lam in {0, 1, lambda_max}`` so the returned step never does
     worse than staying put or taking the full step.  ``x_k`` and ``x_tilde``
-    must lie in ``C``.  Each evaluation combines the cached images
-    ``A x_k`` and ``A (x_tilde - x_k)`` instead of applying ``A``, so ``phi``
-    agrees with :func:`gamma_objective` up to round-off.
+    must lie in ``C``.  The search applies ``A`` twice, to ``x_k`` and to
+    ``d = x_tilde - x_k``; each evaluation of ``phi`` is then a few scalar
+    operations and one bisection over the sorted breakpoints of ``||x||_1``
+    (see :func:`_segment_objective`), plus a projection onto ``Q`` when
+    ``Q`` is not a ball or a singleton and a membership test in ``C`` for
+    ``lam > 1``.  ``phi`` agrees with :func:`gamma_objective` up to round-off.
     """
     if opts is None:
         opts = MfOptions()
@@ -205,21 +279,7 @@ def mf_line_search(
     d = np.asarray(x_tilde, dtype=float) - x_k
     if float(np.linalg.norm(d)) == 0.0:
         return 0.0
-    Ax_k, Ad = P.A @ x_k, P.A @ d
-    C, Q, gamma = P.C, P.Q, P.gamma
-    # For lam in [0, 1], x is a convex combination of x_k and x_tilde, which
-    # both lie in C, so only the extrapolated points need the membership
-    # test, and on R^n none does.
-    test_beyond_one = not isinstance(C, FullSpace)
-
-    def phi(lam: float) -> float:
-        x = x_k + lam * d
-        if test_beyond_one and lam > 1.0 and not C.contains(x, 1e-9):
-            return math.inf
-        Ax = Ax_k + lam * Ad
-        r = Ax - Q.project(Ax)
-        return 0.5 * float(r @ r) + gamma * (float(np.abs(x).sum()) - math.sqrt(x @ x))
-
+    phi = _segment_objective(P, x_k, d, P.A @ x_k, P.A @ d)
     gs_x, gs_f = _golden_section(phi, 0.0, opts.lambda_max, opts.golden_evals)
     candidates = [(0.0, phi(0.0)), (1.0, phi(1.0)), (opts.lambda_max, phi(opts.lambda_max)), (gs_x, gs_f)]
     best_lam, _ = min(candidates, key=lambda item: item[1])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -429,3 +431,77 @@ def test_cached_image_search_run_matches_objective_search_run(seed, case, monkey
     assert abs(cached.iterations - plain.iterations) <= 2
     f_cached, f_plain = gamma_objective(P, cached.x), gamma_objective(P, plain.x)
     assert abs(f_cached - f_plain) <= 1e-9 * abs(f_plain)
+
+
+def _segments(C, seed):
+    """Segments ``(x_k, d)`` with ``x_k`` and ``x_k + d`` in ``C``.
+
+    They include zero entries of ``d``, a start at the origin, a segment
+    through the origin and repeated breakpoints ``-x_k[i]/d[i]``.
+    """
+    rng = np.random.default_rng(seed)
+    n = C.dim
+    # Points in the half-size set keep x_tilde in C after copying entries
+    # of x_k into it.
+    half = C if isinstance(C, FullSpace) else L1Ball(C.radius / 2.0, n)
+    x_k = half.project(3.0 * rng.standard_normal(n))
+    x_t = half.project(3.0 * rng.standard_normal(n))
+    x_t[:5] = x_k[:5]
+    x_k[5:8] = x_t[5:8] = 0.0
+    return [
+        (x_k, x_t - x_k),
+        (np.zeros(n), x_t),
+        # Every coordinate crosses zero at lam = 1/1.7.
+        (x_k, -1.7 * x_k),
+        # Each breakpoint 1/1.5, 1/1.25 and 1/0.3 repeats about n/3 times.
+        (x_k, -x_k * np.resize([1.5, 1.25, 0.3], n)),
+    ]
+
+
+@pytest.mark.parametrize("C", [FullSpace(30), L1Ball(5.0, 30)], ids=repr)
+@pytest.mark.parametrize("target", ["singleton", "ball", "ball-radius-0", "box"])
+def test_segment_objective_matches_gamma_objective(C, target):
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((12, 30))
+    b = rng.standard_normal(12)
+    Q = {
+        "singleton": Singleton(b),
+        # The segment through the origin crosses this ball's boundary.
+        "ball": Ball(b, 1.1 * np.linalg.norm(b)),
+        "ball-radius-0": Ball(b, 0.0),
+        "box": Box(b - 0.5, b + 0.5),
+    }[target]
+    P = ProblemSpec(A=A, C=C, Q=Q, gamma=0.5)
+    crossed = False
+    for seed in range(5):
+        for x_k, d in _segments(C, seed):
+            phi = minefuku._segment_objective(P, x_k, d, A @ x_k, A @ d)
+            moving = d != 0.0
+            lams = np.concatenate([np.linspace(0.0, 2.0, 201), -x_k[moving] / d[moving]])
+            for lam in lams[(lams >= 0.0) & (lams <= 2.0)]:
+                expected = gamma_objective(P, x_k + lam * d)
+                if math.isinf(expected):
+                    assert phi(lam) == expected
+                    continue
+                assert abs(phi(lam) - expected) <= 1e-12 * max(1.0, abs(expected))
+                if target == "ball":
+                    crossed |= np.linalg.norm(A @ (x_k + lam * d) - b) <= Q.radius
+    assert crossed or target != "ball"
+
+
+@pytest.mark.parametrize("C", [FullSpace(30), L1Ball(5.0, 30)], ids=repr)
+def test_line_search_projects_nothing_onto_ball_or_singleton_targets(C, monkeypatch):
+    rng = np.random.default_rng(22)
+    A = rng.standard_normal((12, 30))
+    b = rng.standard_normal(12)
+    targets = (Singleton(b), Ball(b, 1.1 * np.linalg.norm(b)))
+    problems = [ProblemSpec(A=A, C=C, Q=Q, gamma=0.5) for Q in targets]
+
+    def no_projection(self, x):
+        raise AssertionError(f"projection onto {self!r}")
+
+    monkeypatch.setattr(Ball, "project", no_projection)
+    monkeypatch.setattr(Singleton, "project", no_projection)
+    for P in problems:
+        for x_k, d in _segments(C, 0):
+            assert 0.0 <= mf_line_search(P, x_k, x_k + d) <= 2.0
