@@ -12,6 +12,7 @@ with Armijo-style backtracking and an extragradient update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .problem import (
     sfp_residual_value,
     start_point,
 )
+from .sets import Ball, Singleton
 
 __all__ = [
     "CqOptions",
@@ -160,20 +162,30 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     the update then re-projects using the gradient at ``x_bar``.  Both
     projections use the half-space cut taken at ``x_k``.  ``P.C`` is unused:
     the constraint is the l1 level ``opts.t``.
+
+    When ``Q`` is a ball or a singleton, each trial is first screened in
+    O(1) scalar work from products with ``A`` made once per iteration (see
+    :func:`_trial_screen`).  The screen only rules out steps that the
+    condition rejects; every other trial, and so every accepted one, is
+    decided by the condition itself, so the iterates, trace, status and
+    message are those of the plain backtracking loop.
     """
     x, _ = start_point(P, x0, project=False)
     alpha = opts.sigma  # the accepted step scale, read by the monitor
+    screen = _trial_screen(P, opts)
 
     def step(k, x):
         nonlocal alpha
         g = sfp_gradient(P.A, P.Q, x)
+        ruled_out = screen(x, g) if screen else None
         alpha = opts.sigma
         for _ in range(opts.backtrack_cap + 1):
-            x_bar = project_level_set(x, opts.t, x - alpha * g)
-            g_bar = sfp_gradient(P.A, P.Q, x_bar)
-            gap = float(np.linalg.norm(g - g_bar))
-            if gap <= opts.mu * float(np.linalg.norm(x - x_bar)) / alpha:
-                break
+            if ruled_out is None or not ruled_out(alpha):
+                x_bar = project_level_set(x, opts.t, x - alpha * g)
+                g_bar = sfp_gradient(P.A, P.Q, x_bar)
+                gap = float(np.linalg.norm(g - g_bar))
+                if gap <= opts.mu * float(np.linalg.norm(x - x_bar)) / alpha:
+                    break
             alpha *= opts.l
         else:
             message = f"backtracking cap {opts.backtrack_cap} reached at iteration {k}"
@@ -185,3 +197,126 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
         return {**_residual_columns(P, k, x, move, alpha), "l1_norm": float(np.sum(np.abs(x)))}
 
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol, residual_is_proxy=True)
+
+
+def _residual_scale(dist: float, error: float, radius: float) -> tuple[float, float]:
+    """``s = (1 - radius/dist)_+`` and a bound on its change if ``dist`` moves by ``error``.
+
+    ``Ax - P_Q(Ax) = s * (Ax - center)`` for a ball; radius 0 (a singleton)
+    gives ``s = 1`` exactly.  Without a positive lower bound on ``dist``
+    the bound is 1, the whole range of ``s``.
+    """
+    if radius == 0.0:
+        return 1.0, 0.0
+    s = max(1.0 - radius / dist, 0.0) if dist > 0.0 else 0.0
+    return s, radius * error / (dist * (dist - error)) if dist > error else 1.0
+
+
+def _trial_screen(P: ProblemSpec, opts: McqOptions):
+    """Per-iteration builder of a test that rules out backtracking steps.
+
+    Returns None unless ``Q`` is a ball or a singleton (radius 0).  Else
+    ``screen(x, g)``, with ``g`` the gradient at ``x``, returns
+    ``ruled_out(alpha)``: True only if :func:`solve_mcq`'s condition
+    ``gap <= rhs`` fails for the step ``alpha``.
+
+    Each trial point is ``x_bar = x - alpha*g - beta*xi``, with ``xi`` the
+    sign subgradient, ``c0 = ||x||_1 - t`` and
+    ``beta = max(c0 - alpha*xi.g, 0)/||xi||^2``.  With ``U = A[x, g, xi]``,
+    its first column less the centre ``c``, and ``V = A'U``:
+
+    * ``rhs = mu*||alpha*g + beta*xi||/alpha``, a quadratic form over the
+      Gram of ``[x, g, xi]``;
+    * ``A x_bar - c = U(1, -alpha, -beta)``, whose norm gives the residual
+      scale ``s`` of :func:`_residual_scale` (``s0`` is that of ``x``);
+    * ``gap = ||g - g_bar|| = ||V(s0 - s, s*alpha, s*beta)||``.
+
+    So a trial is O(1) scalar work on three 3x3 Grams built once per
+    iteration.
+
+    Margin.  With ``eta = 64*N*eps`` for ``N = max(m, n)`` (Higham's bound
+    ``N*u`` on the relative error of a length-``N`` dot product, with room
+    for the few operations around it), the screen rejects only if
+    ``gap - rhs`` exceeds the sum of three bounds:
+
+    * ``sqrt(eta)`` times the sums of the magnitudes of the terms in each
+      form: rounding ``eta*mag^2`` in a quadratic form that cancels moves
+      its square root by at most ``sqrt(eta)*mag``;
+    * ``eta`` times the scale of the exact test's own rounding,
+      ``||A||_F*(||A||_F*(||x|| + ||x_bar||) + ||c|| + R)`` for the two
+      gradients it subtracts and ``mu*(||x|| + ||x_bar||)/alpha`` for the
+      step it measures, with ``||x_bar|| <= ||x|| + alpha*||g|| +
+      beta*||xi||``;
+    * the change in ``s0`` and ``s`` that these errors allow in the
+      distances to ``c``, times the norms of the columns of ``V`` they
+      weight.
+
+    Near the boundary of the condition, or when the residual scale is not
+    resolved, the trial is left to the exact test.  ``||xi|| = 0`` with a
+    positive violation is left to it too (it raises there).
+    """
+    Q = P.Q
+    if isinstance(Q, Singleton):
+        center, radius = Q.point, 0.0
+    elif isinstance(Q, Ball):
+        center, radius = Q.center, Q.radius
+    else:
+        return None
+    A, t, mu = P.A, opts.t, opts.mu
+    eta = 64.0 * max(A.shape) * float(np.finfo(float).eps)
+    root_eta = math.sqrt(eta)
+    fro = float(np.linalg.norm(A))
+    c_norm = float(np.linalg.norm(center))
+
+    def screen(x, g):
+        X = np.array([x, g, select_subgradient(x)])
+        U = A @ X.T
+        U[:, 0] -= center
+        V = A.T @ U
+        # x.xi = ||x||_1
+        (x2, _, l1), (_, gg, xg), (_, _, xx) = (X @ X.T).tolist()
+        (u00, u01, u02), (_, u11, u12), (_, _, u22) = (U.T @ U).tolist()
+        (v00, v01, v02), (_, v11, v12), (_, _, v22) = (V.T @ V).tolist()
+        c0 = l1 - t
+        nx, ng, nxi = math.sqrt(x2), math.sqrt(gg), math.sqrt(xx)
+        nu0, nu1, nu2 = math.sqrt(u00), math.sqrt(u11), math.sqrt(u22)
+        nv0, nv1, nv2 = math.sqrt(v00), math.sqrt(v11), math.sqrt(v22)
+        s0, ds0 = _residual_scale(nu0, eta * (nu0 + fro * nx + c_norm), radius)
+
+        def ruled_out(alpha: float) -> bool:
+            violation = c0 - alpha * xg
+            beta = 0.0
+            if violation > 0.0:
+                if xx == 0.0:
+                    return False
+                beta = violation / xx
+            # ||x - x_bar|| = ||alpha*g + beta*xi||
+            move2 = alpha * alpha * gg + beta * (2.0 * alpha * xg + beta * xx)
+            rhs = mu * math.sqrt(max(move2, 0.0)) / alpha
+            rhs_mag = mu * (ng + beta * nxi / alpha)
+            nx_bar = nx + alpha * ng + beta * nxi
+            # ||A x_bar - c|| = ||U (1, -alpha, -beta)||
+            z2 = (u00 + alpha * (alpha * u11 - 2.0 * u01)
+                  + beta * (beta * u22 - 2.0 * u02 + 2.0 * alpha * u12))
+            z_mag = nu0 + alpha * nu1 + beta * nu2
+            s, ds = _residual_scale(
+                math.sqrt(max(z2, 0.0)),
+                root_eta * z_mag + eta * (fro * (nx + nx_bar) + c_norm),
+                radius,
+            )
+            # ||g - g_bar|| = ||V (s0 - s, s*alpha, s*beta)||
+            a, b, c = s0 - s, s * alpha, s * beta
+            gap2 = (a * (a * v00 + 2.0 * (b * v01 + c * v02))
+                    + b * (b * v11 + 2.0 * c * v12) + c * c * v22)
+            gap = math.sqrt(max(gap2, 0.0))
+            gap_mag = abs(a) * nv0 + b * nv1 + c * nv2
+            slack = (
+                root_eta * (gap_mag + rhs_mag)
+                + eta * (fro * (fro * (nx + nx_bar) + c_norm + radius) + mu * (nx + nx_bar) / alpha)
+                + (ds0 + ds) * (nv0 + alpha * nv1 + beta * nv2)
+            )
+            return gap - rhs > slack
+
+        return ruled_out
+
+    return screen

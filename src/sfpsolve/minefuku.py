@@ -212,6 +212,8 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     ``||Ax - center||^2``; any other ``Q`` is projected onto per evaluation.
     Membership in ``C`` is tested only for ``lam > 1`` (on ``[0, 1]`` the
     point is a convex combination of two points of ``C``), and never on R^n.
+    On an l1 ball the scalar ``||x||_1`` decides it, except in a band of
+    width ``sqrt(n)*1e-9`` above the radius, where ``C.contains`` does.
     """
     C, Q, gamma = P.C, P.Q, P.gamma
     test_beyond_one = not isinstance(C, FullSpace)
@@ -246,11 +248,33 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
             r = Ax - Q.project(Ax)
             return 0.5 * float(r @ r)
 
+    if isinstance(C, L1Ball):
+        # dist(x, C) lies between (||x||_1 - radius)/sqrt(n) and ||x||_1 - radius,
+        # so the scalar ||x||_1 settles membership outside a band of width
+        # sqrt(n)*1e-9 above the radius.  The slack covers the round-off of
+        # the prefix sums and of the projection in C.contains (n^2*eps relative).
+        n = x_k.shape[0]
+        band = math.sqrt(n) * 1e-9
+        unit = 4.0 * n * n * float(np.finfo(float).eps)
+        l1_x = float(np.abs(x_k).sum())
+
+        def is_member(lam, l1):
+            slack = unit * (l1_x + lam * W_n)
+            if l1 <= C.radius - slack:
+                return True
+            if l1 > C.radius + band + slack:
+                return False
+            return C.contains(x_k + lam * d, 1e-9)
+
+    else:
+        def is_member(lam, l1):
+            return C.contains(x_k + lam * d, 1e-9)
+
     def phi(lam: float) -> float:
-        if test_beyond_one and lam > 1.0 and not C.contains(x_k + lam * d, 1e-9):
-            return math.inf
         j = bisect_right(breakpoints, lam)
         l1 = lam * (2.0 * W[j] - W_n) - (2.0 * V[j] - V_n) + c0
+        if test_beyond_one and lam > 1.0 and not is_member(lam, l1):
+            return math.inf
         l2 = math.sqrt(e + c * (lam - lam0) ** 2)
         return residual(lam) + gamma * (l1 - l2)
 

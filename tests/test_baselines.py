@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sfpsolve import baselines
 from sfpsolve.baselines import (
     CqOptions,
     McqOptions,
@@ -10,8 +13,9 @@ from sfpsolve.baselines import (
     solve_mcq,
 )
 from sfpsolve.harness import RandomSpec, gen_random_problem
-from sfpsolve.problem import ProblemSpec, Status
-from sfpsolve.sets import FullSpace, NonnegativeOrthant, Singleton
+from sfpsolve.linops import sfp_gradient
+from sfpsolve.problem import ProblemSpec, Status, Stop, iterate, start_point
+from sfpsolve.sets import Ball, Box, FullSpace, NonnegativeOrthant, Singleton
 
 
 def test_cq_single_exact_step():
@@ -185,3 +189,112 @@ def test_mcq_backtracking_cap_stops_without_recording_the_failed_step():
     assert r.iterations == 0
     assert np.array_equal(r.x, np.zeros(10))
 
+
+def _reference_mcq(P, x0, opts):
+    """``solve_mcq`` with the plain backtracking loop: every trial runs the exact test."""
+    x, _ = start_point(P, x0, project=False)
+    alpha = opts.sigma
+
+    def step(k, x):
+        nonlocal alpha
+        g = sfp_gradient(P.A, P.Q, x)
+        alpha = opts.sigma
+        for _ in range(opts.backtrack_cap + 1):
+            x_bar = baselines.project_level_set(x, opts.t, x - alpha * g)
+            g_bar = sfp_gradient(P.A, P.Q, x_bar)
+            gap = float(np.linalg.norm(g - g_bar))
+            if gap <= opts.mu * float(np.linalg.norm(x - x_bar)) / alpha:
+                break
+            alpha *= opts.l
+        else:
+            message = f"backtracking cap {opts.backtrack_cap} reached at iteration {k}"
+            return None, 0.0, Stop(Status.MAX_ITERATIONS, message)
+        x_next = baselines.project_level_set(x, opts.t, x - alpha * g_bar)
+        return x_next, float(np.linalg.norm(x_next - x)), None
+
+    def monitor(k, x, move):
+        columns = baselines._residual_columns(P, k, x, move, alpha)
+        return {**columns, "l1_norm": float(np.sum(np.abs(x)))}
+
+    return iterate(x, step, monitor, opts.max_iter, opts.step_tol, residual_is_proxy=True)
+
+
+def _lasso_instance(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((12, 30))
+    x_true = np.zeros(30)
+    x_true[:4] = rng.standard_normal(4) * 2.0
+    return A, A @ x_true, x_true
+
+
+def _assert_same_run(r, ref):
+    """Same status, message and final bits, and every trace column but the time."""
+    assert (r.status, r.message) == (ref.status, ref.message)
+    assert np.array_equal(r.x, ref.x)
+    assert [replace(rec, elapsed_ms=0.0) for rec in r.trace] == [
+        replace(rec, elapsed_ms=0.0) for rec in ref.trace
+    ]
+
+
+@pytest.mark.parametrize("target", ["singleton", "ball", "ball-radius-0", "box"])
+@pytest.mark.parametrize("seed", range(3))
+def test_mcq_screen_changes_no_output(seed, target):
+    A, b, x_true = _lasso_instance(seed)
+    Q = {
+        "singleton": Singleton(b),
+        # A x0 = 3b starts outside this ball, which holds A*0; the level
+        # set pulls the iterates into it.
+        "ball": Ball(b, 1.1 * float(np.linalg.norm(b))),
+        "ball-radius-0": Ball(b, 0.0),
+        # Not screened: the plain loop runs.
+        "box": Box(b - 0.1, b + 0.1),
+    }[target]
+    P = ProblemSpec(A=A, C=FullSpace(30), Q=Q, gamma=1.0)
+    # sigma = 1 is far above mu/||A||^2, so most trials are rejected.
+    opts = McqOptions(t=0.8 * np.sum(np.abs(x_true)), sigma=1.0, max_iter=300, step_tol=1e-9)
+    r = solve_mcq(P, 3.0 * x_true, opts)
+    _assert_same_run(r, _reference_mcq(P, 3.0 * x_true, opts))
+    if target == "ball":
+        res = [rec.sfp_residual for rec in r.trace]
+        assert res[0] > 0.0 and res[-1] == 0.0
+
+
+def _count_level_set_projections(monkeypatch):
+    calls = []
+    original = baselines.project_level_set
+
+    def counting(x_k, t, y):
+        calls.append(1)
+        return original(x_k, t, y)
+
+    monkeypatch.setattr(baselines, "project_level_set", counting)
+    return calls
+
+
+def test_mcq_screen_leaves_only_the_accepted_trial_to_the_exact_test(monkeypatch):
+    A, b, x_true = _lasso_instance(0)
+    P = ProblemSpec(A=A, C=FullSpace(30), Q=Singleton(b), gamma=1.0)
+    opts = McqOptions(t=float(np.sum(np.abs(x_true))), sigma=1.0, max_iter=100, step_tol=1e-9)
+    calls = _count_level_set_projections(monkeypatch)
+    r = solve_mcq(P, np.zeros(30), opts)
+    screened = len(calls)
+    calls.clear()
+    ref = _reference_mcq(P, np.zeros(30), opts)
+    _assert_same_run(r, ref)
+    # The accepted trial and the update, per iteration.
+    assert r.iterations == 100 and screened == 2 * r.iterations
+    assert len(calls) > 5 * r.iterations
+
+
+def test_mcq_screen_keeps_the_backtracking_cap_stop(monkeypatch):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((6, 10))
+    b = A @ rng.standard_normal(10)
+    P = ProblemSpec(A=A, C=FullSpace(10), Q=Singleton(b), gamma=1.0)
+    opts = McqOptions(t=5.0, sigma=1e6, backtrack_cap=8)
+    calls = _count_level_set_projections(monkeypatch)
+    r = solve_mcq(P, np.zeros(10), opts)
+    assert r.message == "backtracking cap 8 reached at iteration 1"
+    # Every trial was ruled out without the exact test.
+    assert len(calls) == 0
+    _assert_same_run(r, _reference_mcq(P, np.zeros(10), opts))

@@ -505,3 +505,37 @@ def test_line_search_projects_nothing_onto_ball_or_singleton_targets(C, monkeypa
     for P in problems:
         for x_k, d in _segments(C, 0):
             assert 0.0 <= mf_line_search(P, x_k, x_k + d) <= 2.0
+
+
+@pytest.mark.parametrize("where", ["inside", "band", "outside"])
+def test_l1_ball_membership_beyond_the_full_step_reads_the_l1_norm(where, monkeypatch):
+    # Beyond lam = 1 the segment stays well inside the ball, runs along its
+    # boundary face, or leaves it; only the boundary needs C.contains.
+    n = 30
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((12, n))
+    P = ProblemSpec(A=A, C=L1Ball(5.0, n), Q=Singleton(rng.standard_normal(12)), gamma=0.5)
+    x_k, x_t = np.zeros(n), np.zeros(n)
+    x_k[:2], x_t[:2] = {
+        "inside": ([1.0, 0.5], [0.5, 1.0]),  # ||x||_1 = 1.5 up to lam = 2
+        "band": ([3.0, 2.0], [2.0, 3.0]),  # ||x||_1 = 5 up to lam = 3
+        "outside": ([1.5, 1.0], [3.0, 2.0]),  # ||x||_1 = 2.5 + 2.5*lam
+    }[where]
+    d = x_t - x_k
+    lams = np.linspace(1.0, 2.0, 101)[1:]
+    expected = [gamma_objective(P, x_k + lam * d) for lam in lams]
+    phi = minefuku._segment_objective(P, x_k, d, A @ x_k, A @ d)
+
+    calls = []
+    contains = L1Ball.contains
+
+    def counting(self, x, tol=1e-9):
+        calls.append(1)
+        return contains(self, x, tol)
+
+    monkeypatch.setattr(L1Ball, "contains", counting)
+    values = [phi(lam) for lam in lams]
+    assert all(math.isinf(f) for f in expected) == (where == "outside")
+    for value, f in zip(values, expected):
+        assert value == f if math.isinf(f) else abs(value - f) <= 1e-12 * max(1.0, abs(f))
+    assert len(calls) == (len(lams) if where == "band" else 0)
