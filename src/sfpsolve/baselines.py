@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import inflated_op_norm, sfp_gradient
+from .linops import inflated_op_norm, norm, sfp_gradient
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -75,7 +75,7 @@ def solve_cq(P: ProblemSpec, x0, opts: CqOptions | None = None) -> SolveResult:
 
     def step(k, x):
         x_next = P.C.project(x - stepsize * sfp_gradient(P.A, P.Q, x))
-        return x_next, float(np.linalg.norm(x_next - x)), None
+        return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
         return _residual_columns(P, k, x, move, stepsize)
@@ -90,7 +90,7 @@ def _residual_columns(P: ProblemSpec, k: int, x: np.ndarray, move: float, scale:
     gradient norm at the start and ``move / scale`` after each step.
     """
     res = sfp_residual_value(P, x)
-    grad_residual = move / scale if k else float(np.linalg.norm(sfp_gradient(P.A, P.Q, x)))
+    grad_residual = move / scale if k else norm(sfp_gradient(P.A, P.Q, x))
     return {"objective": res, "grad_residual": grad_residual, "sfp_residual": res}
 
 
@@ -111,7 +111,7 @@ def project_level_set(x_k, t: float, y) -> np.ndarray:
     x_k = np.asarray(x_k, dtype=float)
     y = np.asarray(y, dtype=float)
     xi = select_subgradient(x_k)
-    violation = float(np.sum(np.abs(x_k)) - t + xi @ (y - x_k))
+    violation = float(np.abs(x_k).sum() - t + xi @ (y - x_k))
     if violation <= 0.0:
         return y.copy()
     xi_sq = float(xi @ xi)
@@ -183,18 +183,18 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
             if ruled_out is None or not ruled_out(alpha):
                 x_bar = project_level_set(x, opts.t, x - alpha * g)
                 g_bar = sfp_gradient(P.A, P.Q, x_bar)
-                gap = float(np.linalg.norm(g - g_bar))
-                if gap <= opts.mu * float(np.linalg.norm(x - x_bar)) / alpha:
+                gap = norm(g - g_bar)
+                if gap <= opts.mu * norm(x - x_bar) / alpha:
                     break
             alpha *= opts.l
         else:
             message = f"backtracking cap {opts.backtrack_cap} reached at iteration {k}"
             return None, 0.0, Stop(Status.MAX_ITERATIONS, message)
         x_next = project_level_set(x, opts.t, x - alpha * g_bar)
-        return x_next, float(np.linalg.norm(x_next - x)), None
+        return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
-        return {**_residual_columns(P, k, x, move, alpha), "l1_norm": float(np.sum(np.abs(x)))}
+        return {**_residual_columns(P, k, x, move, alpha), "l1_norm": float(np.abs(x).sum())}
 
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol, residual_is_proxy=True)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .inner import INNER_SOLVERS, InnerOptions, SubproblemSpec
+from .linops import inflated_op_norm, norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -72,7 +73,11 @@ def _resolved_inner(opts: DcaOptions) -> InnerOptions:
 
 
 def dca_step(
-    P: ProblemSpec, x_k, opts: DcaOptions | None = None, zero_tol: float | None = None
+    P: ProblemSpec,
+    x_k,
+    opts: DcaOptions | None = None,
+    zero_tol: float | None = None,
+    op_norm: float | None = None,
 ) -> SolveResult:
     """One majorize-minimize step from ``x_k``.
 
@@ -80,19 +85,20 @@ def dca_step(
     (``v = 0`` when ``||x_k|| <= zero_tol``) and solves it warm-started at
     ``x_k``.  If the inexact inner solve fails to improve the majorizer, the
     step returns ``x_k`` unchanged, which keeps the outer objective sequence
-    non-increasing unconditionally.
+    non-increasing unconditionally.  ``op_norm`` is ``||A||`` when the caller
+    has it already; ``None`` lets the inner solver compute it.
     """
     if opts is None:
         opts = DcaOptions()
-    x_k = np.asarray(x_k, dtype=float)
+    x_k = np.ascontiguousarray(x_k, dtype=float)
     if zero_tol is None:
         zero_tol = opts.resolve_zero_tol(x_k)
-    norm_x = float(np.linalg.norm(x_k))
+    norm_x = norm(x_k)
     if norm_x <= zero_tol:
         v = np.zeros_like(x_k)
     else:
         v = -P.gamma * (x_k / norm_x)
-    spec = SubproblemSpec(base=P, v=v)
+    spec = SubproblemSpec(base=P, v=v, op_norm=op_norm)
     inner = INNER_SOLVERS[opts.inner_solver](spec, x_k, _resolved_inner(opts))
     # Majorizer safeguard: the subproblem objective dominates the true
     # objective and touches it at x_k, so refusing a non-improving inner
@@ -118,10 +124,11 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
         opts = DcaOptions()
     x, message = start_point(P, x0)
     zero_tol = opts.resolve_zero_tol(x)
+    op_norm = inflated_op_norm(P.A)
     capped, discarded = [], []
 
     def step(k, x):
-        inner = dca_step(P, x, opts, zero_tol=zero_tol)
+        inner = dca_step(P, x, opts, zero_tol=zero_tol, op_norm=op_norm)
         if inner.status is Status.MAX_ITERATIONS:
             capped.append(k)
         if _DISCARDED in inner.message:
@@ -130,12 +137,12 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
             discarded.append(k)
             return None, 0.0, Stop(Status.MAX_ITERATIONS)
         x_next = inner.x
-        both_zero = max(np.linalg.norm(x), np.linalg.norm(x_next)) <= zero_tol
+        both_zero = max(norm(x), norm(x_next)) <= zero_tol
         stop = Stop(Status.ZERO_STATIONARY) if both_zero else None
-        return x_next, float(np.linalg.norm(x_next - x)), stop
+        return x_next, norm(x_next - x), stop
 
     def monitor(k, x, move):
-        return {**objective_columns(P, x), "l1_norm": float(np.sum(np.abs(x)))}
+        return {**objective_columns(P, x), "l1_norm": float(np.abs(x).sum())}
 
     result = iterate(
         x,

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .linops import inflated_op_norm, sfp_gradient
+from .linops import inflated_op_norm, norm, sfp_gradient
 from .problem import (
     ConfigurationError,
     ProblemSpec,
@@ -95,7 +93,7 @@ def solve_fb(P: ProblemSpec, x0, opts: FbOptions | None = None) -> SolveResult:
     def step(k, x):
         grad = sfp_gradient(P.A, P.Q, x) / P.gamma
         x_next = prox_l1_minus_l2(x - stepsize * grad, stepsize)
-        return x_next, float(np.linalg.norm(x_next - x)), None
+        return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
         return {

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import as_vector, inflated_op_norm
+from .linops import as_vector, inflated_op_norm, norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -48,10 +48,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubproblemSpec:
-    """The DCA subproblem data: a base problem plus the linear term ``v``."""
+    """The DCA subproblem data: a base problem plus the linear term ``v``.
+
+    ``op_norm`` is ``||A||`` of ``base`` when the caller has it already
+    (:func:`sfpsolve.dca.solve_dca` computes it once per solve); ``None``
+    lets each inner solve compute it.
+    """
 
     base: ProblemSpec
     v: np.ndarray
+    op_norm: float | None = None
 
     def __post_init__(self):
         v = as_vector(self.v, "v").copy()
@@ -59,6 +65,8 @@ class SubproblemSpec:
         object.__setattr__(self, "v", v)
         if v.shape[0] != self.base.n:
             raise ValueError("v must match the column dimension of A")
+        if self.op_norm is not None and not 0.0 < self.op_norm < np.inf:
+            raise ValueError("op_norm must be positive and finite")
 
     def objective(self, x, member_tol: float = 1e-9) -> float:
         """Subproblem objective, +inf outside ``C``."""
@@ -67,12 +75,16 @@ class SubproblemSpec:
         return (
             sfp_residual_value(self.base, x)
             + float(self.v @ x)
-            + self.base.gamma * float(np.sum(np.abs(x)))
+            + self.base.gamma * float(np.abs(x).sum())
         )
 
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         Ax = self.base.A @ x
         return self.base.A.T @ (Ax - self.base.Q.project(Ax)) + self.v
+
+    def resolve_op_norm(self) -> float:
+        """``||A||`` of ``base``: ``op_norm`` if given, else computed."""
+        return self.op_norm if self.op_norm is not None else inflated_op_norm(self.base.A)
 
 
 @dataclass
@@ -147,7 +159,7 @@ def solve_fb_in_dr(
     # The smooth block handled in the inner loop has a kappa*||A||^2-Lipschitz
     # gradient; the quadratic coupling term is treated implicitly, so the
     # step bound is 2 / (kappa*||A||^2).
-    step_cap = 2.0 / (kappa * inflated_op_norm(P.A) ** 2)
+    step_cap = 2.0 / (kappa * spec.resolve_op_norm() ** 2)
     gstep = opts.step_fraction * step_cap
     lam = opts.lambda_relax
     thresh = kappa * P.gamma
@@ -163,7 +175,7 @@ def solve_fb_in_dr(
             z = (x_in - gstep * (grad - y)) / (1.0 + gstep)
             x_in = x_in + lam * (P.C.project(z) - x_in)
         y_next = y + opts.tau * (soft_threshold(2.0 * x_in - y, thresh) - x_in)
-        move = float(np.linalg.norm(y_next - y))
+        move = norm(y_next - y)
         y = y_next
         return x_in, move, Stop(Status.CONVERGED) if move / kappa <= opts.tol else None
 
@@ -210,13 +222,23 @@ def _constrained_l1_prox_dr(
     y_half = anchor
     used = 0
     for i in range(max(budget, 1)):
-        y_half = C.project(0.5 * (y + anchor))
-        y_next = y + tau * (soft_threshold(2.0 * y_half - y, thresh) - y_half)
+        # y_next = y + tau*(soft_threshold(2*y_half - y) - y_half), with
+        # y_half = P_C((y + anchor)/2); tau = 1 skips an exact product.
+        z = y + anchor
+        z *= 0.5
+        y_half = C.project(z)
+        z = 2.0 * y_half
+        z -= y
+        delta = soft_threshold(z, thresh)
+        delta -= y_half
+        if tau != 1.0:
+            delta *= tau
+        y_next = y + delta
+        np.subtract(y_next, y, out=delta)
         used = i + 1
-        if float(np.linalg.norm(y_next - y)) <= fixed_point_tol:
-            y = y_next
-            break
         y = y_next
+        if norm(delta) <= fixed_point_tol:
+            break
     return y_half, used
 
 
@@ -234,7 +256,7 @@ def solve_dr_in_fb(
         opts = InnerOptions()
     P = spec.base
     kappa = opts.resolve_kappa(spec)
-    step_cap = 2.0 / inflated_op_norm(P.A) ** 2
+    step_cap = 2.0 / spec.resolve_op_norm() ** 2
     gstep = opts.step_fraction * step_cap
     lam = opts.lambda_relax
     # kappa is the weight of the constrained l1 block here; it defaults to the
@@ -247,7 +269,7 @@ def solve_dr_in_fb(
         x_prime = x - gstep * spec.smooth_gradient(x)
         y_half, _ = _constrained_l1_prox_dr(x_prime, thresh, P.C, opts.budget(k - 1), opts.tau)
         x_next = x + lam * (y_half - x)
-        move = float(np.linalg.norm(x_next - x))
+        move = norm(x_next - x)
         return x_next, move, Stop(Status.CONVERGED) if move / gstep <= opts.tol else None
 
     return _run_inner(spec, x, step, gstep, opts, message)

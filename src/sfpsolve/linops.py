@@ -8,6 +8,8 @@ such as :func:`sfp_gradient`, check no entries.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -75,6 +77,16 @@ def sfp_gradient(A, Q, x) -> np.ndarray:
     """
     Ax = A @ x
     return A.T @ (Ax - Q.project(Ax))
+
+
+def norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` for a contiguous 1-D float array, without its dispatch.
+
+    numpy computes that norm as ``sqrt(v.dot(v))``, so this is the same float.
+    A strided view would take a different summation path in ``dot``; pass
+    such a view through ``np.ascontiguousarray`` first.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def inflated_op_norm(A) -> float:

@@ -25,15 +25,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linops import inflated_op_norm
+from .linops import inflated_op_norm, norm
 from .problem import (
     ConfigurationError,
     ProblemSpec,
     SolveResult,
     Status,
     Stop,
+    _columns_and_gradient,
     _smooth_gradient,
-    columns_and_gradient,
     has_exact_residual,
     iterate,
     start_point,
@@ -115,7 +115,7 @@ def _direction_dr(w, gamma, mu, C, tol=1e-10, max_iter=5000):
         x = C.project(y)
         u = soft_threshold(2.0 * x - y - scale * w, scale * gamma) / (1.0 + scale * mu)
         y_next = y + u - x
-        if float(np.linalg.norm(y_next - y)) <= tol * (1.0 + float(np.linalg.norm(y))):
+        if norm(y_next - y) <= tol * (1.0 + norm(y)):
             y = y_next
             break
         y = y_next
@@ -160,7 +160,7 @@ def mf_direction(P: ProblemSpec, x_k, opts: MfOptions | None = None) -> np.ndarr
     """Minimizer of the shifted direction subproblem at ``x_k``."""
     if opts is None:
         opts = MfOptions()
-    x_k = np.asarray(x_k, dtype=float)
+    x_k = np.ascontiguousarray(x_k, dtype=float)
     mu = opts.resolve_mu(P)
     return direction_minimizer(_smooth_gradient(P, x_k) - mu * x_k, P.gamma, mu, P.C)
 
@@ -301,7 +301,7 @@ def mf_line_search(
         opts = MfOptions()
     x_k = np.asarray(x_k, dtype=float)
     d = np.asarray(x_tilde, dtype=float) - x_k
-    if float(np.linalg.norm(d)) == 0.0:
+    if norm(d) == 0.0:
         return 0.0
     phi = _segment_objective(P, x_k, d, P.A @ x_k, P.A @ d)
     gs_x, gs_f = _golden_section(phi, 0.0, opts.lambda_max, opts.golden_evals)
@@ -328,18 +328,24 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     # Stationarity residual and smooth gradient of the last recorded
     # iterate, which is the next step's start.
     residual, gradient = float("inf"), None
+    # Whether the last step stayed on the segment from x to x_tilde, whose
+    # ends lie in C: then so does x_next, and its record needs no membership test.
+    on_segment = False
 
     def step(k, x):
+        nonlocal on_segment
         if residual <= resolved.stationarity_tol:
             return None, 0.0, Stop(Status.CONVERGED)
         x_tilde = direction_minimizer(gradient - mu * x, P.gamma, mu, P.C)
         lam = mf_line_search(P, x, x_tilde, resolved)
+        on_segment = lam <= 1.0
         x_next = (1.0 - lam) * x + lam * x_tilde
-        return x_next, float(np.linalg.norm(x_next - x)), None
+        return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
         nonlocal residual, gradient
-        columns, gradient = columns_and_gradient(P, x)
+        in_C = on_segment or P.C.contains(x, 1e-9)
+        columns, gradient = _columns_and_gradient(P, x, in_C)
         residual = columns["grad_residual"]
         return columns
 

@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linops import as_matrix, as_vector, sfp_gradient
+from .linops import as_matrix, as_vector, norm, sfp_gradient
 from .prox import l1_l2, soft_threshold
-from .sets import ConvexSet, interval_bounds
+from .sets import ConvexSet, _finite_bounds
 
 __all__ = [
     "ConfigurationError",
@@ -191,7 +191,7 @@ def iterate(
         status, last_k, last_move = Status.MAX_ITERATIONS, 0, 0.0
         for k in range(1, max_iter + 1):
             x_next, move, stop = step(k, x)
-            if x_next is not None and not np.all(np.isfinite(x_next)):
+            if x_next is not None and not np.isfinite(x_next).all():
                 x_next, stop = None, Stop(Status.DIVERGED, f"non-finite iterate at iteration {k}")
             if x_next is not None and record_trace:
                 rec, bad = record(k, x_next, move)
@@ -218,7 +218,9 @@ def iterate(
 def sfp_residual_value(P: ProblemSpec, x) -> float:
     """The unregularized feasibility residual ``0.5*||Ax - P_Q(Ax)||^2``."""
     Ax = P.A @ x
-    return 0.5 * float(np.sum((Ax - P.Q.project(Ax)) ** 2))
+    r = Ax - P.Q.project(Ax)
+    np.square(r, out=r)
+    return 0.5 * float(r.sum())
 
 
 def gamma_objective(P: ProblemSpec, x, member_tol: float = 1e-9) -> float:
@@ -230,15 +232,15 @@ def gamma_objective(P: ProblemSpec, x, member_tol: float = 1e-9) -> float:
 
 def has_exact_residual(C: ConvexSet) -> bool:
     """Whether :func:`stationarity_residual` is exact (separable ``C``)."""
-    return interval_bounds(C) is not None
+    return _finite_bounds(C) is not None
 
 
 def _smooth_gradient(P: ProblemSpec, x: np.ndarray) -> np.ndarray:
     """Gradient of the smooth part, with the zero subgradient chosen at 0."""
     g = sfp_gradient(P.A, P.Q, x)
-    norm_x = float(np.linalg.norm(x))
+    norm_x = norm(x)
     if norm_x > 0.0:
-        g = g - P.gamma * (x / norm_x)
+        g -= P.gamma * (x / norm_x)
     return g
 
 
@@ -266,7 +268,7 @@ def stationarity_residual(
     the l1 subdifferential (default ``1e-8 * (1 + max|x_i|)``); ``active_tol``
     does the same for bound activity in ``N_C``.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape[0] != P.n:
         raise ValueError("dimension mismatch between x and problem")
     return _stationarity_from_gradient(P, x, _smooth_gradient(P, x), coord_zero_tol, active_tol)
@@ -280,29 +282,38 @@ def _stationarity_from_gradient(
     active_tol: float = 1e-9,
 ) -> float:
     """:func:`stationarity_residual` at ``x`` given the smooth gradient ``g`` there."""
-    target = -g
-    bounds = interval_bounds(P.C)
+    bounds = _finite_bounds(P.C)
     if bounds is None:
         step = P.C.project(soft_threshold(x - g, P.gamma))
-        return float(np.linalg.norm(x - step))
+        return norm(x - step)
 
     lower, upper = bounds
-    if coord_zero_tol is None:
-        coord_zero_tol = 1e-8 * (1.0 + float(np.max(np.abs(x))))
     gamma = P.gamma
-    nonzero = np.abs(x) > coord_zero_tol
-    sub_lo = np.where(nonzero, gamma * np.sign(x), -gamma)
-    sub_hi = np.where(nonzero, gamma * np.sign(x), gamma)
-
-    at_lower = x <= lower + active_tol
-    at_upper = x >= upper - active_tol
-    cone_lo = np.where(at_lower, -np.inf, 0.0)
-    cone_hi = np.where(at_upper, np.inf, 0.0)
-
-    lo = sub_lo + cone_lo
-    hi = sub_hi + cone_hi
-    dist = np.maximum(lo - target, 0.0) + np.maximum(target - hi, 0.0)
-    return float(np.linalg.norm(dist))
+    mag = np.abs(x)
+    if coord_zero_tol is None:
+        coord_zero_tol = 1e-8 * (1.0 + float(mag.max()))
+    nonzero = mag > coord_zero_tol
+    # -g_i is measured against gamma*d|x_i|: the point gamma*sign(x_i), or
+    # the interval [-gamma, gamma] at a zero coordinate.  w_i = g_i + that
+    # point (g_i at zero) is positive when -g_i lies below it, negative above.
+    dist = np.abs(g)
+    dist -= gamma
+    np.maximum(dist, 0.0, out=dist)
+    i = nonzero.nonzero()[0]
+    w_i = g[i] + gamma * np.sign(x[i])
+    dist[i] = np.abs(w_i)
+    if lower is not None or upper is not None:
+        # An active bound adds its normal cone, a half-line that absorbs the
+        # distance on its side.  Only a finite bound can be active.
+        w = g.copy()
+        w[i] = w_i
+        absorbed = np.zeros(x.shape, dtype=bool)
+        if lower is not None:
+            absorbed |= (x <= lower + active_tol) & (w > 0.0)
+        if upper is not None:
+            absorbed |= (x >= upper - active_tol) & (w < 0.0)
+        dist[absorbed] = 0.0
+    return norm(dist)
 
 
 def columns_and_gradient(P: ProblemSpec, x) -> tuple[dict, np.ndarray]:
@@ -313,15 +324,20 @@ def columns_and_gradient(P: ProblemSpec, x) -> tuple[dict, np.ndarray]:
     :func:`stationarity_residual` and :func:`sfp_residual_value`, so it is
     the same float those functions return at ``x``.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
+    return _columns_and_gradient(P, x, P.C.contains(x, 1e-9))
+
+
+def _columns_and_gradient(P: ProblemSpec, x: np.ndarray, in_C: bool) -> tuple[dict, np.ndarray]:
+    """:func:`columns_and_gradient` with the membership test of ``x`` in ``C`` already made."""
     Ax = P.A @ x
     r = Ax - P.Q.project(Ax)
-    sfp = 0.5 * float(np.sum(r**2))
+    sfp = 0.5 * float((r**2).sum())
     g = P.A.T @ r
-    norm_x = float(np.linalg.norm(x))
+    norm_x = norm(x)
     if norm_x > 0.0:
-        g = g - P.gamma * (x / norm_x)
-    objective = sfp + P.gamma * l1_l2(x) if P.C.contains(x, 1e-9) else float("inf")
+        g -= P.gamma * (x / norm_x)
+    objective = sfp + P.gamma * l1_l2(x) if in_C else float("inf")
     columns = {
         "objective": objective,
         "grad_residual": _stationarity_from_gradient(P, x, g),

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linops import as_vector
+from .linops import as_vector, norm
 
 __all__ = ["l1_l2", "soft_threshold", "prox_l1_minus_l2", "prox_l1_l2_objective"]
 
 
 def l1_l2(x) -> float:
     """Value of the regularizer ``||x||_1 - ||x||_2`` (always >= 0)."""
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(np.abs(x)) - np.linalg.norm(x))
+    x = np.ascontiguousarray(x, dtype=float)
+    return float(np.abs(x).sum() - norm(x))
 
 
 def soft_threshold(x, lam: float) -> np.ndarray:
@@ -34,7 +34,12 @@ def soft_threshold(x, lam: float) -> np.ndarray:
     if lam < 0:
         raise ValueError("soft-threshold parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    # out=... keeps a 0-d result an array, which the in-place tail needs.
+    out = np.abs(x, out=...)
+    out -= lam
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(x)
+    return out
 
 
 def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
@@ -56,16 +61,18 @@ def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
     if lam <= 0:
         raise ValueError("prox scale must be positive")
     y = np.asarray(y, dtype=float)
-    y_inf = float(np.max(np.abs(y))) if y.size else 0.0
+    mag = np.abs(y)
+    y_inf = float(mag.max()) if y.size else 0.0
     if y_inf == 0.0:
         return np.zeros_like(y)
     if lam < y_inf:
         s = soft_threshold(y, lam)
-        s_norm = float(np.linalg.norm(s))
-        return ((lam + s_norm) / s_norm) * s
+        s_norm = norm(s)
+        s *= (lam + s_norm) / s_norm
+        return s
     # 1-sparse regimes: magnitude lam when lam == ||y||_inf, else ||y||_inf.
     magnitude = lam if lam == y_inf else y_inf
-    i = int(np.argmax(np.abs(y)))
+    i = int(mag.argmax())
     out = np.zeros_like(y)
     out[i] = magnitude * (1.0 if y[i] > 0 else -1.0)
     return out

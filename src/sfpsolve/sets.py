@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linops import as_vector, read_vector
+from .linops import as_vector, norm, read_vector
 
 __all__ = [
     "ConvexSet",
@@ -42,7 +42,7 @@ class ConvexSet:
         """True iff ``x`` is within ``tol`` (Euclidean) of the set."""
         if tol < 0:
             raise ValueError("tol must be nonnegative")
-        return float(np.linalg.norm(x - self.project(x))) <= tol
+        return norm(x - self.project(x)) <= tol
 
     def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -116,7 +116,7 @@ class Ball(ConvexSet):
     def project(self, x):
         x = self._check(x)
         d = x - self.center
-        dist = float(np.linalg.norm(d))
+        dist = norm(d)
         if dist <= self.radius:
             return x.copy()
         if dist == 0.0:
@@ -158,6 +158,7 @@ class L1Ball(ConvexSet):
             raise ValueError("dim must be positive")
         self.radius = float(radius)
         self.dim = int(dim)
+        self._counts = np.arange(1.0, self.dim + 1.0)
 
     def project(self, x):
         x = self._check(x)
@@ -166,12 +167,17 @@ class L1Ball(ConvexSet):
             return x.copy()
         # Project |x| onto the simplex {u >= 0, sum(u) = radius}, then restore
         # signs.  Sort-and-threshold is exact in O(n log n).
-        u = np.sort(mag)[::-1]
-        cumsum = np.cumsum(u) - self.radius
-        idx = np.arange(1, x.shape[0] + 1)
-        rho = np.nonzero(u > cumsum / idx)[0][-1]
+        u = mag.copy()
+        u.sort()
+        u = u[::-1]
+        cumsum = u.cumsum()
+        cumsum -= self.radius
+        rho = (u > cumsum / self._counts).nonzero()[0][-1]
         theta = cumsum[rho] / (rho + 1.0)
-        return np.sign(x) * np.maximum(mag - theta, 0.0)
+        mag -= theta
+        np.maximum(mag, 0.0, out=mag)
+        mag *= np.sign(x)
+        return mag
 
     def __repr__(self):
         return f"L1Ball(radius={self.radius}, dim={self.dim})"
@@ -193,12 +199,29 @@ def interval_bounds(S: ConvexSet):
     Separable sets (full space, orthant, box) admit exact per-coordinate
     normal-cone arithmetic; the stationarity residual uses this.
     """
+    bounds = _finite_bounds(S)
+    if bounds is None:
+        return None
+    lower, upper = bounds
+    return (
+        np.full(S.dim, -np.inf if lower is None else lower),
+        np.full(S.dim, np.inf if upper is None else upper),
+    )
+
+
+def _finite_bounds(S: ConvexSet):
+    """The finite sides of :func:`interval_bounds`, without building arrays.
+
+    None for a set that is not separable; else ``(lower, upper)``, each a
+    scalar or an array that is finite in every coordinate, or None where
+    that side is infinite in every coordinate (no separable set mixes the two).
+    """
     if isinstance(S, FullSpace):
-        return np.full(S.dim, -np.inf), np.full(S.dim, np.inf)
+        return None, None
     if isinstance(S, NonnegativeOrthant):
-        return np.zeros(S.dim), np.full(S.dim, np.inf)
+        return 0.0, None
     if isinstance(S, Box):
-        return S.lower.copy(), S.upper.copy()
+        return S.lower, S.upper
     return None
 
 

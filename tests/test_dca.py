@@ -145,3 +145,35 @@ def test_discarded_step_ends_the_run_well_before_the_limit():
     assert r.status == Status.MAX_ITERATIONS and not r.converged
     assert r.iterations == 2
     assert r.message.endswith("inner result discarded at steps 3")
+
+
+def _count_op_norms(monkeypatch):
+    from sfpsolve import dca, inner, linops
+
+    calls = []
+
+    def counting(A):
+        calls.append(1)
+        return linops.inflated_op_norm(A)
+
+    for module in (dca, inner):
+        monkeypatch.setattr(module, "inflated_op_norm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("inner_solver", ["dr-in-fb", "fb-in-dr"])
+def test_op_norm_once_per_solve_and_per_bare_step(inner_solver, monkeypatch):
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=0, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
+    )
+    opts = DcaOptions(inner_solver=inner_solver)
+    calls = _count_op_norms(monkeypatch)
+    r = solve_dca(inst.problem, inst.x0, opts)
+    assert r.iterations >= 3 and len(calls) == 1
+    calls.clear()
+    step = dca_step(inst.problem, inst.x0, opts)
+    assert len(calls) == 1
+    # Handing ||A|| down changes no step.
+    calls.clear()
+    given = dca_step(inst.problem, inst.x0, opts, op_norm=float(np.linalg.norm(inst.problem.A, 2)))
+    assert len(calls) == 0 and given.x.tobytes() == step.x.tobytes()

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from sfpsolve import minefuku
+from sfpsolve import minefuku, sets
 from sfpsolve.minefuku import (
     MfOptions,
     _direction_dr,
@@ -539,3 +540,31 @@ def test_l1_ball_membership_beyond_the_full_step_reads_the_l1_norm(where, monkey
     for value, f in zip(values, expected):
         assert value == f if math.isinf(f) else abs(value - f) <= 1e-12 * max(1.0, abs(f))
     assert len(calls) == (len(lams) if where == "band" else 0)
+
+
+def test_mf_records_test_membership_only_beyond_the_full_step(monkeypatch):
+    # A record whose step has lam <= 1 lies on the segment between two points
+    # of C, so only the start record and steps beyond lam = 1 test membership.
+    inst, problems = _sparse_problems(0)
+    P = problems["l1ball"]
+    lams, from_records = [], []
+    search = minefuku.mf_line_search
+    contains = sets.ConvexSet.contains
+
+    def recording_search(*args, **kwargs):
+        lams.append(search(*args, **kwargs))
+        return lams[-1]
+
+    def counting_contains(self, x, tol=sets.DEFAULT_MEMBER_TOL):
+        if sys._getframe(1).f_code.co_name == "monitor":
+            from_records.append(1)
+        return contains(self, x, tol)
+
+    monkeypatch.setattr(minefuku, "mf_line_search", recording_search)
+    monkeypatch.setattr(sets.ConvexSet, "contains", counting_contains)
+    r = solve_mf(P, inst.x0)
+    beyond = sum(lam > 1.0 for lam in lams)
+    assert r.status == Status.CONVERGED and 0 < beyond < len(lams) == r.iterations
+    assert len(from_records) == 1 + beyond
+    # Every recorded objective is finite: each iterate is in C.
+    assert np.all(np.isfinite(r.objectives()))
