@@ -77,7 +77,8 @@ def dca_step(
     x_k,
     opts: DcaOptions | None = None,
     zero_tol: float | None = None,
-    op_norm: float | None = None,
+    *,
+    _op_norm: float | None = None,
 ) -> SolveResult:
     """One majorize-minimize step from ``x_k``.
 
@@ -85,12 +86,11 @@ def dca_step(
     (``v = 0`` when ``||x_k|| <= zero_tol``) and solves it warm-started at
     ``x_k``.  If the inexact inner solve fails to improve the majorizer, the
     step returns ``x_k`` unchanged, which keeps the outer objective sequence
-    non-increasing unconditionally.  ``op_norm`` is ``||A||`` when the caller
-    has it already; ``None`` lets the inner solver compute it.
+    non-increasing unconditionally.
     """
     if opts is None:
         opts = DcaOptions()
-    x_k = np.ascontiguousarray(x_k, dtype=float)
+    x_k = np.asarray(x_k, dtype=float)
     if zero_tol is None:
         zero_tol = opts.resolve_zero_tol(x_k)
     norm_x = norm(x_k)
@@ -98,7 +98,7 @@ def dca_step(
         v = np.zeros_like(x_k)
     else:
         v = -P.gamma * (x_k / norm_x)
-    spec = SubproblemSpec(base=P, v=v, op_norm=op_norm)
+    spec = SubproblemSpec(base=P, v=v, _op_norm=_op_norm)
     inner = INNER_SOLVERS[opts.inner_solver](spec, x_k, _resolved_inner(opts))
     # Majorizer safeguard: the subproblem objective dominates the true
     # objective and touches it at x_k, so refusing a non-improving inner
@@ -124,11 +124,12 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
         opts = DcaOptions()
     x, message = start_point(P, x0)
     zero_tol = opts.resolve_zero_tol(x)
+    # ||A|| once per solve, handed to every step's inner solver.
     op_norm = inflated_op_norm(P.A)
     capped, discarded = [], []
 
     def step(k, x):
-        inner = dca_step(P, x, opts, zero_tol=zero_tol, op_norm=op_norm)
+        inner = dca_step(P, x, opts, zero_tol=zero_tol, _op_norm=op_norm)
         if inner.status is Status.MAX_ITERATIONS:
             capped.append(k)
         if _DISCARDED in inner.message:

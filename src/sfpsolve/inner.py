@@ -20,7 +20,7 @@ mutual cross-checks in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,16 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubproblemSpec:
-    """The DCA subproblem data: a base problem plus the linear term ``v``.
-
-    ``op_norm`` is ``||A||`` of ``base`` when the caller has it already
-    (:func:`sfpsolve.dca.solve_dca` computes it once per solve); ``None``
-    lets each inner solve compute it.
-    """
+    """The DCA subproblem data: a base problem plus the linear term ``v``."""
 
     base: ProblemSpec
     v: np.ndarray
-    op_norm: float | None = None
+    # ||A|| of base, set by solve_dca, which computes it once per solve;
+    # None lets each inner solve compute it.
+    _op_norm: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = as_vector(self.v, "v").copy()
@@ -65,8 +62,6 @@ class SubproblemSpec:
         object.__setattr__(self, "v", v)
         if v.shape[0] != self.base.n:
             raise ValueError("v must match the column dimension of A")
-        if self.op_norm is not None and not 0.0 < self.op_norm < np.inf:
-            raise ValueError("op_norm must be positive and finite")
 
     def objective(self, x, member_tol: float = 1e-9) -> float:
         """Subproblem objective, +inf outside ``C``."""
@@ -82,9 +77,8 @@ class SubproblemSpec:
         Ax = self.base.A @ x
         return self.base.A.T @ (Ax - self.base.Q.project(Ax)) + self.v
 
-    def resolve_op_norm(self) -> float:
-        """``||A||`` of ``base``: ``op_norm`` if given, else computed."""
-        return self.op_norm if self.op_norm is not None else inflated_op_norm(self.base.A)
+    def _a_norm(self) -> float:
+        return self._op_norm if self._op_norm is not None else inflated_op_norm(self.base.A)
 
 
 @dataclass
@@ -159,7 +153,7 @@ def solve_fb_in_dr(
     # The smooth block handled in the inner loop has a kappa*||A||^2-Lipschitz
     # gradient; the quadratic coupling term is treated implicitly, so the
     # step bound is 2 / (kappa*||A||^2).
-    step_cap = 2.0 / (kappa * spec.resolve_op_norm() ** 2)
+    step_cap = 2.0 / (kappa * spec._a_norm() ** 2)
     gstep = opts.step_fraction * step_cap
     lam = opts.lambda_relax
     thresh = kappa * P.gamma
@@ -256,7 +250,7 @@ def solve_dr_in_fb(
         opts = InnerOptions()
     P = spec.base
     kappa = opts.resolve_kappa(spec)
-    step_cap = 2.0 / spec.resolve_op_norm() ** 2
+    step_cap = 2.0 / spec._a_norm() ** 2
     gstep = opts.step_fraction * step_cap
     lam = opts.lambda_relax
     # kappa is the weight of the constrained l1 block here; it defaults to the

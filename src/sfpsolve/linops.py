@@ -80,12 +80,14 @@ def sfp_gradient(A, Q, x) -> np.ndarray:
 
 
 def norm(v: np.ndarray) -> float:
-    """``float(np.linalg.norm(v))`` for a contiguous 1-D float array, without its dispatch.
+    """``float(np.linalg.norm(v))`` for a 1-D float array, without its dispatch.
 
-    numpy computes that norm as ``sqrt(v.dot(v))``, so this is the same float.
-    A strided view would take a different summation path in ``dot``; pass
-    such a view through ``np.ascontiguousarray`` first.
+    numpy computes that norm as ``sqrt(v.dot(v))`` on a contiguous copy, so
+    this is the same float; a strided view would take a different summation
+    path in ``dot``, hence the copy here too.
     """
+    if not v.flags.c_contiguous:
+        v = np.ascontiguousarray(v)
     return math.sqrt(v.dot(v))
 
 

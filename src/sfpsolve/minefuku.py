@@ -160,7 +160,7 @@ def mf_direction(P: ProblemSpec, x_k, opts: MfOptions | None = None) -> np.ndarr
     """Minimizer of the shifted direction subproblem at ``x_k``."""
     if opts is None:
         opts = MfOptions()
-    x_k = np.ascontiguousarray(x_k, dtype=float)
+    x_k = np.asarray(x_k, dtype=float)
     mu = opts.resolve_mu(P)
     return direction_minimizer(_smooth_gradient(P, x_k) - mu * x_k, P.gamma, mu, P.C)
 

@@ -268,7 +268,7 @@ def stationarity_residual(
     the l1 subdifferential (default ``1e-8 * (1 + max|x_i|)``); ``active_tol``
     does the same for bound activity in ``N_C``.
     """
-    x = np.ascontiguousarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.shape[0] != P.n:
         raise ValueError("dimension mismatch between x and problem")
     return _stationarity_from_gradient(P, x, _smooth_gradient(P, x), coord_zero_tol, active_tol)
@@ -324,7 +324,7 @@ def columns_and_gradient(P: ProblemSpec, x) -> tuple[dict, np.ndarray]:
     :func:`stationarity_residual` and :func:`sfp_residual_value`, so it is
     the same float those functions return at ``x``.
     """
-    x = np.ascontiguousarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     return _columns_and_gradient(P, x, P.C.contains(x, 1e-9))
 
 

@@ -21,7 +21,7 @@ __all__ = ["l1_l2", "soft_threshold", "prox_l1_minus_l2", "prox_l1_l2_objective"
 
 def l1_l2(x) -> float:
     """Value of the regularizer ``||x||_1 - ||x||_2`` (always >= 0)."""
-    x = np.ascontiguousarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     return float(np.abs(x).sum() - norm(x))
 
 
@@ -34,8 +34,8 @@ def soft_threshold(x, lam: float) -> np.ndarray:
     if lam < 0:
         raise ValueError("soft-threshold parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
-    # out=... keeps a 0-d result an array, which the in-place tail needs.
-    out = np.abs(x, out=...)
+    # An explicit out keeps a 0-d result an array, which the in-place tail needs.
+    out = np.abs(x, out=np.empty_like(x))
     out -= lam
     np.maximum(out, 0.0, out=out)
     out *= np.sign(x)

@@ -175,5 +175,7 @@ def test_op_norm_once_per_solve_and_per_bare_step(inner_solver, monkeypatch):
     assert len(calls) == 1
     # Handing ||A|| down changes no step.
     calls.clear()
-    given = dca_step(inst.problem, inst.x0, opts, op_norm=float(np.linalg.norm(inst.problem.A, 2)))
+    given = dca_step(
+        inst.problem, inst.x0, opts, _op_norm=float(np.linalg.norm(inst.problem.A, 2))
+    )
     assert len(calls) == 0 and given.x.tobytes() == step.x.tobytes()

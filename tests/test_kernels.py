@@ -181,6 +181,10 @@ def test_norm_is_numpys_norm():
     for n in (1, 2, 7, 256, 1000):
         v = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5)
         assert _same(norm(v), float(np.linalg.norm(v)))
+        # A strided view is copied first, as np.linalg.norm does.
+        w = np.repeat(v, 3)[1::3]
+        assert not w.flags.c_contiguous or n == 1
+        assert _same(norm(w), float(np.linalg.norm(w)))
     assert norm(np.array([-0.0, 0.0])) == 0.0
 
 
