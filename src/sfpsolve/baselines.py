@@ -27,7 +27,7 @@ from .problem import (
     sfp_residual_value,
     start_point,
 )
-from .sets import Ball, Singleton
+from .sets import Ball
 
 __all__ = [
     "CqOptions",
@@ -80,7 +80,7 @@ def solve_cq(P: ProblemSpec, x0, opts: CqOptions | None = None) -> SolveResult:
     def monitor(k, x, move):
         return _residual_columns(P, k, x, move, stepsize)
 
-    return iterate(x, step, monitor, opts.max_iter, opts.step_tol, residual_is_proxy=True)
+    return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
 
 
 def _residual_columns(P: ProblemSpec, k: int, x: np.ndarray, move: float, scale: float) -> dict:
@@ -163,12 +163,12 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     projections use the half-space cut taken at ``x_k``.  ``P.C`` is unused:
     the constraint is the l1 level ``opts.t``.
 
-    When ``Q`` is a ball or a singleton, each trial is first screened in
-    O(1) scalar work from products with ``A`` made once per iteration (see
-    :func:`_trial_screen`).  The screen only rules out steps that the
-    condition rejects; every other trial, and so every accepted one, is
-    decided by the condition itself, so the iterates, trace, status and
-    message are those of the plain backtracking loop.
+    When ``Q`` is a ball (a singleton is one of radius 0), each trial is
+    first screened in O(1) scalar work from products with ``A`` made once
+    per iteration (see :func:`_trial_screen`).  The screen only rules out
+    steps that the condition rejects; every other trial, and so every
+    accepted one, is decided by the condition itself, so the iterates,
+    trace, status and message are those of the plain backtracking loop.
     """
     x, _ = start_point(P, x0, project=False)
     alpha = opts.sigma  # the accepted step scale, read by the monitor
@@ -196,7 +196,7 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     def monitor(k, x, move):
         return {**_residual_columns(P, k, x, move, alpha), "l1_norm": float(np.abs(x).sum())}
 
-    return iterate(x, step, monitor, opts.max_iter, opts.step_tol, residual_is_proxy=True)
+    return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
 
 
 def _residual_scale(dist: float, error: float, radius: float) -> tuple[float, float]:
@@ -215,7 +215,7 @@ def _residual_scale(dist: float, error: float, radius: float) -> tuple[float, fl
 def _trial_screen(P: ProblemSpec, opts: McqOptions):
     """Per-iteration builder of a test that rules out backtracking steps.
 
-    Returns None unless ``Q`` is a ball or a singleton (radius 0).  Else
+    Returns None unless ``Q`` is a ball, a singleton included.  Else
     ``screen(x, g)``, with ``g`` the gradient at ``x``, returns
     ``ruled_out(alpha)``: True only if :func:`solve_mcq`'s condition
     ``gap <= rhs`` fails for the step ``alpha``.
@@ -256,12 +256,9 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions):
     positive violation is left to it too (it raises there).
     """
     Q = P.Q
-    if isinstance(Q, Singleton):
-        center, radius = Q.point, 0.0
-    elif isinstance(Q, Ball):
-        center, radius = Q.center, Q.radius
-    else:
+    if not isinstance(Q, Ball):
         return None
+    center, radius = Q.center, Q.radius
     A, t, mu = P.A, opts.t, opts.mu
     eta = 64.0 * max(A.shape) * float(np.finfo(float).eps)
     root_eta = math.sqrt(eta)

@@ -21,9 +21,8 @@ from .problem import (
     SolveResult,
     Status,
     Stop,
-    has_exact_residual,
+    columns_and_gradient,
     iterate,
-    objective_columns,
     start_point,
 )
 
@@ -143,17 +142,9 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
         return x_next, norm(x_next - x), stop
 
     def monitor(k, x, move):
-        return {**objective_columns(P, x), "l1_norm": float(np.abs(x).sum())}
+        return {**columns_and_gradient(P, x)[0], "l1_norm": float(np.abs(x).sum())}
 
-    result = iterate(
-        x,
-        step,
-        monitor,
-        opts.max_outer,
-        opts.step_tol,
-        message=message,
-        residual_is_proxy=not has_exact_residual(P.C),
-    )
+    result = iterate(x, step, monitor, opts.max_outer, opts.step_tol, message=message)
     if result.status is Status.ZERO_STATIONARY:
         result.x = np.zeros_like(result.x)
     notes = [

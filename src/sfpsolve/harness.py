@@ -342,9 +342,9 @@ def write_atomic(path, content: str) -> None:
         raise
 
 
-_SUMMARY_HEADER = (
-    "trial,algo,status,iterations,objective,sfp_residual,"
-    "rel_l2_error,support_precision,support_recall,l1_norm,wall_ms"
+# The float columns of summary.csv, between ``iterations`` and ``wall_ms``.
+_SUMMARY_COLUMNS = (
+    "objective", "sfp_residual", "rel_l2_error", "support_precision", "support_recall", "l1_norm"
 )
 
 
@@ -421,12 +421,7 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
                         "algo": algo,
                         "status": "error",
                         "iterations": 0,
-                        "objective": float("nan"),
-                        "sfp_residual": float("nan"),
-                        "rel_l2_error": float("nan"),
-                        "support_precision": float("nan"),
-                        "support_recall": float("nan"),
-                        "l1_norm": float("nan"),
+                        **dict.fromkeys(_SUMMARY_COLUMNS, float("nan")),
                         "wall_ms": (time.perf_counter() - t_start) * 1e3,
                         "message": str(exc),
                     }
@@ -459,14 +454,11 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
                     os.path.join(cfg.out_dir, f"trace_{algo}_{trial}.csv"),
                     trace_csv(result),
                 )
-    rows.sort(key=lambda r: (r["trial"], r["algo"]))
-    lines = [_SUMMARY_HEADER]
+    lines = [",".join(("trial", "algo", "status", "iterations", *_SUMMARY_COLUMNS, "wall_ms"))]
     for r in rows:
+        floats = ",".join(_fmt(r[name]) for name in _SUMMARY_COLUMNS)
         lines.append(
-            f"{r['trial']},{r['algo']},{r['status']},{r['iterations']},"
-            f"{_fmt(r['objective'])},{_fmt(r['sfp_residual'])},"
-            f"{_fmt(r['rel_l2_error'])},{_fmt(r['support_precision'])},"
-            f"{_fmt(r['support_recall'])},{_fmt(r['l1_norm'])},{r['wall_ms']:.3f}"
+            f"{r['trial']},{r['algo']},{r['status']},{r['iterations']},{floats},{r['wall_ms']:.3f}"
         )
     write_atomic(os.path.join(cfg.out_dir, "summary.csv"), "\n".join(lines) + "\n")
     if cfg.quantiles:

@@ -30,7 +30,6 @@ from .problem import (
     SolveResult,
     Status,
     Stop,
-    has_exact_residual,
     iterate,
     sfp_residual_value,
     start_point,
@@ -63,9 +62,9 @@ class SubproblemSpec:
         if v.shape[0] != self.base.n:
             raise ValueError("v must match the column dimension of A")
 
-    def objective(self, x, member_tol: float = 1e-9) -> float:
+    def objective(self, x) -> float:
         """Subproblem objective, +inf outside ``C``."""
-        if not self.base.C.contains(x, member_tol):
+        if not self.base.C.contains(x):
             return float("inf")
         return (
             sfp_residual_value(self.base, x)
@@ -194,7 +193,6 @@ def _run_inner(spec, x, step, scale, opts, message) -> SolveResult:
         record_start=False,
         record_trace=opts.record_trace,
         message=message,
-        residual_is_proxy=not has_exact_residual(spec.base.C),
     )
 
 

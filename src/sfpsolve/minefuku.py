@@ -34,12 +34,11 @@ from .problem import (
     Stop,
     _columns_and_gradient,
     _smooth_gradient,
-    has_exact_residual,
     iterate,
     start_point,
 )
 from .prox import soft_threshold
-from .sets import Ball, Box, FullSpace, L1Ball, Singleton
+from .sets import DEFAULT_MEMBER_TOL, Ball, Box, FullSpace, L1Ball
 
 __all__ = [
     "MfOptions",
@@ -106,8 +105,8 @@ def _direction_dr(w, gamma, mu, C, tol=1e-10, max_iter=5000):
     Douglas-Rachford between the constraint (projection) and the remaining
     term, whose prox is a closed-form shrink:
     ``prox(z) = soft_threshold(z - s*w, s*gamma) / (1 + s*mu)``.  Only the
-    sets without a closed form reach it: a ball with a nonzero centre, and
-    ``mu = 0`` on a ball or l1 ball.
+    sets without a closed form reach it: an off-centre ball, and ``mu = 0``
+    on a ball or l1 ball.
     """
     scale = 1.0
     y = np.zeros_like(w)
@@ -128,14 +127,14 @@ def direction_minimizer(w, gamma: float, mu: float, C) -> np.ndarray:
     With ``mu > 0`` the minimizer is the prox of ``(gamma/mu)*||.||_1 + i_C``
     at ``-w/mu``, which is ``P_C(soft_threshold(-w/mu, gamma/mu))`` on the
     full space, orthant, box, l1 ball and a ball centred at the origin (Yu,
-    "On decomposing the proximal map", 2013); singletons are trivial, and
-    only a ball with a nonzero centre takes the splitting iteration.
+    "On decomposing the proximal map", 2013); a radius-0 ball (a singleton)
+    is its centre, and only an off-centre ball takes the splitting iteration.
     ``mu = 0`` requires a bounded set, since otherwise the subproblem is
     unbounded below whenever ``||w||_inf > gamma``.
     """
     w = np.asarray(w, dtype=float)
-    if isinstance(C, Singleton):
-        return C.point.copy()
+    if isinstance(C, Ball) and C.radius == 0.0:
+        return C.center.copy()
     if mu > 0.0 and not (isinstance(C, Ball) and np.any(C.center)):
         return C.project(soft_threshold(-w / mu, gamma / mu))
     if mu == 0.0:
@@ -208,12 +207,12 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     ``||x||_2^2`` is a quadratic in ``lam`` and ``||x||_1`` is piecewise
     linear with breakpoints ``-x_k[i]/d[i]``; both are set up once here, from
     a few dot products and the prefix sums of the sorted breakpoints.  A
-    ball or singleton ``Q`` makes the residual a function of the quadratic
-    ``||Ax - center||^2``; any other ``Q`` is projected onto per evaluation.
+    ball ``Q`` (a singleton too) makes the residual a function of the
+    quadratic ``||Ax - center||^2``; any other ``Q`` is projected onto.
     Membership in ``C`` is tested only for ``lam > 1`` (on ``[0, 1]`` the
     point is a convex combination of two points of ``C``), and never on R^n.
     On an l1 ball the scalar ``||x||_1`` decides it, except in a band of
-    width ``sqrt(n)*1e-9`` above the radius, where ``C.contains`` does.
+    width ``sqrt(n)*DEFAULT_MEMBER_TOL`` above the radius; ``C.contains`` there.
     """
     C, Q, gamma = P.C, P.Q, P.gamma
     test_beyond_one = not isinstance(C, FullSpace)
@@ -231,8 +230,8 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     W_n, V_n = W[-1], V[-1]
     c0 = float(np.abs(x_k[~moving]).sum())
 
-    if isinstance(Q, (Ball, Singleton)):
-        center, radius = (Q.point, 0.0) if isinstance(Q, Singleton) else (Q.center, Q.radius)
+    if isinstance(Q, Ball):
+        center, radius = Q.center, Q.radius
         p, t, lam_q = _squared_norm_along(Ax_k - center, Ad)
 
         def residual(lam):
@@ -251,10 +250,11 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     if isinstance(C, L1Ball):
         # dist(x, C) lies between (||x||_1 - radius)/sqrt(n) and ||x||_1 - radius,
         # so the scalar ||x||_1 settles membership outside a band of width
-        # sqrt(n)*1e-9 above the radius.  The slack covers the round-off of
-        # the prefix sums and of the projection in C.contains (n^2*eps relative).
+        # sqrt(n)*DEFAULT_MEMBER_TOL above the radius.  The slack covers the
+        # round-off of the prefix sums and of the projection in C.contains
+        # (n^2*eps relative).
         n = x_k.shape[0]
-        band = math.sqrt(n) * 1e-9
+        band = math.sqrt(n) * DEFAULT_MEMBER_TOL
         unit = 4.0 * n * n * float(np.finfo(float).eps)
         l1_x = float(np.abs(x_k).sum())
 
@@ -264,11 +264,11 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
                 return True
             if l1 > C.radius + band + slack:
                 return False
-            return C.contains(x_k + lam * d, 1e-9)
+            return C.contains(x_k + lam * d)
 
     else:
         def is_member(lam, l1):
-            return C.contains(x_k + lam * d, 1e-9)
+            return C.contains(x_k + lam * d)
 
     def phi(lam: float) -> float:
         j = bisect_right(breakpoints, lam)
@@ -294,8 +294,7 @@ def mf_line_search(
     ``d = x_tilde - x_k``; each evaluation of ``phi`` is then a few scalar
     operations and one bisection over the sorted breakpoints of ``||x||_1``
     (see :func:`_segment_objective`), plus a projection onto ``Q`` when
-    ``Q`` is not a ball or a singleton and a membership test in ``C`` for
-    ``lam > 1``.  ``phi`` agrees with :func:`gamma_objective` up to round-off.
+    ``Q`` is not a ball and a membership test in ``C`` for ``lam > 1``.  ``phi`` agrees with :func:`gamma_objective` up to round-off.
     """
     if opts is None:
         opts = MfOptions()
@@ -344,20 +343,12 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
 
     def monitor(k, x, move):
         nonlocal residual, gradient
-        in_C = on_segment or P.C.contains(x, 1e-9)
+        in_C = on_segment or P.C.contains(x)
         columns, gradient = _columns_and_gradient(P, x, in_C)
         residual = columns["grad_residual"]
         return columns
 
-    result = iterate(
-        x,
-        step,
-        monitor,
-        opts.max_iter,
-        opts.step_tol,
-        message=message,
-        residual_is_proxy=not has_exact_residual(P.C),
-    )
+    result = iterate(x, step, monitor, opts.max_iter, opts.step_tol, message=message)
     # The stationarity stop is tested before each step, so an iterate that
     # passes it at max_iter would otherwise be reported as MAX_ITERATIONS.
     if result.status is Status.MAX_ITERATIONS and residual <= resolved.stationarity_tol:

@@ -35,7 +35,6 @@ __all__ = [
     "gamma_objective",
     "sfp_residual_value",
     "stationarity_residual",
-    "objective_columns",
     "columns_and_gradient",
     "has_exact_residual",
 ]
@@ -111,7 +110,6 @@ class SolveResult:
     x: np.ndarray
     status: Status
     trace: list[IterateRecord] = field(default_factory=list)
-    residual_is_proxy: bool = False
     message: str = ""
 
     @property
@@ -146,7 +144,7 @@ def start_point(P: ProblemSpec, x0, project: bool = True) -> tuple[np.ndarray, s
     x = as_vector(x0, "x0")
     if x.shape[0] != P.n:
         raise ValueError("x0 must match the column dimension of A")
-    if not project or P.C.contains(x, 1e-9):
+    if not project or P.C.contains(x):
         return x.copy(), ""
     return P.C.project(x), "x0 projected onto C before start"
 
@@ -161,7 +159,6 @@ def iterate(
     record_start: bool = True,
     record_trace: bool = True,
     message: str = "",
-    residual_is_proxy: bool = False,
 ) -> SolveResult:
     """Run ``x <- step(k, x)`` for ``k = 1..max_iter``, tracing the iterates.
 
@@ -209,10 +206,7 @@ def iterate(
                 break
         if not record_trace:
             trace.append(record(last_k, x, last_move)[0])
-    return SolveResult(
-        x=x, status=status, trace=trace, residual_is_proxy=residual_is_proxy, message=message
-    )
-
+    return SolveResult(x=x, status=status, trace=trace, message=message)
 
 
 def sfp_residual_value(P: ProblemSpec, x) -> float:
@@ -223,9 +217,9 @@ def sfp_residual_value(P: ProblemSpec, x) -> float:
     return 0.5 * float(r.sum())
 
 
-def gamma_objective(P: ProblemSpec, x, member_tol: float = 1e-9) -> float:
+def gamma_objective(P: ProblemSpec, x) -> float:
     """Regularized objective; +inf when ``x`` is not in ``C`` within tolerance."""
-    if not P.C.contains(x, member_tol):
+    if not P.C.contains(x):
         return float("inf")
     return sfp_residual_value(P, x) + P.gamma * l1_l2(x)
 
@@ -325,7 +319,7 @@ def columns_and_gradient(P: ProblemSpec, x) -> tuple[dict, np.ndarray]:
     the same float those functions return at ``x``.
     """
     x = np.asarray(x, dtype=float)
-    return _columns_and_gradient(P, x, P.C.contains(x, 1e-9))
+    return _columns_and_gradient(P, x, P.C.contains(x))
 
 
 def _columns_and_gradient(P: ProblemSpec, x: np.ndarray, in_C: bool) -> tuple[dict, np.ndarray]:
@@ -344,8 +338,3 @@ def _columns_and_gradient(P: ProblemSpec, x: np.ndarray, in_C: bool) -> tuple[di
         "sfp_residual": sfp,
     }
     return columns, g
-
-
-def objective_columns(P: ProblemSpec, x) -> dict:
-    """Trace columns of the l1-l2 solvers at ``x`` (see :func:`iterate`)."""
-    return columns_and_gradient(P, x)[0]

@@ -12,11 +12,15 @@ compares with ``||y||_inf``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linops import as_vector, norm
 
 __all__ = ["l1_l2", "soft_threshold", "prox_l1_minus_l2", "prox_l1_l2_objective"]
+
+_SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))  # sqrt(v.v) underflows below
 
 
 def l1_l2(x) -> float:
@@ -68,6 +72,10 @@ def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
     if lam < y_inf:
         s = soft_threshold(y, lam)
         s_norm = norm(s)
+        if s_norm < _SQRT_TINY:
+            # s.s underflowed; s != 0 since lam < ||y||_inf.
+            scale = float(np.abs(s).max())
+            s_norm = scale * norm(s / scale)
         s *= (lam + s_norm) / s_norm
         return s
     # 1-sparse regimes: magnitude lam when lam == ||y||_inf, else ||y||_inf.

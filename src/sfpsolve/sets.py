@@ -83,26 +83,10 @@ class NonnegativeOrthant(ConvexSet):
         return f"NonnegativeOrthant({self.dim})"
 
 
-class Singleton(ConvexSet):
-    """A single point; projection is constant."""
-
-    def __init__(self, point):
-        self.point = as_vector(point, "point").copy()
-        self.point.setflags(write=False)
-        self.dim = self.point.shape[0]
-
-    def project(self, x):
-        self._check(x)
-        return self.point.copy()
-
-    def __repr__(self):
-        return f"Singleton(dim={self.dim})"
-
-
 class Ball(ConvexSet):
     """Euclidean ball of radius ``radius`` around ``center``.
 
-    A zero radius is allowed and behaves exactly like a singleton.
+    A zero radius is allowed: that ball is the singleton ``{center}``.
     """
 
     def __init__(self, center, radius: float):
@@ -125,6 +109,21 @@ class Ball(ConvexSet):
 
     def __repr__(self):
         return f"Ball(dim={self.dim}, radius={self.radius})"
+
+
+class Singleton(Ball):
+    """A single point: the ball of radius 0 around it, with a constant projection."""
+
+    def __init__(self, point):
+        super().__init__(as_vector(point, "point"), 0.0)
+        self.point = self.center
+
+    def project(self, x):
+        self._check(x)
+        return self.point.copy()
+
+    def __repr__(self):
+        return f"Singleton(dim={self.dim})"
 
 
 class Box(ConvexSet):

@@ -216,7 +216,7 @@ def _reference_mcq(P, x0, opts):
         columns = baselines._residual_columns(P, k, x, move, alpha)
         return {**columns, "l1_norm": float(np.sum(np.abs(x)))}
 
-    return iterate(x, step, monitor, opts.max_iter, opts.step_tol, residual_is_proxy=True)
+    return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
 
 
 def _lasso_instance(seed):

@@ -18,7 +18,8 @@ from sfpsolve.harness import (
     run_benchmark,
     write_atomic,
 )
-from sfpsolve.sets import FullSpace, NonnegativeOrthant, Singleton
+from sfpsolve.problem import ProblemSpec
+from sfpsolve.sets import Ball, FullSpace, NonnegativeOrthant, Singleton
 
 
 def test_random_problem_deterministic():
@@ -179,6 +180,32 @@ def test_run_benchmark_row_count_and_files(tmp_path):
         header = next(reader)
         assert header[:4] == ["trial", "algo", "status", "iterations"]
         assert len(list(reader)) == 4
+
+
+@pytest.mark.parametrize("algo", harness.ALGORITHMS)
+def test_singleton_target_is_the_radius_zero_ball(algo):
+    # Q = {b} is the Lasso case eps = 0 of the tolerance set Q = B(b, eps).
+    cfg = small_config("unused")
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=cfg.seed, m=cfg.m, n=cfg.n, sparsity=cfg.sparsity,
+                   noise_variance=cfg.noise_variance, gamma=cfg.gamma),
+        0,
+    )
+    b = inst.problem.Q.point
+    runs = []
+    for Q in (Singleton(b), Ball(b, 0.0)):
+        P = ProblemSpec(A=inst.problem.A, C=inst.problem.C, Q=Q, gamma=inst.problem.gamma)
+        runs.append(harness._solve_one(algo, dataclasses.replace(inst, problem=P), cfg))
+    single, ball = runs
+    assert (single.status, single.iterations, single.message) == (
+        ball.status, ball.iterations, ball.message
+    )
+    assert single.x.tobytes() == ball.x.tobytes()
+
+    def columns(result):
+        return [{**dataclasses.asdict(r), "elapsed_ms": None} for r in result.trace]
+
+    assert columns(single) == columns(ball)
 
 
 def strip_timing(path):

@@ -50,6 +50,8 @@ def test_direction_closed_form_box():
     [
         (FullSpace(2), [-3.0, -3.0], [3.0, 3.0]),
         (Box([0.0, 0.0], [1.0, 1.0]), [0.0, 0.0], [1.0, 1.0]),
+        # Of the grid's 201 x 201 points only the singleton's is feasible.
+        (Singleton([0.5, -0.25]), [0.4, -0.35], [0.6, -0.15]),
     ],
 )
 def test_direction_matches_grid(C, lo, hi):
@@ -161,6 +163,17 @@ def test_direction_unshifted_box_candidates():
 def test_direction_singleton_trivial():
     C = Singleton(np.array([0.3, -0.4]))
     assert np.array_equal(direction_minimizer([5.0, 5.0], 1.0, 1.0, C), [0.3, -0.4])
+
+
+def test_direction_radius_zero_ball_is_its_centre(monkeypatch):
+    def no_splitting(*args, **kwargs):
+        raise AssertionError("splitting iteration called")
+
+    monkeypatch.setattr(minefuku, "_direction_dr", no_splitting)
+    c = np.array([0.3, -0.4])
+    for mu in (1.0, 0.0):
+        x = direction_minimizer([5.0, 5.0], 1.0, mu, Ball(c, 0.0))
+        assert x.tobytes() == c.tobytes()
 
 
 def test_line_search_stationary_segment():

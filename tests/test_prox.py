@@ -135,3 +135,12 @@ def test_l1_l2_zero_iff_sparse():
     assert l1_l2(np.zeros(4)) == 0.0
     assert l1_l2(np.array([0.0, -2.5, 0.0])) == 0.0
     assert l1_l2(np.array([1.0, 1.0])) > 0.0
+
+
+def test_prox_below_threshold_survives_norm_underflow():
+    # ||s||_2^2 underflows to 0 at this scale; the prox is positively
+    # homogeneous, prox_{c*lam*r}(c*y) = c * prox_{lam*r}(y).
+    y, lam, c = np.array([1.0, 0.0]), 0.5, 1e-200
+    v = prox_l1_minus_l2(c * y, c * lam)
+    expected = c * prox_l1_minus_l2(y, lam)
+    assert np.allclose(v, expected, rtol=1e-12, atol=0.0)
