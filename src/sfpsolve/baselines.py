@@ -13,7 +13,9 @@ with Armijo-style backtracking and an extragradient update.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -99,19 +101,22 @@ def select_subgradient(x) -> np.ndarray:
     return np.sign(np.asarray(x, dtype=float))
 
 
-def project_level_set(x_k, t: float, y) -> np.ndarray:
+def project_level_set(x_k, t: float, y, *, _xi=None, _l1_norm=None) -> np.ndarray:
     """Project ``y`` onto the half-space relaxation of ``||x||_1 <= t`` at ``x_k``.
 
     The relaxation is ``{x : c(x_k) + <xi, x - x_k> <= 0}`` with
     ``c(x) = ||x||_1 - t`` and ``xi`` the sign subgradient at ``x_k``.  It
     contains the l1 ball itself, so projecting onto it never cuts off
     feasible points.  Raises ValueError for the degenerate empty relaxation
-    (only possible when ``x_k = 0`` and ``t < 0``).
+    (only possible when ``x_k = 0`` and ``t < 0``).  ``_xi`` and
+    ``_l1_norm``, when given, are ``select_subgradient(x_k)`` and
+    ``float(np.abs(x_k).sum())``, computed once by the caller.
     """
     x_k = np.asarray(x_k, dtype=float)
     y = np.asarray(y, dtype=float)
-    xi = select_subgradient(x_k)
-    violation = float(np.abs(x_k).sum() - t + xi @ (y - x_k))
+    xi = select_subgradient(x_k) if _xi is None else _xi
+    l1_norm = np.abs(x_k).sum() if _l1_norm is None else _l1_norm
+    violation = float(l1_norm - t + xi @ (y - x_k))
     if violation <= 0.0:
         return y.copy()
     xi_sq = float(xi @ xi)
@@ -126,7 +131,8 @@ class McqOptions:
 
     ``l`` is the backtracking ratio, ``mu`` the Armijo-type constant (both in
     (0, 1)), ``sigma`` the initial step scale and ``t`` the l1-ball level
-    defining ``c(x) = ||x||_1 - t``.
+    defining ``c(x) = ||x||_1 - t``.  An iteration tries at most
+    ``backtrack_cap + 1`` steps; :func:`solve_mcq` keeps them in a list.
     """
 
     t: float
@@ -163,38 +169,48 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     projections use the half-space cut taken at ``x_k``.  ``P.C`` is unused:
     the constraint is the l1 level ``opts.t``.
 
-    When ``Q`` is a ball (a singleton is one of radius 0), each trial is
-    first screened in O(1) scalar work from products with ``A`` made once
-    per iteration (see :func:`_trial_screen`).  The screen only rules out
-    steps that the condition rejects; every other trial, and so every
-    accepted one, is decided by the condition itself, so the iterates,
-    trace, status and message are those of the plain backtracking loop.
+    The trial steps form a ladder built once per solve by the repeated
+    products ``alpha *= l`` of the plain loop, so each has the same bits.
+    The sign vector ``xi`` of ``x_k`` is computed once per iteration, and
+    ``||x_k||_1`` is the ``l1_norm`` column of ``x_k``'s record; both are
+    handed to the screen and to the two projections.
+
+    When ``Q`` is a ball (a singleton is one of radius 0), the ladder is
+    first scanned in one pass of O(1) scalar work per trial, from products
+    with ``A`` made once per iteration (see :func:`_trial_screen`).  The
+    scan only rules out steps that the condition rejects; every other
+    trial, and so every accepted one, is decided by the condition itself,
+    so the iterates, trace, status and message are those of the plain
+    backtracking loop.
     """
     x, _ = start_point(P, x0, project=False)
     alpha = opts.sigma  # the accepted step scale, read by the monitor
-    screen = _trial_screen(P, opts)
+    l1_norm = 0.0  # ||x||_1 of the last recorded iterate, the next step's start
+    # Python floats, with the loop's own products: numpy scalars would slow the screen.
+    ladder = list(accumulate(repeat(float(opts.l), opts.backtrack_cap), operator.mul,
+                             initial=float(opts.sigma)))
+    screen = _trial_screen(P, opts, ladder)
 
     def step(k, x):
         nonlocal alpha
         g = sfp_gradient(P.A, P.Q, x)
-        ruled_out = screen(x, g) if screen else None
-        alpha = opts.sigma
-        for _ in range(opts.backtrack_cap + 1):
-            if ruled_out is None or not ruled_out(alpha):
-                x_bar = project_level_set(x, opts.t, x - alpha * g)
-                g_bar = sfp_gradient(P.A, P.Q, x_bar)
-                gap = norm(g - g_bar)
-                if gap <= opts.mu * norm(x - x_bar) / alpha:
-                    break
-            alpha *= opts.l
+        xi = select_subgradient(x)
+        for alpha in screen(x, g, xi, l1_norm) if screen else ladder:
+            x_bar = project_level_set(x, opts.t, x - alpha * g, _xi=xi, _l1_norm=l1_norm)
+            g_bar = sfp_gradient(P.A, P.Q, x_bar)
+            gap = norm(g - g_bar)
+            if gap <= opts.mu * norm(x - x_bar) / alpha:
+                break
         else:
             message = f"backtracking cap {opts.backtrack_cap} reached at iteration {k}"
             return None, 0.0, Stop(Status.MAX_ITERATIONS, message)
-        x_next = project_level_set(x, opts.t, x - alpha * g_bar)
+        x_next = project_level_set(x, opts.t, x - alpha * g_bar, _xi=xi, _l1_norm=l1_norm)
         return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
-        return {**_residual_columns(P, k, x, move, alpha), "l1_norm": float(np.abs(x).sum())}
+        nonlocal l1_norm
+        l1_norm = float(np.abs(x).sum())
+        return {**_residual_columns(P, k, x, move, alpha), "l1_norm": l1_norm}
 
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
 
@@ -202,37 +218,40 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
 def _residual_scale(dist: float, error: float, radius: float) -> tuple[float, float]:
     """``s = (1 - radius/dist)_+`` and a bound on its change if ``dist`` moves by ``error``.
 
-    ``Ax - P_Q(Ax) = s * (Ax - center)`` for a ball; radius 0 (a singleton)
-    gives ``s = 1`` exactly.  Without a positive lower bound on ``dist``
-    the bound is 1, the whole range of ``s``.
+    ``Ax - P_Q(Ax) = s * (Ax - center)`` for a ball of positive radius.
+    Without a positive lower bound on ``dist`` the bound is 1, the whole
+    range of ``s``.
     """
-    if radius == 0.0:
-        return 1.0, 0.0
     s = max(1.0 - radius / dist, 0.0) if dist > 0.0 else 0.0
     return s, radius * error / (dist * (dist - error)) if dist > error else 1.0
 
 
-def _trial_screen(P: ProblemSpec, opts: McqOptions):
-    """Per-iteration builder of a test that rules out backtracking steps.
+def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
+    """Per-iteration scan of the backtracking ladder that rules out steps.
 
     Returns None unless ``Q`` is a ball, a singleton included.  Else
-    ``screen(x, g)``, with ``g`` the gradient at ``x``, returns
-    ``ruled_out(alpha)``: True only if :func:`solve_mcq`'s condition
-    ``gap <= rhs`` fails for the step ``alpha``.
+    ``screen(x, g, xi, l1_norm)``, with ``g`` the gradient at ``x``, ``xi``
+    its sign vector and ``l1_norm = ||x||_1``, scans ``ladder`` in one pass
+    and yields each step ``alpha`` it cannot rule out, in ladder order.  It
+    rules out a step only if :func:`solve_mcq`'s condition ``gap <= rhs``
+    fails for it.  The scan resumes after a yielded step, so a step that
+    the exact test rejects moves on to the next open one.
 
-    Each trial point is ``x_bar = x - alpha*g - beta*xi``, with ``xi`` the
-    sign subgradient, ``c0 = ||x||_1 - t`` and
-    ``beta = max(c0 - alpha*xi.g, 0)/||xi||^2``.  With ``U = A[x, g, xi]``,
-    its first column less the centre ``c``, and ``V = A'U``:
+    Each trial point is ``x_bar = x - alpha*g - beta*xi``, with
+    ``c0 = ||x||_1 - t`` and ``beta = max(c0 - alpha*xi.g, 0)/||xi||^2``
+    (``||xi||^2`` is the count of nonzero entries of ``x``).  With
+    ``U = A[x, g, xi]``, its first column less the centre ``c``, and
+    ``V = A'U``:
 
-    * ``rhs = mu*||alpha*g + beta*xi||/alpha``, a quadratic form over the
-      Gram of ``[x, g, xi]``;
+    * ``rhs = mu*||alpha*g + beta*xi||/alpha``, a quadratic form in
+      ``||g||^2``, ``xi.g`` and ``||xi||^2``;
     * ``A x_bar - c = U(1, -alpha, -beta)``, whose norm gives the residual
       scale ``s`` of :func:`_residual_scale` (``s0`` is that of ``x``);
     * ``gap = ||g - g_bar|| = ||V(s0 - s, s*alpha, s*beta)||``.
 
-    So a trial is O(1) scalar work on three 3x3 Grams built once per
-    iteration.
+    So a trial is O(1) scalar work, on Python floats, over the 3x3 Gram of
+    ``V`` (and of ``U`` for a positive radius: radius 0 gives ``s = 1``) and
+    a few dot products, all made once per iteration.
 
     Margin.  With ``eta = 64*N*eps`` for ``N = max(m, n)`` (Higham's bound
     ``N*u`` on the relative error of a length-``N`` dot product, with room
@@ -252,55 +271,62 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions):
       weight.
 
     Near the boundary of the condition, or when the residual scale is not
-    resolved, the trial is left to the exact test.  ``||xi|| = 0`` with a
-    positive violation is left to it too (it raises there).
+    resolved, the trial is left to the exact test, as is any trial whose
+    values are not finite.  ``||xi|| = 0`` with a positive violation is
+    left to it too (it raises there).
     """
     Q = P.Q
     if not isinstance(Q, Ball):
         return None
     center, radius = Q.center, Q.radius
-    A, t, mu = P.A, opts.t, opts.mu
+    A, t, mu = P.A, float(opts.t), float(opts.mu)
     eta = 64.0 * max(A.shape) * float(np.finfo(float).eps)
     root_eta = math.sqrt(eta)
     fro = float(np.linalg.norm(A))
     c_norm = float(np.linalg.norm(center))
 
-    def screen(x, g):
-        X = np.array([x, g, select_subgradient(x)])
-        U = A @ X.T
-        U[:, 0] -= center
-        V = A.T @ U
-        # x.xi = ||x||_1
-        (x2, _, l1), (_, gg, xg), (_, _, xx) = (X @ X.T).tolist()
-        (u00, u01, u02), (_, u11, u12), (_, _, u22) = (U.T @ U).tolist()
-        (v00, v01, v02), (_, v11, v12), (_, _, v22) = (V.T @ V).tolist()
-        c0 = l1 - t
+    def screen(x, g, xi, l1_norm):
+        # Rows x, g, xi; then A x - c, A g, A xi; then A' of those.
+        Ut = np.array([x, g, xi]) @ A.T
+        Ut[0] -= center
+        Vt = Ut @ A
+        (v00, v01, v02), (_, v11, v12), (_, _, v22) = (Vt @ Vt.T).tolist()
+        x2, gg, xg = float(x.dot(x)), float(g.dot(g)), float(g.dot(xi))
+        xx = float(np.count_nonzero(xi))
+        c0 = l1_norm - t
         nx, ng, nxi = math.sqrt(x2), math.sqrt(gg), math.sqrt(xx)
-        nu0, nu1, nu2 = math.sqrt(u00), math.sqrt(u11), math.sqrt(u22)
         nv0, nv1, nv2 = math.sqrt(v00), math.sqrt(v11), math.sqrt(v22)
-        s0, ds0 = _residual_scale(nu0, eta * (nu0 + fro * nx + c_norm), radius)
-
-        def ruled_out(alpha: float) -> bool:
+        # Radius 0 (a singleton): Ax - P_Q(Ax) = Ax - c, so s = 1 exactly at
+        # every point and the distances to c, the Gram of U, are not needed.
+        s = s0 = 1.0
+        ds = ds0 = 0.0
+        if radius:
+            (u00, u01, u02), (_, u11, u12), (_, _, u22) = (Ut @ Ut.T).tolist()
+            nu0, nu1, nu2 = math.sqrt(u00), math.sqrt(u11), math.sqrt(u22)
+            s0, ds0 = _residual_scale(nu0, eta * (nu0 + fro * nx + c_norm), radius)
+        for alpha in ladder:
             violation = c0 - alpha * xg
             beta = 0.0
             if violation > 0.0:
                 if xx == 0.0:
-                    return False
+                    yield alpha
+                    continue
                 beta = violation / xx
             # ||x - x_bar|| = ||alpha*g + beta*xi||
             move2 = alpha * alpha * gg + beta * (2.0 * alpha * xg + beta * xx)
             rhs = mu * math.sqrt(max(move2, 0.0)) / alpha
             rhs_mag = mu * (ng + beta * nxi / alpha)
             nx_bar = nx + alpha * ng + beta * nxi
-            # ||A x_bar - c|| = ||U (1, -alpha, -beta)||
-            z2 = (u00 + alpha * (alpha * u11 - 2.0 * u01)
-                  + beta * (beta * u22 - 2.0 * u02 + 2.0 * alpha * u12))
-            z_mag = nu0 + alpha * nu1 + beta * nu2
-            s, ds = _residual_scale(
-                math.sqrt(max(z2, 0.0)),
-                root_eta * z_mag + eta * (fro * (nx + nx_bar) + c_norm),
-                radius,
-            )
+            if radius:
+                # ||A x_bar - c|| = ||U (1, -alpha, -beta)||
+                z2 = (u00 + alpha * (alpha * u11 - 2.0 * u01)
+                      + beta * (beta * u22 - 2.0 * u02 + 2.0 * alpha * u12))
+                z_mag = nu0 + alpha * nu1 + beta * nu2
+                s, ds = _residual_scale(
+                    math.sqrt(max(z2, 0.0)),
+                    root_eta * z_mag + eta * (fro * (nx + nx_bar) + c_norm),
+                    radius,
+                )
             # ||g - g_bar|| = ||V (s0 - s, s*alpha, s*beta)||
             a, b, c = s0 - s, s * alpha, s * beta
             gap2 = (a * (a * v00 + 2.0 * (b * v01 + c * v02))
@@ -312,8 +338,9 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions):
                 + eta * (fro * (fro * (nx + nx_bar) + c_norm + radius) + mu * (nx + nx_bar) / alpha)
                 + (ds0 + ds) * (nv0 + alpha * nv1 + beta * nv2)
             )
-            return gap - rhs > slack
-
-        return ruled_out
+            # A non-finite input makes slack inf or NaN and this test False:
+            # the trial goes to the exact test.
+            if not gap - rhs > slack:
+                yield alpha
 
     return screen

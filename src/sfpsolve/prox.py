@@ -21,6 +21,9 @@ from .linops import as_vector, norm
 __all__ = ["l1_l2", "soft_threshold", "prox_l1_minus_l2", "prox_l1_l2_objective"]
 
 _SQRT_TINY = math.sqrt(float(np.finfo(float).tiny))  # sqrt(v.v) underflows below
+# v.v < len(v) * ||v||_inf^2 stays below a quarter of the largest float, so it
+# cannot overflow, while ||v||_inf is below this and len(v) < 2**62.
+_INF_NORM_SAFE = math.sqrt(float(np.finfo(float).max)) / 2.0**32
 
 
 def l1_l2(x) -> float:
@@ -71,9 +74,10 @@ def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
         return np.zeros_like(y)
     if lam < y_inf:
         s = soft_threshold(y, lam)
-        s_norm = norm(s)
-        if s_norm < _SQRT_TINY:
-            # s.s underflowed; s != 0 since lam < ||y||_inf.
+        # ||s||_inf < ||y||_inf, so s.s can overflow only if this fails.
+        s_norm = norm(s) if y_inf < _INF_NORM_SAFE else math.inf
+        if not _SQRT_TINY <= s_norm < math.inf:
+            # s.s underflowed or could overflow; s != 0 since lam < ||y||_inf.
             scale = float(np.abs(s).max())
             s_norm = scale * norm(s / scale)
         s *= (lam + s_norm) / s_norm

@@ -12,7 +12,7 @@ from sfpsolve.baselines import (
     solve_cq,
     solve_mcq,
 )
-from sfpsolve.harness import RandomSpec, gen_random_problem
+from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
 from sfpsolve.linops import sfp_gradient
 from sfpsolve.problem import ProblemSpec, Status, Stop, iterate, start_point
 from sfpsolve.sets import Ball, Box, FullSpace, NonnegativeOrthant, Singleton
@@ -263,9 +263,9 @@ def _count_level_set_projections(monkeypatch):
     calls = []
     original = baselines.project_level_set
 
-    def counting(x_k, t, y):
+    def counting(x_k, t, y, **kwargs):
         calls.append(1)
-        return original(x_k, t, y)
+        return original(x_k, t, y, **kwargs)
 
     monkeypatch.setattr(baselines, "project_level_set", counting)
     return calls
@@ -298,3 +298,48 @@ def test_mcq_screen_keeps_the_backtracking_cap_stop(monkeypatch):
     # Every trial was ruled out without the exact test.
     assert len(calls) == 0
     _assert_same_run(r, _reference_mcq(P, np.zeros(10), opts))
+
+
+@pytest.mark.parametrize("target", ["singleton", "ball"])
+def test_mcq_ladder_keeps_the_bits_of_repeated_backtracking(target):
+    # With l = 0.3 the step sigma*l**m differs in its last bits from sigma
+    # multiplied by l m times (m = 3, 5, 8, ...); the plain loop does the latter.
+    A, b, x_true = _lasso_instance(1)
+    Q = Singleton(b) if target == "singleton" else Ball(b, 0.05 * float(np.linalg.norm(b)))
+    P = ProblemSpec(A=A, C=FullSpace(30), Q=Q, gamma=1.0)
+    opts = McqOptions(t=float(np.sum(np.abs(x_true))), l=0.3, sigma=0.7, mu=0.4,
+                      max_iter=200, step_tol=1e-9)
+    _assert_same_run(solve_mcq(P, np.zeros(30), opts), _reference_mcq(P, np.zeros(30), opts))
+
+
+@pytest.mark.parametrize("target", ["singleton", "noise-ball"])
+def test_mcq_screen_changes_no_output_at_benchmark_shape(target):
+    # The desk-sparse instance (100x256, k=10) with Q = {b}, and with the
+    # noise ball B(b, sqrt(m * noise_variance)) of the l1-ball workload.
+    spec = SparseSpec(seed=0, m=100, n=256, sparsity=10, noise_variance=1e-4, gamma=0.6)
+    inst = gen_sparse_recovery(spec, 0)
+    P = inst.problem
+    if target == "noise-ball":
+        P = replace(P, Q=Ball(P.Q.center, float(np.sqrt(spec.m * spec.noise_variance))))
+    opts = McqOptions(t=inst.t_level, max_iter=60)
+    _assert_same_run(solve_mcq(P, inst.x0, opts), _reference_mcq(P, inst.x0, opts))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("target", ["singleton", "ball"])
+def test_mcq_screen_rules_out_no_trial_on_a_non_finite_gradient(target, bad):
+    A, b, x_true = _lasso_instance(0)
+    Q = Singleton(b) if target == "singleton" else Ball(b, 0.5)
+    P = ProblemSpec(A=A, C=FullSpace(30), Q=Q, gamma=1.0)
+    opts = McqOptions(t=0.8 * float(np.sum(np.abs(x_true))), backtrack_cap=20)
+    ladder = [opts.sigma * 0.5**m for m in range(21)]  # exact for l = 0.5
+    screen = baselines._trial_screen(P, opts, ladder)
+    x = 3.0 * x_true
+    g = sfp_gradient(A, Q, x)
+    # The finite gradient has trials to rule out: sigma = 1 is far above mu/||A||^2.
+    assert next(screen(x, g, np.sign(x), float(np.sum(np.abs(x))))) < ladder[0]
+    g[3] = bad
+    # Every trial is left to the exact test, the first one included.  The
+    # solver's loop runs with these warnings silenced too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert list(screen(x, g, np.sign(x), float(np.sum(np.abs(x))))) == ladder

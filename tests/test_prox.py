@@ -144,3 +144,14 @@ def test_prox_below_threshold_survives_norm_underflow():
     v = prox_l1_minus_l2(c * y, c * lam)
     expected = c * prox_l1_minus_l2(y, lam)
     assert np.allclose(v, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prox_soft_threshold_regime_survives_norm_overflow(seed):
+    # ||s||_2^2 overflows at this scale; the prox is positively homogeneous.
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(6)
+    lam, c = 0.5 * float(np.max(np.abs(y))), 1e200
+    v = prox_l1_minus_l2(c * y, c * lam)
+    expected = c * prox_l1_minus_l2(y, lam)
+    assert np.allclose(v, expected, rtol=1e-14, atol=0.0)
