@@ -19,7 +19,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .linops import inflated_op_norm, norm, sfp_gradient
+from .linops import inflated_op_norm, norm, sfp_gradient, squared_op_norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -60,7 +60,7 @@ class CqOptions:
     def resolve_step(self, P: ProblemSpec) -> float:
         if self.step is not None:
             return self.step
-        return 1.0 / inflated_op_norm(P.A) ** 2
+        return 1.0 / squared_op_norm(inflated_op_norm(P.A))
 
 
 def solve_cq(P: ProblemSpec, x0, opts: CqOptions | None = None) -> SolveResult:
@@ -282,8 +282,10 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
     A, t, mu = P.A, float(opts.t), float(opts.mu)
     eta = 64.0 * max(A.shape) * float(np.finfo(float).eps)
     root_eta = math.sqrt(eta)
-    fro = float(np.linalg.norm(A))
-    c_norm = float(np.linalg.norm(center))
+    # An overflowing norm is inf, which makes every slack inf: no trial is ruled out.
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(A))
+        c_norm = float(np.linalg.norm(center))
 
     def screen(x, g, xi, l1_norm):
         # Rows x, g, xi; then A x - c, A g, A xi; then A' of those.

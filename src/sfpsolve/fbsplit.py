@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linops import inflated_op_norm, norm, sfp_gradient
+from .linops import inflated_op_norm, norm, sfp_gradient, squared_op_norm
 from .problem import (
     ConfigurationError,
     ProblemSpec,
@@ -59,7 +59,7 @@ class FbOptions:
             raise ValueError("step_tol must be positive")
 
     def resolve_step(self, P: ProblemSpec) -> float:
-        bound = P.gamma / inflated_op_norm(P.A) ** 2
+        bound = P.gamma / squared_op_norm(inflated_op_norm(P.A))
         if self.step is None:
             return 0.9 * bound
         if self.step >= bound and not self.allow_unsafe_step:

@@ -12,7 +12,8 @@ constraint with one operator and the l1 term with the other:
   step on the smooth-plus-constraint block is approximated by a short inner
   loop of forward-backward iterations.
 * ``solve_dr_in_fb`` runs forward-backward outer iterations whose prox of the
-  constrained l1 term is approximated by a short inner Douglas-Rachford loop.
+  constrained l1 term is computed by a short inner Douglas-Rachford loop,
+  exact after one iteration on every set but an off-centre ball.
 
 Both converge to the same minimizer of the convex subproblem; they serve as
 mutual cross-checks in the test suite.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import as_vector, inflated_op_norm, norm
+from .linops import as_vector, inflated_op_norm, norm, squared_op_norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -35,6 +36,7 @@ from .problem import (
     start_point,
 )
 from .prox import soft_threshold
+from .sets import projected_shrink_is_prox
 
 __all__ = [
     "SubproblemSpec",
@@ -91,7 +93,10 @@ class InnerOptions:
     (0, 2), ``lambda_relax`` the forward-backward relaxation in (0, 1], and
     ``step_fraction`` the fraction of the admissible step-size upper bound
     actually used.  The inner budget per outer step grows as
-    ``min(budget_base + k, budget_cap)``.
+    ``min(budget_base + k, budget_cap)``.  In :func:`solve_dr_in_fb` the
+    prox is exact after one DR iteration unless ``C`` is a ball of positive
+    radius with a nonzero centre, so ``tau`` and the budget ramp matter
+    there only on such a ball.
 
     ``tol`` is measured on the iterate displacement divided by the solver's
     step scale (the gradient step for the forward-backward outer loop, the
@@ -152,7 +157,7 @@ def solve_fb_in_dr(
     # The smooth block handled in the inner loop has a kappa*||A||^2-Lipschitz
     # gradient; the quadratic coupling term is treated implicitly, so the
     # step bound is 2 / (kappa*||A||^2).
-    step_cap = 2.0 / (kappa * spec._a_norm() ** 2)
+    step_cap = 2.0 / (kappa * squared_op_norm(spec._a_norm()))
     gstep = opts.step_fraction * step_cap
     lam = opts.lambda_relax
     thresh = kappa * P.gamma
@@ -242,24 +247,30 @@ def solve_dr_in_fb(
     The outer loop takes gradient steps on the smooth fidelity-plus-linear
     block (step below ``2/||A||^2``); the prox of the constrained l1 block is
     approximated by up to ``M_k`` Douglas-Rachford iterations with an early
-    exit at its fixed point.  Iterates stay in ``C``.
+    exit at its fixed point.  The first DR half point is
+    ``P_C(soft_threshold(a, thresh))``, which is the exact prox unless ``C``
+    is a ball of positive radius with a nonzero centre (see
+    :func:`~sfpsolve.sets.projected_shrink_is_prox`); on every other set
+    ``M_k = 1``.  Iterates stay in ``C``.
     """
     if opts is None:
         opts = InnerOptions()
     P = spec.base
     kappa = opts.resolve_kappa(spec)
-    step_cap = 2.0 / spec._a_norm() ** 2
+    step_cap = 2.0 / squared_op_norm(spec._a_norm())
     gstep = opts.step_fraction * step_cap
     lam = opts.lambda_relax
     # kappa is the weight of the constrained l1 block here; it defaults to the
     # subproblem's own l1 weight so both inner solvers target the same problem.
     thresh = gstep * kappa
+    exact = projected_shrink_is_prox(P.C)
 
     x, message = start_point(P, x0)
 
     def step(k, x):
         x_prime = x - gstep * spec.smooth_gradient(x)
-        y_half, _ = _constrained_l1_prox_dr(x_prime, thresh, P.C, opts.budget(k - 1), opts.tau)
+        budget = 1 if exact else opts.budget(k - 1)
+        y_half, _ = _constrained_l1_prox_dr(x_prime, thresh, P.C, budget, opts.tau)
         x_next = x + lam * (y_half - x)
         move = norm(x_next - x)
         return x_next, move, Stop(Status.CONVERGED) if move / gstep <= opts.tol else None

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+_TINY = float(np.finfo(float).tiny)
+
 __all__ = [
     "as_matrix",
     "as_vector",
@@ -98,6 +100,20 @@ def inflated_op_norm(A) -> float:
     value.  It is exact, so the bounds need no safety margin.
     """
     return float(np.linalg.norm(A, 2))
+
+
+def squared_op_norm(op_norm: float) -> float:
+    """``op_norm**2`` for a step bound; ValueError unless it is a normal float."""
+    try:
+        square = op_norm**2
+    except OverflowError:
+        raise ValueError(
+            f"||A|| = {op_norm:.6g} is too large: ||A||^2 overflows a float"
+        ) from None
+    if square < _TINY:
+        # A step bound c/||A||^2 would overflow or divide by zero.
+        raise ValueError(f"||A|| = {op_norm:.6g} is too small: ||A||^2 underflows a float")
+    return square
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linops import inflated_op_norm, norm
+from .linops import inflated_op_norm, norm, squared_op_norm
 from .problem import (
     ConfigurationError,
     ProblemSpec,
@@ -38,7 +38,7 @@ from .problem import (
     start_point,
 )
 from .prox import soft_threshold
-from .sets import DEFAULT_MEMBER_TOL, Ball, Box, FullSpace, L1Ball
+from .sets import DEFAULT_MEMBER_TOL, Ball, Box, FullSpace, L1Ball, projected_shrink_is_prox
 
 __all__ = [
     "MfOptions",
@@ -91,7 +91,7 @@ class MfOptions:
     def resolve_mu(self, P: ProblemSpec) -> float:
         if self.mu_shift is not None:
             return self.mu_shift
-        return 0.1 * inflated_op_norm(P.A) ** 2
+        return 0.1 * squared_op_norm(inflated_op_norm(P.A))
 
     def resolve_stationarity_tol(self, P: ProblemSpec) -> float:
         if self.stationarity_tol is not None:
@@ -125,17 +125,17 @@ def direction_minimizer(w, gamma: float, mu: float, C) -> np.ndarray:
     """Minimize ``<w, x> + gamma*||x||_1 + mu*||x||^2/2`` over ``C``.
 
     With ``mu > 0`` the minimizer is the prox of ``(gamma/mu)*||.||_1 + i_C``
-    at ``-w/mu``, which is ``P_C(soft_threshold(-w/mu, gamma/mu))`` on the
-    full space, orthant, box, l1 ball and a ball centred at the origin (Yu,
-    "On decomposing the proximal map", 2013); a radius-0 ball (a singleton)
-    is its centre, and only an off-centre ball takes the splitting iteration.
+    at ``-w/mu``, which is ``P_C(soft_threshold(-w/mu, gamma/mu))`` wherever
+    :func:`~sfpsolve.sets.projected_shrink_is_prox` holds; a radius-0 ball
+    (a singleton) is its centre, and only an off-centre ball takes the
+    splitting iteration.
     ``mu = 0`` requires a bounded set, since otherwise the subproblem is
     unbounded below whenever ``||w||_inf > gamma``.
     """
     w = np.asarray(w, dtype=float)
     if isinstance(C, Ball) and C.radius == 0.0:
         return C.center.copy()
-    if mu > 0.0 and not (isinstance(C, Ball) and np.any(C.center)):
+    if mu > 0.0 and projected_shrink_is_prox(C):
         return C.project(soft_threshold(-w / mu, gamma / mu))
     if mu == 0.0:
         if not isinstance(C, (Ball, Box, L1Ball)):

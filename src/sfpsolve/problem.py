@@ -170,9 +170,11 @@ def iterate(
     recorded step norm or columns are not, is not recorded: the run ends as
     ``DIVERGED`` with the last recorded iterate; numpy's overflow and
     invalid-value warnings are silenced for the run, since this test reports
-    them.  The start is recorded as ``k = 0`` if ``record_start``; without
-    ``record_trace`` only the last iterate is.  A stop's message is joined
-    to ``message``.
+    them.  The start is recorded as ``k = 0`` if ``record_start``, and its
+    columns are tested too: a non-finite one ends the run as ``DIVERGED``
+    at iteration 0, before any step, with that record as the trace.
+    Without ``record_trace`` only the last iterate is recorded.  A stop's
+    message is joined to ``message``.
     """
     t0 = time.perf_counter()
 
@@ -184,9 +186,13 @@ def iterate(
         return IterateRecord(k=k, elapsed_ms=elapsed_ms, **columns), bad
 
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = [record(0, x, 0.0)[0]] if record_start else []
-        status, last_k, last_move = Status.MAX_ITERATIONS, 0, 0.0
-        for k in range(1, max_iter + 1):
+        trace, stop, last_k, last_move = [], None, 0, 0.0
+        if record_start:
+            rec, bad = record(0, x, 0.0)
+            trace.append(rec)
+            if bad:
+                stop = Stop(Status.DIVERGED, f"non-finite {bad} at iteration 0")
+        for k in range(1, max_iter + 1) if stop is None else ():
             x_next, move, stop = step(k, x)
             if x_next is not None and not np.isfinite(x_next).all():
                 x_next, stop = None, Stop(Status.DIVERGED, f"non-finite iterate at iteration {k}")
@@ -201,12 +207,13 @@ def iterate(
                 if stop is None and step_tol is not None and move <= step_tol:
                     stop = Stop(Status.CONVERGED)
             if stop is not None:
-                status = stop.status
-                message = "; ".join(m for m in (message, stop.message) if m)
                 break
         if not record_trace:
             trace.append(record(last_k, x, last_move)[0])
-    return SolveResult(x=x, status=status, trace=trace, message=message)
+    if stop is None:
+        stop = Stop(Status.MAX_ITERATIONS)
+    message = "; ".join(m for m in (message, stop.message) if m)
+    return SolveResult(x=x, status=stop.status, trace=trace, message=message)
 
 
 def sfp_residual_value(P: ProblemSpec, x) -> float:

@@ -76,11 +76,15 @@ def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
         s = soft_threshold(y, lam)
         # ||s||_inf < ||y||_inf, so s.s can overflow only if this fails.
         s_norm = norm(s) if y_inf < _INF_NORM_SAFE else math.inf
-        if not _SQRT_TINY <= s_norm < math.inf:
+        if _SQRT_TINY <= s_norm < math.inf:
+            s *= (lam + s_norm) / s_norm
+        else:
             # s.s underflowed or could overflow; s != 0 since lam < ||y||_inf.
+            # ||s|| = scale*n1 itself can exceed the largest float, so the
+            # factor is formed from the scaled norm.
             scale = float(np.abs(s).max())
-            s_norm = scale * norm(s / scale)
-        s *= (lam + s_norm) / s_norm
+            n1 = norm(s / scale)
+            s *= (lam / scale + n1) / n1
         return s
     # 1-sparse regimes: magnitude lam when lam == ||y||_inf, else ||y||_inf.
     magnitude = lam if lam == y_inf else y_inf

@@ -24,6 +24,7 @@ __all__ = [
     "project",
     "is_member",
     "interval_bounds",
+    "projected_shrink_is_prox",
     "parse_set",
 ]
 
@@ -206,6 +207,17 @@ def interval_bounds(S: ConvexSet):
         np.full(S.dim, -np.inf if lower is None else lower),
         np.full(S.dim, np.inf if upper is None else upper),
     )
+
+
+def projected_shrink_is_prox(S: ConvexSet) -> bool:
+    """Whether ``P_S(soft_threshold(a, t))`` is the prox of ``t*||.||_1 + i_S`` at ``a``.
+
+    It is for every ``a`` and ``t >= 0`` on the full space, the orthant, a
+    box, an l1 ball and a ball centred at the origin (Yu, "On decomposing
+    the proximal map", 2013), and on a radius-0 ball, whose projection is
+    its centre.  An off-centre ball of positive radius is the one exception.
+    """
+    return not (isinstance(S, Ball) and S.radius > 0.0 and np.any(S.center))
 
 
 def _finite_bounds(S: ConvexSet):

@@ -343,3 +343,15 @@ def test_mcq_screen_rules_out_no_trial_on_a_non_finite_gradient(target, bad):
     # solver's loop runs with these warnings silenced too.
     with np.errstate(over="ignore", invalid="ignore"):
         assert list(screen(x, g, np.sign(x), float(np.sum(np.abs(x))))) == ladder
+
+
+def test_mcq_overflowing_start_ends_diverged_at_iteration_0():
+    # ||A x0 - P_Q(A x0)||^2 and ||A||_F^2 overflow; the screen's norms warn
+    # nothing (warnings are errors in this suite) and the start record ends the run.
+    A = 1e200 * np.eye(2)
+    P = ProblemSpec(A=A, C=FullSpace(2), Q=Singleton([1e200, 0.0]), gamma=1.0)
+    r = solve_mcq(P, np.array([1.0, 1.0]), McqOptions(t=1.0))
+    assert r.status == Status.DIVERGED
+    assert r.iterations == 0 and len(r.trace) == 1
+    assert r.message == "non-finite objective at iteration 0"
+    assert np.array_equal(r.x, [1.0, 1.0])

@@ -210,3 +210,13 @@ def test_solve_all_zero_matrix_is_config_error(instance_files, capsys):
                  "--gamma", "0.6"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: A must have a nonzero entry")
+
+
+def test_solve_op_norm_whose_square_overflows_is_config_error(instance_files, capsys):
+    _, b_path, tmp_path = instance_files
+    big_path = tmp_path / "big.mat"
+    write_matrix(big_path, 1e200 * np.eye(10, 25))
+    code = main(["solve", "--algo", "fb", "--A", str(big_path), "--Q", f"singleton:{b_path}",
+                 "--gamma", "0.6"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ||A|| = 1e+200 is too large")

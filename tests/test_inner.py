@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfpsolve import inner
 from sfpsolve.inner import (
     INNER_SOLVERS,
     InnerOptions,
@@ -9,10 +10,19 @@ from sfpsolve.inner import (
     solve_dr_in_fb,
     solve_fb_in_dr,
 )
+from sfpsolve.minefuku import direction_minimizer
 from sfpsolve.oracles import grid_minimize
 from sfpsolve.problem import ProblemSpec, Status
 from sfpsolve.prox import soft_threshold
-from sfpsolve.sets import Ball, FullSpace, NonnegativeOrthant, Singleton
+from sfpsolve.sets import (
+    Ball,
+    Box,
+    FullSpace,
+    L1Ball,
+    NonnegativeOrthant,
+    Singleton,
+    projected_shrink_is_prox,
+)
 
 TIGHT = InnerOptions(tol=1e-8, outer_max=10000)
 
@@ -158,3 +168,96 @@ def test_fb_in_dr_without_trace_records_only_the_last_iterate():
     assert last.status == full.status
     assert np.array_equal(last.x, full.x)
 
+
+def sparse_subproblem(C, seed=3, gamma=0.2):
+    """A 12x20 subproblem over ``C`` whose target is the image of a 4-sparse sign vector."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((12, 20))
+    xs = np.zeros(20)
+    xs[rng.choice(20, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    P = ProblemSpec(A=A, C=C, Q=Singleton(A @ xs), gamma=gamma)
+    return SubproblemSpec(base=P, v=0.1 * rng.standard_normal(20))
+
+
+def _record_prox_calls(monkeypatch):
+    """Patch the DR prox to log ``(budget, projections onto C, shrink active)`` per call."""
+    log, projections = [], [0]
+    real_prox = inner._constrained_l1_prox_dr
+    real_project = L1Ball.project
+
+    def counting_project(self, x):
+        projections[0] += 1
+        return real_project(self, x)
+
+    def logging_prox(anchor, thresh, C, budget, tau):
+        before = projections[0]
+        out = real_prox(anchor, thresh, C, budget, tau)
+        active = isinstance(C, L1Ball) and np.abs(soft_threshold(anchor, thresh)).sum() > C.radius
+        log.append((budget, projections[0] - before, active))
+        return out
+
+    monkeypatch.setattr(L1Ball, "project", counting_project)
+    monkeypatch.setattr(inner, "_constrained_l1_prox_dr", logging_prox)
+    return log
+
+
+def test_dr_in_fb_projects_once_per_prox_on_an_active_l1_ball(monkeypatch):
+    # P_C(soft_threshold(a)) is the exact prox on an l1 ball, and it is the
+    # DR loop's first half point: each outer step projects onto C once.
+    log = _record_prox_calls(monkeypatch)
+    opts = InnerOptions(tol=1e-8, outer_max=300)
+    r = solve_dr_in_fb(sparse_subproblem(L1Ball(1.5, 20)), np.zeros(20), opts)
+    assert len(log) == r.iterations > 10
+    assert any(active for _, _, active in log)  # the constraint cuts the shrink
+    assert [(budget, projections) for budget, projections, _ in log] == [(1, 1)] * len(log)
+
+
+def test_dr_in_fb_keeps_the_budget_ramp_on_an_off_centre_ball(monkeypatch):
+    C = Ball(np.full(20, 0.05), 1.0)
+    assert not projected_shrink_is_prox(C)
+    log = _record_prox_calls(monkeypatch)
+    opts = InnerOptions(outer_max=8, tol=1e-14)
+    solve_dr_in_fb(sparse_subproblem(C), np.zeros(20), opts)
+    assert [budget for budget, _, _ in log] == [opts.budget(k) for k in range(8)]
+
+
+def _shrink_sets(n, a, thresh):
+    """Every set kind on which one DR iteration gives the exact prox at ``a``."""
+    l1_shrunk = float(np.abs(soft_threshold(a, thresh)).sum())
+    centre = np.linspace(-1.0, 1.0, n)
+    return {
+        "fullspace": FullSpace(n),
+        "orthant": NonnegativeOrthant(n),
+        "box": Box(np.full(n, -0.4), np.linspace(0.1, 2.0, n)),
+        "l1ball-active": L1Ball(0.5 * l1_shrunk, n),
+        "l1ball-inactive": L1Ball(2.0 * l1_shrunk, n),
+        "origin-ball": Ball(np.zeros(n), 0.5),
+        "radius-0-ball": Ball(centre, 0.0),
+        "singleton": Singleton(centre),
+    }
+
+
+@pytest.mark.parametrize("tau", [1.0, 1.3])
+@pytest.mark.parametrize("kind", sorted(_shrink_sets(3, np.ones(3), 0.0)))
+def test_one_dr_iteration_is_the_exact_constrained_l1_prox(kind, tau):
+    rng = np.random.default_rng(11)
+    a = 1.5 * rng.standard_normal(9)
+    thresh = 0.3
+    C = _shrink_sets(9, a, thresh)[kind]
+    assert projected_shrink_is_prox(C)
+    y_half, used = _constrained_l1_prox_dr(a, thresh, C, 1, tau)
+    assert used == 1
+    assert np.linalg.norm(y_half - direction_minimizer(-a, thresh, 1.0, C)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "C", [L1Ball(1.5, 20), NonnegativeOrthant(20), Ball(np.zeros(20), 0.8)],
+    ids=["l1ball", "orthant", "origin-ball"],
+)
+def test_solvers_agree_where_one_dr_iteration_is_the_prox(C):
+    # Acceptance criterion 5 on the sets whose dr-in-fb prox is one DR iteration.
+    opts = InnerOptions(tol=1e-6, outer_max=30000)
+    sub = sparse_subproblem(C)
+    oa = sub.objective(solve_fb_in_dr(sub, np.zeros(20), opts).x)
+    ob = sub.objective(solve_dr_in_fb(sub, np.zeros(20), opts).x)
+    assert abs(oa - ob) <= 1e-5

@@ -6,12 +6,14 @@ import pytest
 from sfpsolve.baselines import CqOptions, solve_cq
 from sfpsolve.dca import solve_dca
 from sfpsolve.fbsplit import FbOptions, solve_fb
+from sfpsolve.minefuku import MfOptions, solve_mf
 from sfpsolve.inner import SubproblemSpec
 from sfpsolve.linops import read_vector
 from sfpsolve.problem import (
     ProblemSpec,
     Status,
     gamma_objective,
+    iterate,
     has_exact_residual,
     sfp_residual_value,
     stationarity_residual,
@@ -232,3 +234,36 @@ def test_trace_columns_equal_the_standalone_functions(solver):
         assert rec.objective == gamma_objective(P, x), rec.k
         assert rec.grad_residual == stationarity_residual(P, x), rec.k
         assert rec.sfp_residual == sfp_residual_value(P, x), rec.k
+
+
+def test_non_finite_start_record_ends_the_run_before_any_step():
+    def step(k, x):
+        raise AssertionError("no step after a non-finite start record")
+
+    def monitor(k, x, move):
+        return {"objective": 1.0, "grad_residual": np.inf}
+
+    r = iterate(np.zeros(2), step, monitor, 10, message="x0 moved")
+    assert r.status == Status.DIVERGED and r.iterations == 0
+    assert r.message == "x0 moved; non-finite grad_residual at iteration 0"
+    assert len(r.trace) == 1 and r.trace[0].grad_residual == np.inf
+
+
+@pytest.mark.parametrize(
+    "scale, what", [(1e200, "1e\\+200 is too large"), (1e-170, "1e-170 is too small")]
+)
+@pytest.mark.parametrize(
+    "solve, opts",
+    [(solve_fb, FbOptions()), (solve_cq, CqOptions()), (solve_mf, MfOptions())],
+)
+def test_step_bound_names_an_op_norm_whose_square_is_not_a_normal_float(solve, opts, scale, what):
+    P = ProblemSpec(A=scale * np.eye(2), C=FullSpace(2), Q=Singleton([0.0, 0.0]), gamma=0.5)
+    with pytest.raises(ValueError, match=r"\|\|A\|\| = " + what):
+        solve(P, np.ones(2), opts)
+
+
+def test_dca_inner_step_bound_names_an_op_norm_whose_square_overflows():
+    A = 1e200 * np.eye(2)
+    P = ProblemSpec(A=A, C=FullSpace(2), Q=Singleton(A @ np.ones(2)), gamma=0.5)
+    with pytest.raises(ValueError, match=r"\|\|A\|\|\^2 overflows"):
+        solve_dca(P, np.ones(2))

@@ -155,3 +155,12 @@ def test_prox_soft_threshold_regime_survives_norm_overflow(seed):
     v = prox_l1_minus_l2(c * y, c * lam)
     expected = c * prox_l1_minus_l2(y, lam)
     assert np.allclose(v, expected, rtol=1e-14, atol=0.0)
+
+
+def test_prox_soft_threshold_regime_survives_a_norm_above_the_largest_float():
+    # ||s||_2 itself exceeds the largest float, while every entry of the prox
+    # is finite; positive homogeneity gives the expected value.
+    y, lam, c = np.array([1.7e8, 1.7e8, -1e8]), 1e7, 1e300
+    v = prox_l1_minus_l2(c * y, c * lam)
+    assert np.all(np.isfinite(v))
+    assert np.allclose(v, c * prox_l1_minus_l2(y, lam), rtol=1e-14, atol=0.0)
