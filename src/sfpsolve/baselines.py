@@ -177,11 +177,11 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
 
     When ``Q`` is a ball (a singleton is one of radius 0), the ladder is
     first scanned in one pass of O(1) scalar work per trial, from products
-    with ``A`` made once per iteration (see :func:`_trial_screen`).  The
-    scan only rules out steps that the condition rejects; every other
-    trial, and so every accepted one, is decided by the condition itself,
-    so the iterates, trace, status and message are those of the plain
-    backtracking loop.
+    with ``A`` and ``AA'`` made once per iteration (see
+    :func:`_trial_screen`).  The scan only rules out steps that the
+    condition rejects; every other trial, and so every accepted one, is
+    decided by the condition itself, so the iterates, trace, status and
+    message are those of the plain backtracking loop.
     """
     x, _ = start_point(P, x0, project=False)
     alpha = opts.sigma  # the accepted step scale, read by the monitor
@@ -249,9 +249,16 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
       scale ``s`` of :func:`_residual_scale` (``s0`` is that of ``x``);
     * ``gap = ||g - g_bar|| = ||V(s0 - s, s*alpha, s*beta)||``.
 
-    So a trial is O(1) scalar work, on Python floats, over the 3x3 Gram of
-    ``V`` (and of ``U`` for a positive radius: radius 0 gives ``s = 1``) and
-    a few dot products, all made once per iteration.
+    So a trial is O(1) scalar work, on Python floats, over the Gram of
+    ``V`` and a few dot products, all made once per iteration.  The Gram of
+    ``V`` is ``U'MU`` with ``M = AA'`` formed once per solve, so ``V`` is
+    never formed: an iteration makes its products with ``A`` and the m x m
+    ``M``, none with ``A'``.  For a singleton (radius 0) ``s = s0 = 1`` in
+    every trial, so the column ``A x - c`` has weight 0 and ``U`` keeps only
+    the columns of ``g`` and ``xi``; a positive radius needs all three and
+    the Gram of ``U`` for the distances to ``c``.  ``M`` is no larger than
+    ``A`` when m <= n; for a tall ``A`` the screen's memory and work per
+    iteration grow with m^2.
 
     Margin.  With ``eta = 64*N*eps`` for ``N = max(m, n)`` (Higham's bound
     ``N*u`` on the relative error of a length-``N`` dot product, with room
@@ -260,15 +267,23 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
 
     * ``sqrt(eta)`` times the sums of the magnitudes of the terms in each
       form: rounding ``eta*mag^2`` in a quadratic form that cancels moves
-      its square root by at most ``sqrt(eta)*mag``;
+      its square root by at most ``sqrt(eta)*mag``.  In the gap's form the
+      magnitude of the term of ``V_i`` is ``||V_i|| + ||A||_F*||U_i||``:
+      ``fl(M) = M + E`` with ``|E| <= gamma_n |A||A'|`` (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, 3.1), so
+      ``|U_i'EU_j| <= gamma_n ||A||_F^2 ||U_i|| ||U_j||``, since
+      ``||(|A'||u|)|| <= ||A||_F ||u||``; the two products with ``fl(M)``
+      round within the same bound with ``gamma_m``;
     * ``eta`` times the scale of the exact test's own rounding,
       ``||A||_F*(||A||_F*(||x|| + ||x_bar||) + ||c|| + R)`` for the two
       gradients it subtracts and ``mu*(||x|| + ||x_bar||)/alpha`` for the
       step it measures, with ``||x_bar|| <= ||x|| + alpha*||g|| +
       beta*||xi||``;
     * the change in ``s0`` and ``s`` that these errors allow in the
-      distances to ``c``, times the norms of the columns of ``V`` they
-      weight.
+      distances to ``c``, times bounds on the norms of the columns of ``V``
+      they weight: by the first bullet the computed ``||V_i||^2`` is off by
+      at most ``eta*||A||_F^2*||U_i||^2``, so ``||V_i||`` is at most its
+      computed value plus ``sqrt(eta)*||A||_F*||U_i||``.
 
     Near the boundary of the condition, or when the residual scale is not
     resolved, the trial is left to the exact test, as is any trial whose
@@ -282,30 +297,49 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
     A, t, mu = P.A, float(opts.t), float(opts.mu)
     eta = 64.0 * max(A.shape) * float(np.finfo(float).eps)
     root_eta = math.sqrt(eta)
-    # An overflowing norm is inf, which makes every slack inf: no trial is ruled out.
-    with np.errstate(over="ignore"):
+    # An overflowing norm or entry of M is inf, which makes every slack inf
+    # or NaN: no trial is ruled out.
+    with np.errstate(over="ignore", invalid="ignore"):
         fro = float(np.linalg.norm(A))
         c_norm = float(np.linalg.norm(center))
+        M = A @ A.T
+    # Parts of the slack that do not depend on the iterate.
+    fro_eta = eta * fro
+    fro2_eta = fro_eta * fro
+    offset_eta = fro_eta * (c_norm + radius)
+    rhs_eta = mu * (root_eta + eta)
 
     def screen(x, g, xi, l1_norm):
-        # Rows x, g, xi; then A x - c, A g, A xi; then A' of those.
-        Ut = np.array([x, g, xi]) @ A.T
-        Ut[0] -= center
-        Vt = Ut @ A
-        (v00, v01, v02), (_, v11, v12), (_, _, v22) = (Vt @ Vt.T).tolist()
         x2, gg, xg = float(x.dot(x)), float(g.dot(g)), float(g.dot(xi))
         xx = float(np.count_nonzero(xi))
         c0 = l1_norm - t
         nx, ng, nxi = math.sqrt(x2), math.sqrt(gg), math.sqrt(xx)
-        nv0, nv1, nv2 = math.sqrt(v00), math.sqrt(v11), math.sqrt(v22)
-        # Radius 0 (a singleton): Ax - P_Q(Ax) = Ax - c, so s = 1 exactly at
-        # every point and the distances to c, the Gram of U, are not needed.
-        s = s0 = 1.0
-        ds = ds0 = 0.0
+        # Parts of the slack that do not depend on the step.
+        base = 2.0 * fro2_eta * nx + offset_eta
+        base_over_alpha = 2.0 * eta * mu * nx
         if radius:
+            # U' has rows A x - c, A g, A xi; the Grams of U and V from it.
+            Ut = np.array([x, g, xi]) @ A.T
+            Ut[0] -= center
             (u00, u01, u02), (_, u11, u12), (_, _, u22) = (Ut @ Ut.T).tolist()
-            nu0, nu1, nu2 = math.sqrt(u00), math.sqrt(u11), math.sqrt(u22)
+            (v00, v01, v02), (_, v11, v12), (_, _, v22) = ((Ut @ M) @ Ut.T).tolist()
+            nu0 = math.sqrt(u00)
             s0, ds0 = _residual_scale(nu0, eta * (nu0 + fro * nx + c_norm), radius)
+            z_err = eta * (2.0 * fro * nx + c_norm)
+            # err_i = sqrt(eta)*||A||_F*||U_i||: w_i is sqrt(eta) times the
+            # magnitude of V_i's term in the gap's form, vb_i bounds ||V_i||.
+            nv0, err0 = math.sqrt(max(v00, 0.0)), root_eta * fro * nu0
+            w0, vb0 = root_eta * nv0 + err0, nv0 + err0
+        else:
+            # Radius 0: s = s0 = 1, so A x - c has weight 0 and U' has rows A g, A xi.
+            Ut = np.array([g, xi]) @ A.T
+            (u11, _), (_, u22) = (Ut @ Ut.T).tolist()
+            (v11, v12), (_, v22) = ((Ut @ M) @ Ut.T).tolist()
+        nu1, nu2 = math.sqrt(u11), math.sqrt(u22)
+        nv1, err1 = math.sqrt(max(v11, 0.0)), root_eta * fro * nu1
+        nv2, err2 = math.sqrt(max(v22, 0.0)), root_eta * fro * nu2
+        w1, w2 = root_eta * nv1 + err1, root_eta * nv2 + err2
+        vb1, vb2 = nv1 + err1, nv2 + err2
         for alpha in ladder:
             violation = c0 - alpha * xg
             beta = 0.0
@@ -314,11 +348,10 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
                     yield alpha
                     continue
                 beta = violation / xx
-            # ||x - x_bar|| = ||alpha*g + beta*xi||
+            # ||x - x_bar|| = ||alpha*g + beta*xi||, and a bound on it
             move2 = alpha * alpha * gg + beta * (2.0 * alpha * xg + beta * xx)
-            rhs = mu * math.sqrt(max(move2, 0.0)) / alpha
-            rhs_mag = mu * (ng + beta * nxi / alpha)
-            nx_bar = nx + alpha * ng + beta * nxi
+            move_mag = alpha * ng + beta * nxi
+            slack = base + fro2_eta * move_mag + (rhs_eta * move_mag + base_over_alpha) / alpha
             if radius:
                 # ||A x_bar - c|| = ||U (1, -alpha, -beta)||
                 z2 = (u00 + alpha * (alpha * u11 - 2.0 * u01)
@@ -326,23 +359,22 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
                 z_mag = nu0 + alpha * nu1 + beta * nu2
                 s, ds = _residual_scale(
                     math.sqrt(max(z2, 0.0)),
-                    root_eta * z_mag + eta * (fro * (nx + nx_bar) + c_norm),
+                    root_eta * z_mag + fro_eta * move_mag + z_err,
                     radius,
                 )
-            # ||g - g_bar|| = ||V (s0 - s, s*alpha, s*beta)||
-            a, b, c = s0 - s, s * alpha, s * beta
-            gap2 = (a * (a * v00 + 2.0 * (b * v01 + c * v02))
-                    + b * (b * v11 + 2.0 * c * v12) + c * c * v22)
-            gap = math.sqrt(max(gap2, 0.0))
-            gap_mag = abs(a) * nv0 + b * nv1 + c * nv2
-            slack = (
-                root_eta * (gap_mag + rhs_mag)
-                + eta * (fro * (fro * (nx + nx_bar) + c_norm + radius) + mu * (nx + nx_bar) / alpha)
-                + (ds0 + ds) * (nv0 + alpha * nv1 + beta * nv2)
-            )
+                # ||g - g_bar|| = ||V (s0 - s, s*alpha, s*beta)||
+                a, b, c = s0 - s, s * alpha, s * beta
+                gap2 = (a * (a * v00 + 2.0 * (b * v01 + c * v02))
+                        + b * (b * v11 + 2.0 * c * v12) + c * c * v22)
+                slack += (abs(a) * w0 + b * w1 + c * w2
+                          + (ds0 + ds) * (vb0 + alpha * vb1 + beta * vb2))
+            else:
+                # ||g - g_bar|| = ||V (0, alpha, beta)||
+                gap2 = alpha * (alpha * v11 + 2.0 * beta * v12) + beta * beta * v22
+                slack += alpha * w1 + beta * w2
             # A non-finite input makes slack inf or NaN and this test False:
             # the trial goes to the exact test.
-            if not gap - rhs > slack:
+            if not math.sqrt(max(gap2, 0.0)) - mu * math.sqrt(max(move2, 0.0)) / alpha > slack:
                 yield alpha
 
     return screen

@@ -86,11 +86,19 @@ def norm(v: np.ndarray) -> float:
 
     numpy computes that norm as ``sqrt(v.dot(v))`` on a contiguous copy, so
     this is the same float; a strided view would take a different summation
-    path in ``dot``, hence the copy here too.
+    path in ``dot``, hence the copy here too.  Where ``v.dot(v)`` overflows
+    for a finite ``v`` (entries above about 1.34e154) the two differ: this
+    returns ``scale*||v/scale||`` with ``scale = max|v|``, which is inf only
+    when the norm itself exceeds the largest float.
     """
     if not v.flags.c_contiguous:
         v = np.ascontiguousarray(v)
-    return math.sqrt(v.dot(v))
+    value = math.sqrt(v.dot(v))
+    if value == math.inf and np.isfinite(v).all():
+        scale = float(np.abs(v).max())
+        v = v / scale
+        return scale * math.sqrt(v.dot(v))
+    return value
 
 
 def inflated_op_norm(A) -> float:

@@ -172,7 +172,12 @@ class L1Ball(ConvexSet):
         u = u[::-1]
         cumsum = u.cumsum()
         cumsum -= self.radius
-        rho = (u > cumsum / self._counts).nonzero()[0][-1]
+        # Index 0 passes in exact arithmetic (radius > 0); it can fail in
+        # floating point when the radius is below the rounding unit of u[0]
+        # or an entry is not finite.  rho = 0 then gives theta = u[0]: zero
+        # for finite input, a non-finite result otherwise.
+        passing = (u > cumsum / self._counts).nonzero()[0]
+        rho = passing[-1] if passing.size else 0
         theta = cumsum[rho] / (rho + 1.0)
         mag -= theta
         np.maximum(mag, 0.0, out=mag)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from sfpsolve.baselines import (
 from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
 from sfpsolve.linops import sfp_gradient
 from sfpsolve.problem import ProblemSpec, Status, Stop, iterate, start_point
-from sfpsolve.sets import Ball, Box, FullSpace, NonnegativeOrthant, Singleton
+from sfpsolve.sets import Ball, Box, FullSpace, L1Ball, NonnegativeOrthant, Singleton
 
 
 def test_cq_single_exact_step():
@@ -150,6 +151,15 @@ def test_mcq_backtracking_stays_under_cap():
     assert "backtracking cap" not in r.message
 
 
+def test_cq_converges_where_the_squared_gradient_norm_overflows():
+    # The start gradient A'(A x0 - b) has norm about 1e300; its square overflows.
+    A = 1e150 * np.eye(3)
+    P = ProblemSpec(A=A, C=L1Ball(1.0, 3), Q=Singleton(A @ np.array([0.5, 0.0, 0.2])), gamma=1.0)
+    r = solve_cq(P, np.ones(3))
+    assert (r.status, r.iterations) == (Status.CONVERGED, 2)
+    assert 1e299 < r.trace[0].grad_residual < np.inf
+
+
 def test_mcq_trace_records_l1_norm():
     b = np.array([1.0, 1.0])
     P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(b), gamma=1.0)
@@ -219,10 +229,10 @@ def _reference_mcq(P, x0, opts):
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
 
 
-def _lasso_instance(seed):
+def _lasso_instance(seed, m=12, n=30):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((12, 30))
-    x_true = np.zeros(30)
+    A = rng.standard_normal((m, n))
+    x_true = np.zeros(n)
     x_true[:4] = rng.standard_normal(4) * 2.0
     return A, A @ x_true, x_true
 
@@ -237,9 +247,14 @@ def _assert_same_run(r, ref):
 
 
 @pytest.mark.parametrize("target", ["singleton", "ball", "ball-radius-0", "box"])
-@pytest.mark.parametrize("seed", range(3))
-def test_mcq_screen_changes_no_output(seed, target):
-    A, b, x_true = _lasso_instance(seed)
+@pytest.mark.parametrize(
+    "seed, m, n",
+    # A tall A (m > n): M = AA' is singular, and M is larger than A.
+    [*(pytest.param(seed, 12, 30, id=str(seed)) for seed in range(3)),
+     pytest.param(3, 40, 20, id="tall")],
+)
+def test_mcq_screen_changes_no_output(seed, m, n, target):
+    A, b, x_true = _lasso_instance(seed, m, n)
     Q = {
         "singleton": Singleton(b),
         # A x0 = 3b starts outside this ball, which holds A*0; the level
@@ -249,7 +264,7 @@ def test_mcq_screen_changes_no_output(seed, target):
         # Not screened: the plain loop runs.
         "box": Box(b - 0.1, b + 0.1),
     }[target]
-    P = ProblemSpec(A=A, C=FullSpace(30), Q=Q, gamma=1.0)
+    P = ProblemSpec(A=A, C=FullSpace(n), Q=Q, gamma=1.0)
     # sigma = 1 is far above mu/||A||^2, so most trials are rejected.
     opts = McqOptions(t=0.8 * np.sum(np.abs(x_true)), sigma=1.0, max_iter=300, step_tol=1e-9)
     r = solve_mcq(P, 3.0 * x_true, opts)
@@ -312,11 +327,21 @@ def test_mcq_ladder_keeps_the_bits_of_repeated_backtracking(target):
     _assert_same_run(solve_mcq(P, np.zeros(30), opts), _reference_mcq(P, np.zeros(30), opts))
 
 
-@pytest.mark.parametrize("target", ["singleton", "noise-ball"])
-def test_mcq_screen_changes_no_output_at_benchmark_shape(target):
-    # The desk-sparse instance (100x256, k=10) with Q = {b}, and with the
-    # noise ball B(b, sqrt(m * noise_variance)) of the l1-ball workload.
-    spec = SparseSpec(seed=0, m=100, n=256, sparsity=10, noise_variance=1e-4, gamma=0.6)
+@pytest.mark.parametrize(
+    "target, shape",
+    [
+        pytest.param("singleton", (100, 256, 10), id="singleton"),
+        pytest.param("noise-ball", (100, 256, 10), id="noise-ball"),
+        pytest.param("singleton", (120, 512, 50), id="singleton-120x512"),
+        pytest.param("noise-ball", (120, 512, 50), id="noise-ball-120x512"),
+    ],
+)
+def test_mcq_screen_changes_no_output_at_benchmark_shape(target, shape):
+    # The desk-sparse instance (100x256, k=10) and the paper-scale one
+    # (120x512, k=50) with Q = {b}, and with the noise ball
+    # B(b, sqrt(m * noise_variance)) of the l1-ball workload.
+    m, n, k = shape
+    spec = SparseSpec(seed=0, m=m, n=n, sparsity=k, noise_variance=1e-4, gamma=0.6)
     inst = gen_sparse_recovery(spec, 0)
     P = inst.problem
     if target == "noise-ball":
@@ -355,3 +380,65 @@ def test_mcq_overflowing_start_ends_diverged_at_iteration_0():
     assert r.iterations == 0 and len(r.trace) == 1
     assert r.message == "non-finite objective at iteration 0"
     assert np.array_equal(r.x, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("target", ["singleton", "noise-ball"])
+def test_mcq_screen_rules_out_only_steps_that_fail_the_exact_test(target):
+    # Random points at the desk-sparse shape (100x256).  Each ladder also has
+    # steps within 1e-12 to 1e-2 (relative) of the largest step that passes,
+    # found by bisection, so ruled-out steps sit next to accepted ones.
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((100, 256))
+    b = rng.standard_normal(100)
+    Q = Singleton(b) if target == "singleton" else Ball(b, 0.1)
+    P = ProblemSpec(A=A, C=FullSpace(256), Q=Q, gamma=1.0)
+    opts = McqOptions(t=5.0, mu=0.5)
+    ruled_out = 0
+    for _ in range(20):
+        x = rng.standard_normal(256) * (rng.random(256) < 0.2) * rng.uniform(0.01, 1.0)
+        g = sfp_gradient(A, Q, x)
+        xi = np.sign(x)
+
+        def passes(alpha):
+            x_bar = project_level_set(x, opts.t, x - alpha * g)
+            gap = np.linalg.norm(g - sfp_gradient(A, Q, x_bar))
+            return gap <= opts.mu * np.linalg.norm(x - x_bar) / alpha
+
+        lo, hi = 1e-9, 1.0
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        near = [lo * (1.0 + d) for e in range(2, 13) for d in (10.0**-e, -(10.0**-e))]
+        ladder = sorted([0.01 * 0.9**m for m in range(80)] + near, reverse=True)
+        screen = baselines._trial_screen(P, opts, ladder)
+        open_steps = set(screen(x, g, xi, float(np.sum(np.abs(x)))))
+        for alpha in ladder:
+            if alpha not in open_steps:
+                ruled_out += alpha in near
+                assert not passes(alpha), alpha
+    # Not vacuous: near steps 1e-2 and more above the boundary are ruled out.
+    assert ruled_out >= 20 * 2
+
+
+@pytest.mark.parametrize("target", ["singleton", "ball"])
+def test_mcq_screen_rules_out_no_trial_where_aat_overflows(target, monkeypatch):
+    # ||A||_F is finite but the entries of AA' (3e308) overflow.  The screen
+    # is built without a warning (warnings are errors in this suite).
+    A = 1e154 * np.ones((2, 3))
+    b = np.array([1.0, -2.0])
+    Q = Singleton(b) if target == "singleton" else Ball(b, 0.5)
+    P = ProblemSpec(A=A, C=FullSpace(3), Q=Q, gamma=1.0)
+    opts = McqOptions(t=1.0, max_iter=5)
+    ladder = [opts.sigma * 0.5**m for m in range(opts.backtrack_cap + 1)]  # exact for l = 0.5
+    screen = baselines._trial_screen(P, opts, ladder)
+    x = np.array([1e-154, -2e-154, 0.0])
+    g = sfp_gradient(A, Q, x)
+    assert np.all(np.isfinite(g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert list(screen(x, g, np.sign(x), float(np.sum(np.abs(x))))) == ladder
+    # In the solver every trial of the first iteration reaches the exact
+    # test, whose trial gradients overflow.
+    calls = _count_level_set_projections(monkeypatch)
+    r = solve_mcq(P, x, opts)
+    assert r.message == "backtracking cap 60 reached at iteration 1"
+    assert len(calls) == len(ladder)

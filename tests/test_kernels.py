@@ -188,6 +188,18 @@ def test_norm_is_numpys_norm():
     assert norm(np.array([-0.0, 0.0])) == 0.0
 
 
+
+def test_norm_rescales_where_the_squared_norm_overflows():
+    # v.dot(v) overflows, and warns; the norm itself is a float.
+    with np.errstate(over="ignore"):
+        assert norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+        assert norm(np.array([1e308, 1e308])) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+        # The norm itself exceeds the largest float.
+        assert norm(np.full(4, 1.7e308)) == np.inf
+        assert norm(np.array([np.inf, 1.0])) == np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(norm(np.array([np.nan, 1e200])))
+
 # -- problem ---------------------------------------------------------------
 
 

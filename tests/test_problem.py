@@ -267,3 +267,14 @@ def test_dca_inner_step_bound_names_an_op_norm_whose_square_overflows():
     P = ProblemSpec(A=A, C=FullSpace(2), Q=Singleton(A @ np.ones(2)), gamma=0.5)
     with pytest.raises(ValueError, match=r"\|\|A\|\|\^2 overflows"):
         solve_dca(P, np.ones(2))
+
+
+@pytest.mark.parametrize("solve", [solve_dca, solve_mf])
+def test_l1_ball_projection_of_an_overflowing_point_ends_with_a_status(solve):
+    # gamma = 1e299 sends points whose l1 norm overflows into the l1-ball
+    # projection of the stationarity residual.
+    A = 1e150 * np.eye(3)
+    P = ProblemSpec(A=A, C=L1Ball(1.0, 3), Q=Singleton(A @ np.array([0.5, 0.0, 0.2])), gamma=1e299)
+    r = solve(P, np.ones(3))
+    assert r.status == Status.CONVERGED
+    assert P.C.contains(r.x)

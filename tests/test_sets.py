@@ -85,6 +85,28 @@ def test_l1ball_matches_bisection_oracle():
         assert np.linalg.norm(S.project(x) - l1_project_bisection(x, 1.7)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "radius, x",
+    [
+        (1.0, [1e17, 1e17]),  # u[0] - radius rounds to u[0]
+        (1e-20, [1.0, 1.0, 0.0]),
+        (1.0, [1e308, 1e308, 1.0]),  # the l1 norm overflows
+    ],
+)
+def test_l1ball_projection_is_in_the_ball_when_no_sort_index_passes(radius, x):
+    # In floating point not even index 0 passes the threshold test here.
+    with np.errstate(over="ignore"):
+        p = L1Ball(radius, len(x)).project(x)
+    assert np.all(np.isfinite(p)) and np.sum(np.abs(p)) <= radius
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_l1ball_projection_of_a_non_finite_entry_is_non_finite(bad):
+    with np.errstate(invalid="ignore"):
+        p = L1Ball(1.0, 3).project([bad, 1.0, 0.0])
+    assert not np.all(np.isfinite(p))
+
+
 def test_ball_zero_radius_acts_as_singleton():
     S = Ball(np.array([1.0, -1.0]), 0.0)
     assert np.array_equal(S.project([5.0, 5.0]), [1.0, -1.0])
