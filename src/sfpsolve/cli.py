@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solver_flag("--step-tol", type=float)
     solver_flag("--step", type=float, help="fb/cq step size")
     solver_flag("--inner-solver", choices=sorted(INNER_SOLVERS))
-    solver_flag("--kappa", dest="inner_kappa", type=float, help="inner solver scale")
+    solver_flag("--kappa", dest="inner_kappa", type=float, help="fb-in-dr DR scale")
     solver_flag("--inner-tol", type=float)
     solver_flag("--inner-max", dest="inner_outer_max", type=int)
     solver_flag("--inner-tau", type=float, help="inner DR relaxation in (0,2)")

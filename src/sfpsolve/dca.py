@@ -142,7 +142,7 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
         return x_next, norm(x_next - x), stop
 
     def monitor(k, x, move):
-        return {**columns_and_gradient(P, x)[0], "l1_norm": float(np.abs(x).sum())}
+        return {**columns_and_gradient(P, x, P.C.contains(x))[0], "l1_norm": float(np.abs(x).sum())}
 
     result = iterate(x, step, monitor, opts.max_outer, opts.step_tol, message=message)
     if result.status is Status.ZERO_STATIONARY:

@@ -86,17 +86,15 @@ class SubproblemSpec:
 class InnerOptions:
     """Parameters shared by both subproblem solvers.
 
-    ``kappa`` defaults to the subproblem's l1 weight; it acts as the
-    Douglas-Rachford scale in :func:`solve_fb_in_dr` and as the weight of the
-    constrained l1 block in :func:`solve_dr_in_fb` (with the default both
-    solvers minimize the same objective).  ``tau`` is the DR relaxation in
+    ``kappa`` is the Douglas-Rachford scale of :func:`solve_fb_in_dr` and
+    defaults to the subproblem's l1 weight.  ``tau`` is the DR relaxation in
     (0, 2), ``lambda_relax`` the forward-backward relaxation in (0, 1], and
     ``step_fraction`` the fraction of the admissible step-size upper bound
     actually used.  The inner budget per outer step grows as
-    ``min(budget_base + k, budget_cap)``.  In :func:`solve_dr_in_fb` the
-    prox is exact after one DR iteration unless ``C`` is a ball of positive
-    radius with a nonzero centre, so ``tau`` and the budget ramp matter
-    there only on such a ball.
+    ``min(budget_base + k, budget_cap)``.  :func:`solve_dr_in_fb` ignores
+    ``kappa``; its prox is exact after one DR iteration unless ``C`` is a
+    ball of positive radius with a nonzero centre, so ``tau`` and the budget
+    ramp matter there only on such a ball.
 
     ``tol`` is measured on the iterate displacement divided by the solver's
     step scale (the gradient step for the forward-backward outer loop, the
@@ -256,13 +254,9 @@ def solve_dr_in_fb(
     if opts is None:
         opts = InnerOptions()
     P = spec.base
-    kappa = opts.resolve_kappa(spec)
-    step_cap = 2.0 / squared_op_norm(spec._a_norm())
-    gstep = opts.step_fraction * step_cap
+    gstep = opts.step_fraction * (2.0 / squared_op_norm(spec._a_norm()))
     lam = opts.lambda_relax
-    # kappa is the weight of the constrained l1 block here; it defaults to the
-    # subproblem's own l1 weight so both inner solvers target the same problem.
-    thresh = gstep * kappa
+    thresh = gstep * P.gamma
     exact = projected_shrink_is_prox(P.C)
 
     x, message = start_point(P, x0)

@@ -20,7 +20,7 @@ cached images under ``A``, see :func:`mf_line_search`).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,13 +32,13 @@ from .problem import (
     SolveResult,
     Status,
     Stop,
-    _columns_and_gradient,
     _smooth_gradient,
+    columns_and_gradient,
     iterate,
     start_point,
 )
 from .prox import soft_threshold
-from .sets import DEFAULT_MEMBER_TOL, Ball, Box, FullSpace, L1Ball, projected_shrink_is_prox
+from .sets import DEFAULT_MEMBER_TOL, Ball, Box, FullSpace, L1Ball
 
 __all__ = [
     "MfOptions",
@@ -99,60 +99,81 @@ class MfOptions:
         return self.step_tol * max(1.0, self.resolve_mu(P))
 
 
-def _direction_dr(w, gamma, mu, C, tol=1e-10, max_iter=5000):
-    """Solve ``min_{x in C} <w, x> + gamma*||x||_1 + mu*||x||^2/2`` iteratively.
+def _ball_direction(w, gamma: float, mu: float, C: Ball) -> np.ndarray:
+    """:func:`direction_minimizer` on the ball ``||x - c|| <= R``, without a loop.
 
-    Douglas-Rachford between the constraint (projection) and the remaining
-    term, whose prox is a closed-form shrink:
-    ``prox(z) = soft_threshold(z - s*w, s*gamma) / (1 + s*mu)``.  Only the
-    sets without a closed form reach it: an off-centre ball, and ``mu = 0``
-    on a ball or l1 ball.
+    At the ball's multiplier ``lam >= 0`` the minimizer is
+    ``x(lam) = soft_threshold(lam*c - w, gamma)/(mu + lam)``, which is ``x(0)``
+    if that lies in the ball (for ``mu = 0``: 0 if ``||w||_inf <= gamma``).
+    Else, between the sorted breakpoints ``(w_i +- gamma)/c_i`` the set K where
+    ``|lam*c_i - w_i| > gamma`` is fixed and ``||x(lam) - c||^2`` is
+    ``S/(mu + lam)^2 + T``, with ``S = sum_K q_i^2``, ``T = sum_{i not in K} c_i^2``
+    and ``q = w + gamma*sign(lam*c - w) + mu*c``.  It does not increase with
+    ``lam``, so a bisection over the breakpoints (O(n log n), like the l1-ball
+    projection of Duchi et al., ICML 2008) finds the piece where it falls to
+    ``R^2``; there ``x_K = c_K - q_K*sqrt((R^2 - T)/S)``, ``x = 0`` off K, and
+    ``S = 0`` only on the first piece with ``mu = 0``: ``x_K = c_K``, the limit.
     """
-    scale = 1.0
-    y = np.zeros_like(w)
-    for _ in range(max_iter):
-        x = C.project(y)
-        u = soft_threshold(2.0 * x - y - scale * w, scale * gamma) / (1.0 + scale * mu)
-        y_next = y + u - x
-        if norm(y_next - y) <= tol * (1.0 + norm(y)):
-            y = y_next
-            break
-        y = y_next
-    return C.project(y)
+    c, R = C.center, C.radius
+    if R == 0.0:
+        return c.copy()
+    if mu > 0.0:
+        x = soft_threshold(-w, gamma) / mu
+        if norm(x - c) <= R:
+            return x
+    elif np.abs(w).max() <= gamma and norm(c) <= R:
+        return np.zeros_like(w)
+
+    def piece(lam):
+        """``(K, q, S, T)`` on the piece that holds ``lam``, with ``q = 0`` off K."""
+        z = lam * c - w
+        kept = np.abs(z) > gamma
+        q = np.where(kept, w + gamma * np.sign(z) + mu * c, 0.0)
+        return kept, q, float(q @ q), float(c[~kept] @ c[~kept])
+
+    def in_ball(lam):
+        _, _, S, T = piece(lam)
+        return S / (mu + lam) ** 2 + T <= R * R
+
+    breaks = np.add.outer([-gamma, gamma], w[c != 0.0]) / c[c != 0.0]
+    breaks = np.unique(breaks[breaks > 0.0])
+    # The piece ends at the first breakpoint where x(lam) lies in the ball.
+    i = bisect_left(breaks, True, key=in_ball)
+    left = breaks[i - 1] if i > 0 else 0.0
+    kept, q, S, T = piece(0.5 * (left + breaks[i]) if i < breaks.size else 2.0 * left + 1.0)
+    scale = math.sqrt(max(R * R - T, 0.0) / S) if S > 0.0 else 0.0
+    return np.where(kept, c - scale * q, 0.0)
 
 
 def direction_minimizer(w, gamma: float, mu: float, C) -> np.ndarray:
-    """Minimize ``<w, x> + gamma*||x||_1 + mu*||x||^2/2`` over ``C``.
+    """Minimize ``<w, x> + gamma*||x||_1 + mu*||x||^2/2`` over ``C``, in closed form.
 
-    With ``mu > 0`` the minimizer is the prox of ``(gamma/mu)*||.||_1 + i_C``
-    at ``-w/mu``, which is ``P_C(soft_threshold(-w/mu, gamma/mu))`` wherever
-    :func:`~sfpsolve.sets.projected_shrink_is_prox` holds; a radius-0 ball
-    (a singleton) is its centre, and only an off-centre ball takes the
-    splitting iteration.
-    ``mu = 0`` requires a bounded set, since otherwise the subproblem is
-    unbounded below whenever ``||w||_inf > gamma``.
+    A ball (a singleton too) takes the scan of :func:`_ball_direction`.  With
+    ``mu > 0`` every other set gives ``P_C(soft_threshold(-w/mu, gamma/mu))``
+    (Yu, "On decomposing the proximal map", 2013).  ``mu = 0`` requires a
+    bounded set: on a box each coordinate sits at a bound or 0; on an l1 ball
+    of radius ``t`` the objective is at least ``(gamma - ||w||_inf)*||x||_1``,
+    so the minimizer is ``-t*sign(w_i)*e_i`` at the lowest ``i`` with
+    ``|w_i| = ||w||_inf`` if ``||w||_inf > gamma``, else 0.
     """
     w = np.asarray(w, dtype=float)
-    if isinstance(C, Ball) and C.radius == 0.0:
-        return C.center.copy()
-    if mu > 0.0 and projected_shrink_is_prox(C):
+    if isinstance(C, Ball):
+        return _ball_direction(w, gamma, mu, C)
+    if mu > 0.0:
         return C.project(soft_threshold(-w / mu, gamma / mu))
-    if mu == 0.0:
-        if not isinstance(C, (Ball, Box, L1Ball)):
-            raise ConfigurationError(
-                "mu_shift = 0 requires a bounded constraint set; the direction "
-                "subproblem is unbounded below on unbounded sets"
-            )
-        if isinstance(C, Box):
-            # Piecewise-linear per coordinate: the minimum sits at a bound or 0.
-            lower, upper = C.lower, C.upper
-            candidates = np.stack(
-                [lower, upper, np.clip(np.zeros_like(w), lower, upper)]
-            )
-            values = w * candidates + gamma * np.abs(candidates)
-            choice = np.argmin(values, axis=0)
-            return candidates[choice, np.arange(w.shape[0])]
-    return _direction_dr(w, gamma, mu, C)
+    if isinstance(C, Box):
+        candidates = np.stack([C.lower, C.upper, np.clip(0.0, C.lower, C.upper)])
+        choice = np.argmin(w * candidates + gamma * np.abs(candidates), axis=0)
+        return candidates[choice, np.arange(w.shape[0])]
+    if isinstance(C, L1Ball):
+        i = int(np.abs(w).argmax())
+        x = np.zeros_like(w)
+        x[i] = -C.radius * np.sign(w[i]) if abs(w[i]) > gamma else 0.0
+        return x
+    raise ConfigurationError(
+        "mu_shift = 0 requires a bounded constraint set; the direction "
+        "subproblem is unbounded below on unbounded sets"
+    )
 
 
 def mf_direction(P: ProblemSpec, x_k, opts: MfOptions | None = None) -> np.ndarray:
@@ -344,7 +365,7 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     def monitor(k, x, move):
         nonlocal residual, gradient
         in_C = on_segment or P.C.contains(x)
-        columns, gradient = _columns_and_gradient(P, x, in_C)
+        columns, gradient = columns_and_gradient(P, x, in_C)
         residual = columns["grad_residual"]
         return columns
 

@@ -20,13 +20,6 @@ __all__ = [
 ]
 
 
-def _objective_batch(y: np.ndarray, lam: float, V: np.ndarray) -> np.ndarray:
-    """Evaluate ``lam*(||v||_1 - ||v||_2) + 0.5*||v - y||^2`` columnwise."""
-    reg = np.sum(np.abs(V), axis=0) - np.sqrt(np.sum(V * V, axis=0))
-    fit = 0.5 * np.sum((V - y[:, None]) ** 2, axis=0)
-    return lam * reg + fit
-
-
 def _grid_values(lows, highs, step):
     axes = []
     for lo, hi in zip(lows, highs):

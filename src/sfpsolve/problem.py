@@ -123,9 +123,6 @@ class SolveResult:
     def objectives(self) -> np.ndarray:
         return np.array([r.objective for r in self.trace])
 
-    def step_norms(self) -> np.ndarray:
-        return np.array([r.step_norm for r in self.trace])
-
 
 class Stop(NamedTuple):
     """A stop that a solver's step decides itself (see :func:`iterate`)."""
@@ -317,20 +314,14 @@ def _stationarity_from_gradient(
     return norm(dist)
 
 
-def columns_and_gradient(P: ProblemSpec, x) -> tuple[dict, np.ndarray]:
-    """Trace columns of the l1-l2 solvers at ``x`` and the smooth gradient there.
+def columns_and_gradient(P: ProblemSpec, x: np.ndarray, in_C: bool) -> tuple[dict, np.ndarray]:
+    """Trace columns of the l1-l2 solvers at ``x``, and the smooth gradient there.
 
-    One product with ``A`` and one with ``A.T`` serve all of them.  Each
-    column is computed with the operations of :func:`gamma_objective`,
-    :func:`stationarity_residual` and :func:`sfp_residual_value`, so it is
-    the same float those functions return at ``x``.
+    ``in_C`` is the caller's test of ``x`` in ``C``.  One product with ``A``
+    and one with ``A.T`` serve all columns, each computed with the operations
+    of :func:`gamma_objective`, :func:`stationarity_residual` and
+    :func:`sfp_residual_value`, so it is the float those return at ``x``.
     """
-    x = np.asarray(x, dtype=float)
-    return _columns_and_gradient(P, x, P.C.contains(x))
-
-
-def _columns_and_gradient(P: ProblemSpec, x: np.ndarray, in_C: bool) -> tuple[dict, np.ndarray]:
-    """:func:`columns_and_gradient` with the membership test of ``x`` in ``C`` already made."""
     Ax = P.A @ x
     r = Ax - P.Q.project(Ax)
     sfp = 0.5 * float((r**2).sum())

@@ -202,7 +202,7 @@ def interval_bounds(S: ConvexSet):
     """Componentwise bounds ``(lower, upper)`` for separable sets, else None.
 
     Separable sets (full space, orthant, box) admit exact per-coordinate
-    normal-cone arithmetic; the stationarity residual uses this.
+    normal-cone arithmetic.
     """
     bounds = _finite_bounds(S)
     if bounds is None:
@@ -221,6 +221,7 @@ def projected_shrink_is_prox(S: ConvexSet) -> bool:
     box, an l1 ball and a ball centred at the origin (Yu, "On decomposing
     the proximal map", 2013), and on a radius-0 ball, whose projection is
     its centre.  An off-centre ball of positive radius is the one exception.
+    ``dr-in-fb`` reads it to decide whether one DR iteration gives its prox.
     """
     return not (isinstance(S, Ball) and S.radius > 0.0 and np.any(S.center))
 

@@ -3,7 +3,7 @@ import pytest
 
 from sfpsolve.dca import DcaOptions, dca_step, solve_dca
 from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
-from sfpsolve.inner import InnerOptions
+from sfpsolve.inner import InnerOptions, SubproblemSpec, solve_dr_in_fb
 from sfpsolve.problem import ProblemSpec, Status, stationarity_residual
 from sfpsolve.prox import soft_threshold
 from sfpsolve.sets import FullSpace, NonnegativeOrthant, Singleton
@@ -179,3 +179,22 @@ def test_op_norm_once_per_solve_and_per_bare_step(inner_solver, monkeypatch):
         inst.problem, inst.x0, opts, _op_norm=float(np.linalg.norm(inst.problem.A, 2))
     )
     assert len(calls) == 0 and given.x.tobytes() == step.x.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.5])
+def test_dr_in_fb_and_dca_do_not_depend_on_kappa(kappa):
+    # kappa is fb-in-dr's DR scale; dr-in-fb thresholds with the subproblem's
+    # own gamma.  Thresholding with kappa ended this dca run converged at
+    # 0.287902 instead of 0.277363.
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=0, m=40, n=100, sparsity=5, noise_variance=1e-4, gamma=0.1), 0
+    )
+    P = inst.problem
+    spec = SubproblemSpec(base=P, v=np.zeros(P.n))
+    default = solve_dr_in_fb(spec, inst.x0)
+    scaled = solve_dr_in_fb(spec, inst.x0, InnerOptions(kappa=kappa))
+    assert scaled.iterations == default.iterations
+    assert scaled.x.tobytes() == default.x.tobytes()
+    objective = solve_dca(P, inst.x0).trace[-1].objective
+    opts = DcaOptions(inner=InnerOptions(kappa=kappa))
+    assert solve_dca(P, inst.x0, opts).trace[-1].objective == objective

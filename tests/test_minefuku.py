@@ -7,13 +7,13 @@ import pytest
 from sfpsolve import minefuku, sets
 from sfpsolve.minefuku import (
     MfOptions,
-    _direction_dr,
     direction_minimizer,
     mf_direction,
     mf_line_search,
     solve_mf,
 )
 from sfpsolve.harness import SparseSpec, gen_sparse_recovery
+from sfpsolve.linops import norm
 from sfpsolve.oracles import grid_minimize
 from sfpsolve.problem import (
     ConfigurationError,
@@ -71,10 +71,43 @@ def _subproblem_value(w, gamma, mu, x):
     return float(w @ x) + gamma * float(np.sum(np.abs(x))) + 0.5 * mu * float(x @ x)
 
 
+def _reference_dr(w, gamma, mu, C, tol=1e-14, max_iter=400_000):
+    """Douglas-Rachford on the direction subproblem: ``(minimizer, iterations)``.
+
+    It splits the constraint (a projection) from the rest, whose prox is the
+    closed-form shrink ``soft_threshold(z - w, gamma)/(1 + mu)`` at scale 1,
+    and stops when the driver sequence moves by at most ``tol*(1 + ||y||)``.
+    """
+    y = np.zeros_like(w)
+    for k in range(1, max_iter + 1):
+        x = C.project(y)
+        u = soft_threshold(2.0 * x - y - w, gamma) / (1.0 + mu)
+        y_next = y + u - x
+        done = norm(y_next - y) <= tol * (1.0 + norm(y))
+        y = y_next
+        if done:
+            break
+    return C.project(y), k
+
+
+def _grid_check(w, gamma, mu, C, lo, hi):
+    """The direction's objective against the 2-D grid minimum at pitch 1e-3."""
+
+    def objective_batch(V):
+        return w @ V + gamma * np.sum(np.abs(V), axis=0) + 0.5 * mu * np.sum(V * V, axis=0)
+
+    _, grid_val = grid_minimize(objective_batch, C, lo, hi, 1e-3)
+    x = direction_minimizer(w, gamma, mu, C)
+    assert C.contains(x)
+    value = _subproblem_value(w, gamma, mu, x)
+    # The grid approximates the minimum from above, within its resolution.
+    assert grid_val - 1e-2 <= value <= grid_val + 1e-12
+
+
 def test_direction_splitting_agrees_with_closed_form():
-    # The splitting fallback and the closed form P_C(soft_threshold(.)) solve
-    # the same strongly convex subproblem.  At these w a radius of 20 leaves
-    # the constraint inactive and a radius of 0.3 makes it active.
+    # The DR reference and the closed forms solve the same strongly convex
+    # subproblem.  At these w a radius of 20 leaves the constraint inactive
+    # and a radius of 0.3 makes it active.
     sets = [
         NonnegativeOrthant(5),
         L1Ball(20.0, 5),
@@ -88,7 +121,7 @@ def test_direction_splitting_agrees_with_closed_form():
         for _ in range(10):
             w = 2.0 * rng.standard_normal(5)
             exact = direction_minimizer(w, gamma, mu, C)
-            iterated = _direction_dr(w, gamma, mu, C)
+            iterated, _ = _reference_dr(w, gamma, mu, C)
             assert np.linalg.norm(exact - iterated) <= 1e-7, C
             closed, split = (_subproblem_value(w, gamma, mu, x) for x in (exact, iterated))
             assert closed <= split + 1e-12 * max(1.0, abs(split)), C
@@ -107,17 +140,24 @@ def test_direction_on_l1_ball_is_exact():
 
 @pytest.mark.parametrize("C", [L1Ball(0.5, 4), Ball(np.zeros(4), 0.5)], ids=repr)
 def test_direction_closed_form_needs_no_splitting(C, monkeypatch):
-    def no_splitting(*args, **kwargs):
-        raise AssertionError("splitting iteration called")
+    # No loop: the l1 ball projects once, the ball's scan not at all.
+    calls = []
+    project = type(C).project
 
-    monkeypatch.setattr(minefuku, "_direction_dr", no_splitting)
-    x = direction_minimizer([-3.0, 2.0, 0.1, -0.5], 0.4, 1.5, C)
-    assert C.contains(x, 1e-12)
+    def counting(self, x):
+        calls.append(1)
+        return project(self, x)
+
+    monkeypatch.setattr(type(C), "project", counting)
+    for mu in (1.5, 0.0):
+        calls.clear()
+        x = direction_minimizer([-3.0, 2.0, 0.1, -0.5], 0.4, mu, C)
+        assert len(calls) == (int(mu > 0.0) if isinstance(C, L1Ball) else 0)
+        assert C.contains(x, 1e-12)
 
 
 def test_direction_off_centre_ball_matches_grid():
-    # A ball that does not contain the origin has no closed form and keeps
-    # the splitting iteration.
+    # A ball that does not contain the origin takes the multiplier scan.
     C = Ball(np.array([1.5, -1.0]), 0.8)
     w = np.array([-3.0, 0.4])
     gamma, mu = 1.0, 1.0
@@ -146,6 +186,105 @@ def test_direction_on_l1_ball_is_feasible_and_optimal():
     assert abs(val - grid_val) <= 1e-3
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 5.0])
+@pytest.mark.parametrize("kind", ["off-centre", "origin", "zero-entries", "l1ball"])
+def test_direction_matches_the_dr_reference(kind, mu):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        w = 2.0 * rng.standard_normal(n)
+        gamma = rng.uniform(0.1, 1.5)
+        C = {
+            "off-centre": lambda: Ball(rng.standard_normal(n), rng.uniform(0.2, 4.0)),
+            "origin": lambda: Ball(np.zeros(n), rng.uniform(0.2, 4.0)),
+            "zero-entries": lambda: Ball(
+                rng.standard_normal(n) * (rng.random(n) < 0.5), rng.uniform(0.2, 4.0)
+            ),
+            "l1ball": lambda: L1Ball(rng.uniform(0.2, 2.0), n),
+        }[kind]()
+        x = direction_minimizer(w, gamma, mu, C)
+        reference, iterations = _reference_dr(w, gamma, mu, C)
+        assert iterations < 400_000
+        assert C.contains(x)
+        assert np.linalg.norm(x - reference) <= 1e-10
+        value, best = (_subproblem_value(w, gamma, mu, v) for v in (x, reference))
+        assert abs(value - best) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "C,mu,lo,hi",
+    [
+        (Ball(np.array([1.5, -1.0]), 0.8), 0.0, [0.7, -1.8], [2.3, -0.2]),
+        (Ball(np.zeros(2), 1.0), 0.0, [-1.0, -1.0], [1.0, 1.0]),
+        (Ball(np.array([0.0, 0.8]), 1.0), 0.5, [-1.0, -0.2], [1.0, 1.8]),
+        (Ball(np.array([0.0, 0.8]), 1.0), 0.0, [-1.0, -0.2], [1.0, 1.8]),
+        # The origin lies on the sphere.
+        (Ball(np.array([0.6, -0.8]), 1.0), 0.0, [-0.4, -1.8], [1.6, 0.2]),
+        (L1Ball(1.5, 2), 0.0, [-1.5, -1.5], [1.5, 1.5]),
+    ],
+    ids=["off-centre-mu-0", "origin-mu-0", "zero-entry-centre", "zero-entry-centre-mu-0",
+         "origin-on-sphere-mu-0", "l1ball-mu-0"],
+)
+def test_exact_direction_matches_grid(C, mu, lo, hi):
+    _grid_check(np.array([-3.0, 0.4]), 1.0, mu, C, lo, hi)
+
+
+def test_unshifted_l1_direction_is_the_vertex_at_the_lowest_tied_index():
+    C = L1Ball(2.0, 4)
+    x = direction_minimizer([1.0, -3.0, 3.0, -3.0], 0.5, 0.0, C)
+    assert np.array_equal(x, [0.0, 2.0, 0.0, 0.0])
+    # ||w||_inf = gamma: the objective is nonnegative on C, and 0 at 0.
+    x = direction_minimizer([0.5, -0.5, 0.2, 0.0], 0.5, 0.0, C)
+    assert np.array_equal(x, np.zeros(4))
+
+
+@pytest.mark.parametrize("c", [[0.3, -0.2, 0.0], [-2.0, 0.5, 0.0], [-2.0, 1.5, 0.0]])
+def test_unshifted_ball_direction_where_the_inf_norm_equals_gamma(c):
+    # ||w||_inf = gamma makes the objective nonnegative, and 0 wherever
+    # x_1 = 0 and x_0, x_2 <= 0.  The first ball holds the origin; the
+    # second holds (-2, 0, 0), the limit lam -> 0 of x(lam); the third holds
+    # no such point, and its minimum lies on the sphere.
+    w, gamma = np.array([0.5, -0.2, 0.5]), 0.5
+    C = Ball(np.array(c), 1.0)
+    x = direction_minimizer(w, gamma, 0.0, C)
+    reference, _ = _reference_dr(w, gamma, 0.0, C)
+    assert C.contains(x)
+    value, best = (_subproblem_value(w, gamma, 0.0, v) for v in (x, reference))
+    assert abs(value - best) <= 1e-10
+    if c[1] <= 1.0:
+        assert value == 0.0
+    if np.linalg.norm(c) <= 1.0:
+        assert np.array_equal(x, np.zeros(3))
+
+
+def test_ball_direction_with_the_origin_on_the_sphere():
+    C = Ball(np.array([0.6, 0.0, -0.8]), 1.0)
+    # ||w||_inf <= gamma: the origin, on the sphere, is a minimizer.
+    assert np.array_equal(direction_minimizer([0.3, -0.4, 0.1], 0.5, 0.0, C), np.zeros(3))
+    w = np.array([-1.3, 0.4, 2.0])
+    for mu in (0.0, 1.0):
+        x = direction_minimizer(w, 0.5, mu, C)
+        reference, _ = _reference_dr(w, 0.5, mu, C)
+        assert C.contains(x)
+        assert np.linalg.norm(x - reference) <= 1e-10
+
+
+def test_unshifted_l1_direction_is_the_vertex_where_the_loop_hit_its_cap():
+    # Near-tied top entries of |w| slow the DR loop down: at its former
+    # tolerance (1e-10) it stops at its cap of 5,000 iterations here, 2.5e-3
+    # above the minimum in objective.
+    w = 0.1 * np.random.default_rng(5).standard_normal(50)
+    gamma, C = 0.05, L1Ball(10.0, 50)
+    capped, iterations = _reference_dr(w, gamma, 0.0, C, tol=1e-10, max_iter=5000)
+    assert iterations == 5000
+    vertex = np.zeros(50)
+    i = int(np.argmax(np.abs(w)))
+    vertex[i] = -10.0 * np.sign(w[i])
+    x = direction_minimizer(w, gamma, 0.0, C)
+    assert np.array_equal(x, vertex)
+    assert _subproblem_value(w, gamma, 0.0, capped) > _subproblem_value(w, gamma, 0.0, x) + 1e-3
+
+
 def test_direction_unshifted_requires_bounded_set():
     P = unit_problem([1.0, 1.0])
     with pytest.raises(ConfigurationError, match="bounded"):
@@ -165,11 +304,7 @@ def test_direction_singleton_trivial():
     assert np.array_equal(direction_minimizer([5.0, 5.0], 1.0, 1.0, C), [0.3, -0.4])
 
 
-def test_direction_radius_zero_ball_is_its_centre(monkeypatch):
-    def no_splitting(*args, **kwargs):
-        raise AssertionError("splitting iteration called")
-
-    monkeypatch.setattr(minefuku, "_direction_dr", no_splitting)
+def test_direction_radius_zero_ball_is_its_centre():
     c = np.array([0.3, -0.4])
     for mu in (1.0, 0.0):
         x = direction_minimizer([5.0, 5.0], 1.0, mu, Ball(c, 0.0))
@@ -292,7 +427,7 @@ def test_zero_iterate_continues():
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_run_matches_splitting_run(seed, monkeypatch):
     # A whole mf run on an l1 ball with the closed-form direction and the
-    # same run with every direction from the splitting iteration stop alike.
+    # same run with every direction from the DR reference stop alike.
     inst = gen_sparse_recovery(
         SparseSpec(seed=seed, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
     )
@@ -305,7 +440,7 @@ def test_closed_form_run_matches_splitting_run(seed, monkeypatch):
 
     def splitting(w, gamma, mu, C):
         calls.append(1)
-        return _direction_dr(w, gamma, mu, C)
+        return _reference_dr(w, gamma, mu, C)[0]
 
     monkeypatch.setattr(minefuku, "direction_minimizer", splitting)
     split = solve_mf(P, inst.x0)
