@@ -38,6 +38,7 @@ __all__ = [
     "select_subgradient",
     "project_level_set",
     "solve_mcq",
+    "level_set_bound",
 ]
 
 
@@ -50,12 +51,12 @@ class CqOptions:
     step_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.step_tol < 0:
-            raise ValueError("step_tol must be nonnegative")
+        if not (math.isfinite(self.step_tol) and self.step_tol >= 0):
+            raise ValueError("step_tol must be nonnegative and finite")
 
     def resolve_step(self, P: ProblemSpec) -> float:
         if self.step is not None:
@@ -148,12 +149,14 @@ class McqOptions:
             raise ValueError("l must lie in (0, 1)")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if self.sigma <= 0 or self.t <= 0:
-            raise ValueError("sigma and t must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be positive and finite")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError("t must be positive and finite")
         if self.max_iter < 1 or self.backtrack_cap < 1:
             raise ValueError("iteration limits must be positive")
-        if self.step_tol < 0:
-            raise ValueError("step_tol must be nonnegative")
+        if not (math.isfinite(self.step_tol) and self.step_tol >= 0):
+            raise ValueError("step_tol must be nonnegative and finite")
 
 
 def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
@@ -182,6 +185,12 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     condition rejects; every other trial, and so every accepted one, is
     decided by the condition itself, so the iterates, trace, status and
     message are those of the plain backtracking loop.
+
+    Before that, for a ball ``Q``, :func:`level_set_bound` tries to prove
+    that no ``x`` has ``Ax in Q`` and ``||x||_1 <= t``, within
+    ``opts.max_iter`` iterations of its own.  If it does, the run ends at
+    iteration 0 as ``Status.INFEASIBLE``, with the start point, its record
+    and a message that quotes the bound.  ``AA'`` is formed once for both.
     """
     x, _ = start_point(P, x0, project=False)
     alpha = opts.sigma  # the accepted step scale, read by the monitor
@@ -189,10 +198,24 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     # Python floats, with the loop's own products: numpy scalars would slow the screen.
     ladder = list(accumulate(repeat(float(opts.l), opts.backtrack_cap), operator.mul,
                              initial=float(opts.sigma)))
-    screen = _trial_screen(P, opts, ladder)
+    screen = infeasible = None
+    if isinstance(P.Q, Ball):
+        M = _gram(P.A)
+        bound = level_set_bound(P, opts.t, opts.max_iter, _M=M)
+        if bound > opts.t:
+            # The bound to 6 significant digits, or to more where that is not in (t, bound].
+            shown = next(s for s in (f"{bound:.{d}g}" for d in range(6, 18))
+                         if opts.t < float(s) <= bound)
+            t_shown = repr(float(opts.t)).removesuffix(".0")
+            message = f"min ||x||_1 over {{Ax in Q}} >= {shown} > t = {t_shown}"
+            infeasible = Stop(Status.INFEASIBLE, message)
+        else:
+            screen = _trial_screen(P, opts, ladder, M)
 
     def step(k, x):
         nonlocal alpha
+        if infeasible is not None:
+            return None, 0.0, infeasible
         g = sfp_gradient(P.A, P.Q, x)
         xi = select_subgradient(x)
         for alpha in screen(x, g, xi, l1_norm) if screen else ladder:
@@ -215,6 +238,130 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
 
 
+def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> float:
+    """A lower bound on ``min{||x||_1 : Ax in Q}`` for a ball ``Q``, safe against rounding.
+
+    For ``Q = Ball(c, R)`` (a singleton has ``R = 0``), weak duality gives,
+    for any ``y`` with ``||A'y||_inf <= 1`` and any ``x`` with ``Ax in Q``,
+    ``||x||_1 >= <y, Ax> >= <c, y> - R*||y||``.  A bound above ``t`` thus
+    proves that no ``x`` has ``Ax in Q`` and ``||x||_1 <= t``.
+
+    The points ``y`` come from FISTA (Beck & Teboulle, 2009) with gradient
+    restart (O'Donoghue & Candes, 2015), run from 0 with step
+    ``1/lambda_max(AA')`` on the l1 problem
+    ``F(z) = 0.5*dist(Az, Q)^2 + gamma*||z||_1`` with ``gamma = P.gamma``.
+    At each extrapolated point ``z``, with ``r = Az - P_Q(Az)`` and
+    ``g = A'r`` (the gradient the step needs anyway), the point
+    ``u = -r / max(1, ||g||_inf/gamma)`` is feasible for the dual problem,
+    to maximize ``D(u) = -0.5*||u||^2 + <c, u> - R*||u||`` subject to
+    ``||A'u||_inf <= gamma``, and ``y = u/gamma``.  An iteration makes two
+    products with ``A`` and O(m + n) other work.  The bound holds at every
+    ``u``, so the step size sets only the speed.  The run stops at the first of:
+
+    * a bound above ``t``;
+    * a bound that cannot get there: ``D`` is 1-strongly concave, so its
+      maximizer ``u*`` lies within ``sqrt(2*gap)`` of ``u``, with
+      ``gap = F(z) - D(u)``, and the bound at ``u*``,
+      ``(D(u*) + 0.5*||u*||^2)/gamma``, is at most
+      ``(F(z) + 0.5*(||u|| + sqrt(2*gap))^2)/gamma``; the run stops once
+      that is at most ``t``;
+    * ``max_iter`` iterations.
+
+    Margin.  With ``eta = 64*N*eps`` for ``N = max(m, n)``, as in
+    :func:`_trial_screen`, each entry of the computed ``g`` is within
+    ``eta*||A||_F*||r||`` of ``A'r`` (``|fl(A'r) - A'r| <= gamma_m*|A'||r|``
+    and no column of ``A`` is longer than ``||A||_F``; ``eta`` leaves room
+    for the division by the scale).  So ``||A'u||_inf <= gamma + e`` with
+    ``e = eta*||A||_F*||u||``, and ``y = u/(gamma + e)`` is feasible.  The
+    computed ``<c, u>`` and ``R*||u||`` are within ``eta*||c||*||u||`` and
+    ``eta*R*||u||``.  The bound at ``u`` is therefore
+
+        (<c, u> - R*||u|| - eta*||u||*(||c|| + R)) / (gamma + e),
+
+    which exceeds ``t`` iff ``B = (<c, u> - R*||u||)/gamma`` exceeds ``t`` by
+    ``eta*||u||*(||c|| + R + t*||A||_F)/gamma``.
+
+    Returns the largest bound over the iterates, or ``-inf`` when none is
+    finite: any non-finite value, such as an entry of ``AA'`` that
+    overflows, means no certificate.  ``_M``, when given, is
+    :func:`_gram` of ``A``.  Raises ValueError unless ``Q`` is a ball.
+    """
+    if not isinstance(P.Q, Ball):
+        raise ValueError("level_set_bound needs Q to be a ball")
+    A, gamma, c, R = P.A, P.gamma, P.Q.center, P.Q.radius
+    eta = _eta(A)
+    best = -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _gram(A) if _M is None else _M
+        if not np.isfinite(M).all():
+            return best
+        lam = float(np.linalg.eigvalsh(M)[-1])
+        fro, c_norm = float(np.linalg.norm(A)), norm(c)
+        if not (0.0 < lam < math.inf and fro < math.inf):
+            return best
+        step = 1.0 / lam
+        shrink = gamma * step
+        x = z = np.zeros(P.n)
+        Ax = Az = np.zeros(P.m)
+        theta = 1.0
+        for _ in range(max_iter):
+            # r = Az - P_Q(Az) without Q.project, as in the screen, so that the
+            # solver's counts of projections and gradients are its iterations' own.
+            r = Az - c
+            r_norm = norm(r)
+            if R:
+                # ||fl(s*r)|| is s*||r|| up to one rounding per entry.
+                s = max(1.0 - R / r_norm, 0.0) if r_norm > 0.0 else 0.0
+                r *= s
+                r_norm *= s
+            g = A.T @ r
+            g_max = float(np.abs(g).max())
+            if not g_max < math.inf:
+                break
+            scale = max(1.0, g_max / gamma)
+            u_norm, cu = r_norm / scale, -float(c.dot(r)) / scale
+            bound = (cu - R * u_norm - eta * u_norm * (c_norm + R)) / (gamma + eta * fro * u_norm)
+            if best < bound < math.inf:
+                best = bound
+                if bound > t:
+                    break
+            objective = 0.5 * r_norm * r_norm + gamma * float(np.abs(z).sum())
+            gap = max(objective - (cu - R * u_norm - 0.5 * u_norm * u_norm), 0.0)
+            if not objective + 0.5 * (u_norm + math.sqrt(2.0 * gap)) ** 2 > t * gamma:
+                break
+            # Proximal gradient step from z, then momentum, restarted where the
+            # step turns against the last move.
+            w = z - step * g
+            x_next = w - np.minimum(np.maximum(w, -shrink), shrink)
+            Ax_next = A @ x_next
+            move = x_next - x
+            if (z - x_next).dot(move) > 0.0:
+                theta = 1.0
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+            beta = (theta - 1.0) / theta_next
+            z, Az = x_next, Ax_next
+            if beta:
+                z = x_next + beta * move
+                Az = Ax_next + beta * (Ax_next - Ax)
+            x, Ax, theta = x_next, Ax_next, theta_next
+    return best
+
+
+def _eta(A: np.ndarray) -> float:
+    """``64*N*eps`` for ``N = max(m, n)``: the relative rounding allowance of the bounds.
+
+    Higham's bound ``N*u`` on the relative error of a length-``N`` dot
+    product, with room for the few operations around it.
+    """
+    return 64.0 * max(A.shape) * float(np.finfo(float).eps)
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """``AA'``, formed once per :func:`solve_mcq`; an entry that overflows is inf, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A @ A.T
+
+
 def _residual_scale(dist: float, error: float, radius: float) -> tuple[float, float]:
     """``s = (1 - radius/dist)_+`` and a bound on its change if ``dist`` moves by ``error``.
 
@@ -226,10 +373,11 @@ def _residual_scale(dist: float, error: float, radius: float) -> tuple[float, fl
     return s, radius * error / (dist * (dist - error)) if dist > error else 1.0
 
 
-def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
+def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float], M: np.ndarray):
     """Per-iteration scan of the backtracking ladder that rules out steps.
 
-    Returns None unless ``Q`` is a ball, a singleton included.  Else
+    ``Q`` must be a ball, a singleton included, and ``M`` is
+    :func:`_gram` of ``A``.  The returned
     ``screen(x, g, xi, l1_norm)``, with ``g`` the gradient at ``x``, ``xi``
     its sign vector and ``l1_norm = ||x||_1``, scans ``ladder`` in one pass
     and yields each step ``alpha`` it cannot rule out, in ladder order.  It
@@ -290,19 +438,15 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float]):
     values are not finite.  ``||xi|| = 0`` with a positive violation is
     left to it too (it raises there).
     """
-    Q = P.Q
-    if not isinstance(Q, Ball):
-        return None
-    center, radius = Q.center, Q.radius
+    center, radius = P.Q.center, P.Q.radius
     A, t, mu = P.A, float(opts.t), float(opts.mu)
-    eta = 64.0 * max(A.shape) * float(np.finfo(float).eps)
+    eta = _eta(A)
     root_eta = math.sqrt(eta)
     # An overflowing norm or entry of M is inf, which makes every slack inf
     # or NaN: no trial is ruled out.
     with np.errstate(over="ignore", invalid="ignore"):
         fro = float(np.linalg.norm(A))
         c_norm = float(np.linalg.norm(center))
-        M = A @ A.T
     # Parts of the slack that do not depend on the iterate.
     fro_eta = eta * fro
     fro2_eta = fro_eta * fro

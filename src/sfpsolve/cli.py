@@ -8,7 +8,8 @@ Subcommands::
     prox-check    compare the closed-form l1-l2 prox against a grid oracle
 
 Exit codes: 0 on success, 1 when a solver stops without converging (at its
-iteration limit or on divergence), 2 on configuration or parse errors.
+iteration limit, on divergence, or ``infeasible``: ``mcq`` proved its level
+set empty), 2 on configuration or parse errors.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ non-increasing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,10 +56,10 @@ class DcaOptions:
             )
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.step_tol <= 0:
-            raise ValueError("step_tol must be positive")
-        if self.zero_tol is not None and self.zero_tol < 0:
-            raise ValueError("zero_tol must be nonnegative")
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
+            raise ValueError("step_tol must be positive and finite")
+        if self.zero_tol is not None and not (math.isfinite(self.zero_tol) and self.zero_tol >= 0):
+            raise ValueError("zero_tol must be nonnegative and finite")
 
     def resolve_zero_tol(self, x: np.ndarray) -> float:
         if self.zero_tol is not None:

@@ -17,6 +17,7 @@ bound unless explicitly disabled for experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .linops import inflated_op_norm, norm, sfp_gradient, squared_op_norm
@@ -51,12 +52,12 @@ class FbOptions:
     allow_unsafe_step: bool = False
 
     def __post_init__(self):
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("step must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.step_tol <= 0:
-            raise ValueError("step_tol must be positive")
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
+            raise ValueError("step_tol must be positive and finite")
 
     def resolve_step(self, P: ProblemSpec) -> float:
         bound = P.gamma / squared_op_norm(inflated_op_norm(P.A))

@@ -21,6 +21,7 @@ mutual cross-checks in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +115,8 @@ class InnerOptions:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.kappa is not None and self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if self.kappa is not None and not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be positive and finite")
         if not 0.0 < self.tau < 2.0:
             raise ValueError("tau must lie in (0, 2)")
         if not 0.0 < self.lambda_relax <= 1.0:
@@ -126,8 +127,8 @@ class InnerOptions:
             raise ValueError("invalid inner budget ramp")
         if self.outer_max < 1:
             raise ValueError("outer_max must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
 
     def budget(self, k: int) -> int:
         return min(self.budget_base + k, self.budget_cap)

@@ -75,18 +75,19 @@ class MfOptions:
     stationarity_tol: float | None = None
 
     def __post_init__(self):
-        if self.mu_shift is not None and self.mu_shift < 0:
-            raise ValueError("mu_shift must be nonnegative")
-        if self.lambda_max <= 0:
-            raise ValueError("lambda_max must be positive")
+        if self.mu_shift is not None and not (math.isfinite(self.mu_shift) and self.mu_shift >= 0):
+            raise ValueError("mu_shift must be nonnegative and finite")
+        if not (math.isfinite(self.lambda_max) and self.lambda_max > 0):
+            raise ValueError("lambda_max must be positive and finite")
         if self.golden_evals < 4:
             raise ValueError("golden_evals must be at least 4")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.stationarity_tol is not None and self.stationarity_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
+            raise ValueError("tolerances must be positive and finite")
+        tol = self.stationarity_tol
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise ValueError("tolerances must be positive and finite")
 
     def resolve_mu(self, P: ProblemSpec) -> float:
         if self.mu_shift is not None:

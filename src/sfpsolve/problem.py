@@ -49,6 +49,8 @@ class Status(enum.Enum):
     MAX_ITERATIONS = "max_iterations"
     ZERO_STATIONARY = "zero_stationary"
     DIVERGED = "diverged"
+    # A certificate proves that the problem has no solution (see baselines.level_set_bound).
+    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class ProblemSpec:
             raise ValueError(
                 f"Q lives in R^{self.Q.dim} but A has {A.shape[0]} rows"
             )
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be positive and finite")
 
     @property
     def m(self) -> int:

@@ -9,6 +9,8 @@ solvers in this package interact with sets only through ``project`` and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linops import as_vector, norm, read_vector
@@ -91,8 +93,8 @@ class Ball(ConvexSet):
     """
 
     def __init__(self, center, radius: float):
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not (math.isfinite(radius) and radius >= 0):
+            raise ValueError("radius must be nonnegative and finite")
         self.center = as_vector(center, "center").copy()
         self.center.setflags(write=False)
         self.radius = float(radius)
@@ -152,8 +154,8 @@ class L1Ball(ConvexSet):
     """The set ``||x||_1 <= radius`` with the exact sort-based projection."""
 
     def __init__(self, radius: float, dim: int):
-        if radius <= 0:
-            raise ValueError("l1-ball radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("l1-ball radius must be positive and finite")
         if dim < 1:
             raise ValueError("dim must be positive")
         self.radius = float(radius)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -160,10 +161,18 @@ def test_cq_converges_where_the_squared_gradient_norm_overflows():
     assert 1e299 < r.trace[0].grad_residual < np.inf
 
 
-def test_mcq_trace_records_l1_norm():
+def _no_certificate(monkeypatch):
+    """Make ``solve_mcq`` iterate on an instance whose empty level set it would certify."""
+    monkeypatch.setattr(baselines, "level_set_bound", lambda *args, **kwargs: -math.inf)
+
+
+def test_mcq_trace_records_l1_norm(monkeypatch):
+    # min ||x||_1 over {x = b} is 2 > t: without the certificate the run iterates.
+    _no_certificate(monkeypatch)
     b = np.array([1.0, 1.0])
     P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(b), gamma=1.0)
     r = solve_mcq(P, np.zeros(2), McqOptions(t=1.0, max_iter=5))
+    assert len(r.trace) > 1
     assert all(rec.l1_norm is not None for rec in r.trace)
 
 
@@ -183,6 +192,23 @@ def test_cq_options_validation():
         CqOptions(step=0.0)
     with pytest.raises(ValueError):
         CqOptions(max_iter=0)
+
+
+@pytest.mark.parametrize("field", ["step", "step_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cq_options_reject_nan_and_inf(field, value):
+    with pytest.raises(ValueError, match=field):
+        CqOptions(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("t", "sigma", "step_tol") for v in (math.nan, math.inf)]
+    + [("l", math.nan), ("mu", math.nan)],
+)
+def test_mcq_options_reject_nan_and_inf(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        McqOptions(**{"t": 1.0, field: value})
 
 
 def test_mcq_backtracking_cap_stops_without_recording_the_failed_step():
@@ -253,7 +279,10 @@ def _assert_same_run(r, ref):
     [*(pytest.param(seed, 12, 30, id=str(seed)) for seed in range(3)),
      pytest.param(3, 40, 20, id="tall")],
 )
-def test_mcq_screen_changes_no_output(seed, m, n, target):
+def test_mcq_screen_changes_no_output(seed, m, n, target, monkeypatch):
+    # t is below min ||x||_1 over {Ax = b} on several of these instances; the
+    # certificate is turned off so that the screen runs.
+    _no_certificate(monkeypatch)
     A, b, x_true = _lasso_instance(seed, m, n)
     Q = {
         "singleton": Singleton(b),
@@ -268,6 +297,7 @@ def test_mcq_screen_changes_no_output(seed, m, n, target):
     # sigma = 1 is far above mu/||A||^2, so most trials are rejected.
     opts = McqOptions(t=0.8 * np.sum(np.abs(x_true)), sigma=1.0, max_iter=300, step_tol=1e-9)
     r = solve_mcq(P, 3.0 * x_true, opts)
+    assert r.iterations > 0
     _assert_same_run(r, _reference_mcq(P, 3.0 * x_true, opts))
     if target == "ball":
         res = [rec.sfp_residual for rec in r.trace]
@@ -336,10 +366,13 @@ def test_mcq_ladder_keeps_the_bits_of_repeated_backtracking(target):
         pytest.param("noise-ball", (120, 512, 50), id="noise-ball-120x512"),
     ],
 )
-def test_mcq_screen_changes_no_output_at_benchmark_shape(target, shape):
+def test_mcq_screen_changes_no_output_at_benchmark_shape(target, shape, monkeypatch):
     # The desk-sparse instance (100x256, k=10) and the paper-scale one
     # (120x512, k=50) with Q = {b}, and with the noise ball
-    # B(b, sqrt(m * noise_variance)) of the l1-ball workload.
+    # B(b, sqrt(m * noise_variance)) of the l1-ball workload.  The desk
+    # level set with Q = {b} is empty; the certificate is turned off so that
+    # the screen runs.
+    _no_certificate(monkeypatch)
     m, n, k = shape
     spec = SparseSpec(seed=0, m=m, n=n, sparsity=k, noise_variance=1e-4, gamma=0.6)
     inst = gen_sparse_recovery(spec, 0)
@@ -347,7 +380,9 @@ def test_mcq_screen_changes_no_output_at_benchmark_shape(target, shape):
     if target == "noise-ball":
         P = replace(P, Q=Ball(P.Q.center, float(np.sqrt(spec.m * spec.noise_variance))))
     opts = McqOptions(t=inst.t_level, max_iter=60)
-    _assert_same_run(solve_mcq(P, inst.x0, opts), _reference_mcq(P, inst.x0, opts))
+    r = solve_mcq(P, inst.x0, opts)
+    assert r.iterations > 0
+    _assert_same_run(r, _reference_mcq(P, inst.x0, opts))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -358,7 +393,7 @@ def test_mcq_screen_rules_out_no_trial_on_a_non_finite_gradient(target, bad):
     P = ProblemSpec(A=A, C=FullSpace(30), Q=Q, gamma=1.0)
     opts = McqOptions(t=0.8 * float(np.sum(np.abs(x_true))), backtrack_cap=20)
     ladder = [opts.sigma * 0.5**m for m in range(21)]  # exact for l = 0.5
-    screen = baselines._trial_screen(P, opts, ladder)
+    screen = baselines._trial_screen(P, opts, ladder, baselines._gram(A))
     x = 3.0 * x_true
     g = sfp_gradient(A, Q, x)
     # The finite gradient has trials to rule out: sigma = 1 is far above mu/||A||^2.
@@ -410,7 +445,7 @@ def test_mcq_screen_rules_out_only_steps_that_fail_the_exact_test(target):
             lo, hi = (mid, hi) if passes(mid) else (lo, mid)
         near = [lo * (1.0 + d) for e in range(2, 13) for d in (10.0**-e, -(10.0**-e))]
         ladder = sorted([0.01 * 0.9**m for m in range(80)] + near, reverse=True)
-        screen = baselines._trial_screen(P, opts, ladder)
+        screen = baselines._trial_screen(P, opts, ladder, baselines._gram(A))
         open_steps = set(screen(x, g, xi, float(np.sum(np.abs(x)))))
         for alpha in ladder:
             if alpha not in open_steps:
@@ -430,7 +465,7 @@ def test_mcq_screen_rules_out_no_trial_where_aat_overflows(target, monkeypatch):
     P = ProblemSpec(A=A, C=FullSpace(3), Q=Q, gamma=1.0)
     opts = McqOptions(t=1.0, max_iter=5)
     ladder = [opts.sigma * 0.5**m for m in range(opts.backtrack_cap + 1)]  # exact for l = 0.5
-    screen = baselines._trial_screen(P, opts, ladder)
+    screen = baselines._trial_screen(P, opts, ladder, baselines._gram(A))
     x = np.array([1e-154, -2e-154, 0.0])
     g = sfp_gradient(A, Q, x)
     assert np.all(np.isfinite(g))
@@ -442,3 +477,103 @@ def test_mcq_screen_rules_out_no_trial_where_aat_overflows(target, monkeypatch):
     r = solve_mcq(P, x, opts)
     assert r.message == "backtracking cap 60 reached at iteration 1"
     assert len(calls) == len(ladder)
+
+
+# -- the empty-level-set certificate -----------------------------------------
+
+DESK = SparseSpec(seed=0, m=100, n=256, sparsity=10, noise_variance=1e-4, gamma=0.6)
+
+
+def test_mcq_certifies_an_empty_level_set_at_iteration_0():
+    # min ||x||_1 over {x = b} is ||b||_1 = 4 > t = 1.
+    P = ProblemSpec(A=np.eye(4), C=FullSpace(4), Q=Singleton(np.ones(4)), gamma=1.0)
+    r = solve_mcq(P, np.zeros(4), McqOptions(t=1.0))
+    assert r.status == Status.INFEASIBLE and not r.converged
+    assert [rec.k for rec in r.trace] == [0]
+    assert np.array_equal(r.x, np.zeros(4))
+    prefix, suffix = "min ||x||_1 over {Ax in Q} >= ", " > t = 1"
+    assert r.message.startswith(prefix) and r.message.endswith(suffix)
+    shown = float(r.message[len(prefix):-len(suffix)])
+    assert 1.0 < shown <= baselines.level_set_bound(P, 1.0, 1000) <= 4.0
+
+
+def _l1_minimum(A, b):
+    """``min{||x||_1 : Ax = b}`` over the basic solutions: an LP optimum is at one."""
+    m, n = A.shape
+    values = [np.abs(np.linalg.solve(A[:, cols], b)).sum()
+              for cols in itertools.combinations(range(n), m)
+              if np.linalg.matrix_rank(A[:, cols]) == m]
+    return float(min(values))
+
+
+@pytest.mark.parametrize("m, n", [(3, 6), (4, 8)])
+@pytest.mark.parametrize("seed", range(4))
+def test_level_set_bound_never_exceeds_the_exact_l1_minimum(seed, m, n):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    least = _l1_minimum(A, b)
+    for gamma in (0.01, 0.1, 1.0):
+        P = ProblemSpec(A=A, C=FullSpace(n), Q=Singleton(b), gamma=gamma)
+        # At gamma = 0.01 the bound comes within about 1e-12 (relative) of the minimum.
+        assert baselines.level_set_bound(P, least, 1000) <= least
+        r = solve_mcq(P, np.zeros(n), McqOptions(t=least, max_iter=20))
+        assert r.status != Status.INFEASIBLE and r.iterations > 0
+    # Not vacuous: 10 % below the minimum the certificate fires.
+    P = ProblemSpec(A=A, C=FullSpace(n), Q=Singleton(b), gamma=0.01)
+    r = solve_mcq(P, np.zeros(n), McqOptions(t=0.9 * least))
+    assert r.status == Status.INFEASIBLE and r.iterations == 0
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_mcq_certifies_the_desk_instances(trial):
+    # The harness settings on the desk-sparse instances, where
+    # min ||x||_1 over {Ax = b} is 10.06-10.08 against t = ||x_true||_1 = 10.
+    inst = gen_sparse_recovery(DESK, trial)
+    r = solve_mcq(inst.problem, inst.x0, McqOptions(t=inst.t_level))
+    assert r.status == Status.INFEASIBLE
+    assert r.iterations == 0 and np.array_equal(r.x, inst.x0)
+    assert r.message.startswith("min ||x||_1 over {Ax in Q} >= 10.0")
+    assert r.message.endswith("> t = 10")
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_level_set_bound_does_not_certify_the_noise_ball(trial):
+    # The l1-ball workload's target B(b, sqrt(m * noise_variance)) holds A x_true.
+    inst = gen_sparse_recovery(DESK, trial)
+    P = replace(inst.problem, Q=Ball(inst.problem.Q.center, float(np.sqrt(DESK.m * 1e-4))))
+    assert baselines.level_set_bound(P, inst.t_level, 1000) <= inst.t_level
+
+
+def test_level_set_bound_does_not_certify_a_consistent_3x4_instance():
+    A = np.array([[1.0, 0.5, -0.3, 0.2], [0.1, -1.2, 0.4, 0.7], [0.6, 0.2, 0.9, -0.5]])
+    b = A @ np.array([2.0, 0.0, -1.5, 0.0])
+    P = ProblemSpec(A=A, C=FullSpace(4), Q=Singleton(b), gamma=0.1)
+    assert baselines.level_set_bound(P, 3.5, 1000) <= 3.5
+
+
+@pytest.mark.parametrize("target", ["singleton", "ball"])
+def test_level_set_bound_certifies_nothing_where_aat_overflows(target):
+    # The level set is empty (A has rank 1 and b is not near its range), but
+    # the entries of AA' overflow; warnings are errors in this suite.
+    A = 1e154 * np.ones((2, 3))
+    b = np.array([1.0, -2.0])
+    Q = Singleton(b) if target == "singleton" else Ball(b, 0.5)
+    P = ProblemSpec(A=A, C=FullSpace(3), Q=Q, gamma=1.0)
+    assert baselines.level_set_bound(P, 1.0, 1000) == -math.inf
+    assert solve_mcq(P, np.zeros(3), McqOptions(t=1.0, max_iter=5)).status != Status.INFEASIBLE
+
+
+def test_level_set_bound_on_a_design_of_norm_1e150():
+    # ||A'r|| reaches about 1e300 at the start; min ||x||_1 over {Ax = b} is 0.7.
+    A = 1e150 * np.eye(3)
+    P = ProblemSpec(A=A, C=FullSpace(3), Q=Singleton(A @ np.array([0.5, 0.0, 0.2])), gamma=1.0)
+    for t in (0.7, 1.0):
+        assert baselines.level_set_bound(P, t, 1000) <= 0.7
+        assert solve_mcq(P, np.ones(3), McqOptions(t=t, max_iter=5)).status != Status.INFEASIBLE
+
+
+def test_level_set_bound_needs_a_ball():
+    P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Box(-np.ones(2), np.ones(2)), gamma=1.0)
+    with pytest.raises(ValueError, match="ball"):
+        baselines.level_set_bound(P, 1.0, 10)

@@ -220,3 +220,38 @@ def test_solve_op_norm_whose_square_overflows_is_config_error(instance_files, ca
                  "--gamma", "0.6"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ||A|| = 1e+200 is too large")
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--algo", "mf", "--gamma", "0.1", "--lambda-max", "nan"], "lambda_max"),
+        (["--algo", "dca", "--gamma", "0.1", "--inner-tol", "nan"], "tol"),
+        (["--algo", "mcq", "--t", "nan"], "t"),
+        (["--algo", "mcq", "--t", "3", "--sigma", "nan"], "sigma"),
+        (["--algo", "fb", "--gamma", "0.1", "--step-tol", "nan"], "step_tol"),
+        (["--algo", "fb", "--gamma", "inf"], "gamma"),
+    ],
+    ids=["lambda-max", "inner-tol", "t", "sigma", "step-tol", "gamma-inf"],
+)
+def test_solve_rejects_nan_and_inf_options(instance_files, capsys, flags, field):
+    a_path, b_path, _ = instance_files
+    code = main(["solve", "--A", a_path, "--Q", f"singleton:{b_path}", *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+
+
+def test_solve_nan_ball_radius_is_config_error(instance_files, capsys):
+    a_path, b_path, _ = instance_files
+    code = main(["solve", "--algo", "cq", "--A", a_path, "--Q", f"ball:{b_path}:nan"])
+    assert code == 2
+    assert "radius" in capsys.readouterr().err
+
+
+def test_solve_certified_empty_level_set_exits_not_converged(instance_files, capsys):
+    # t is far below min ||x||_1 over {Ax = b}, at most ||x_true||_1 = 3.
+    a_path, b_path, _ = instance_files
+    code = main(["solve", "--algo", "mcq", "--A", a_path, "--Q", f"singleton:{b_path}",
+                 "--t", "0.5"])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("status=infeasible iters=0 ")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ def test_options_validation():
         DcaOptions(step_tol=0.0)
     with pytest.raises(ValueError):
         DcaOptions(max_outer=0)
+
+
+@pytest.mark.parametrize("field", ["step_tol", "zero_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_options_reject_nan_and_inf(field, value):
+    with pytest.raises(ValueError, match=field):
+        DcaOptions(**{field: value})
 
 
 def test_both_inner_solvers_reach_same_point():

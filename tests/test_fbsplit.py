@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,10 @@ def test_options_validation():
         FbOptions(max_iter=0)
     with pytest.raises(ValueError):
         FbOptions(step_tol=0.0)
+
+
+@pytest.mark.parametrize("field", ["step", "step_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_options_reject_nan_and_inf(field, value):
+    with pytest.raises(ValueError, match=field):
+        FbOptions(**{field: value})

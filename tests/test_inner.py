@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,16 @@ def test_inner_options_validation():
         InnerOptions(budget_base=10, budget_cap=5)
     with pytest.raises(ValueError):
         InnerOptions(tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("kappa", "tol") for v in (math.nan, math.inf)]
+    + [(f, math.nan) for f in ("tau", "lambda_relax", "step_fraction")],
+)
+def test_inner_options_reject_nan_and_inf(field, value):
+    with pytest.raises(ValueError, match=field):
+        InnerOptions(**{field: value})
 
 
 def test_budget_ramp():

@@ -461,6 +461,17 @@ def test_options_validation():
         MfOptions(stationarity_tol=0.0)
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [("mu_shift", "mu_shift"), ("lambda_max", "lambda_max"),
+     ("step_tol", "tolerances"), ("stationarity_tol", "tolerances")],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_options_reject_nan_and_inf(field, message, value):
+    with pytest.raises(ValueError, match=message):
+        MfOptions(**{field: value})
+
+
 def test_mf_stationary_start_converges_after_zero_iterations():
     # At x = 0 the l1 subdifferential [-gamma, gamma] contains A'b once
     # gamma exceeds ||A'b||_inf, so the origin is already stationary.

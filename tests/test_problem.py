@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -59,6 +60,12 @@ def test_problem_validation():
         ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.zeros(3)), gamma=0.5)
     with pytest.raises(ValueError):
         ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.zeros(2)), gamma=0.0)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_problem_rejects_nan_and_inf_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.zeros(2)), gamma=gamma)
 
 
 def test_all_zero_matrix_is_rejected():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,14 @@ def test_invalid_constructions():
         L1Ball(0.0, 3)
     with pytest.raises(ValueError):
         FullSpace(0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+@pytest.mark.parametrize("make", [lambda r: Ball(np.zeros(2), r), lambda r: L1Ball(r, 2)],
+                         ids=["Ball", "L1Ball"])
+def test_radii_reject_nan_and_inf(make, radius):
+    with pytest.raises(ValueError, match="radius"):
+        make(radius)
 
 
 def test_dimension_mismatch_raises():
