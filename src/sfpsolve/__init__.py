@@ -41,8 +41,6 @@ from .inner import (
     solve_fb_in_dr,
 )
 from .linops import (
-    apply,
-    apply_transpose,
     inflated_op_norm,
     read_matrix,
     read_vector,
@@ -77,17 +75,12 @@ from .sets import (
     L1Ball,
     NonnegativeOrthant,
     Singleton,
-    interval_bounds,
-    is_member,
     parse_set,
-    project,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "apply",
-    "apply_transpose",
     "sfp_gradient",
     "inflated_op_norm",
     "read_matrix",
@@ -101,9 +94,6 @@ __all__ = [
     "Ball",
     "Box",
     "L1Ball",
-    "project",
-    "is_member",
-    "interval_bounds",
     "parse_set",
     "l1_l2",
     "soft_threshold",

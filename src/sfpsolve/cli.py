@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--A", required=True, help="matrix file (first line 'rows cols')")
     ps.add_argument("--Q", required=True, help="target set spec, e.g. singleton:b.vec")
     ps.add_argument("--C", default=None, help="domain set spec (default fullspace:n)")
-    ps.add_argument("--gamma", type=float, default=None, help="regularization weight")
+    ps.add_argument("--gamma", type=float, default=None,
+                    help="regularization weight; for mcq (default 1.0) the l1 weight "
+                    "of the FISTA run that tries to prove the level set empty")
     ps.add_argument("--x0", default=None, help="start vector file (default zeros)")
     ps.add_argument("--trace", default=None, help="write per-iteration CSV here")
     # Each solver flag's dest is the options field it sets (``inner_<field>``

@@ -15,10 +15,11 @@ non-timing output byte for byte.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -101,10 +102,10 @@ class SparseSpec:
             raise ValueError("dimensions must be positive")
         if not 0 <= self.sparsity <= self.n:
             raise ValueError("sparsity must lie in [0, n]")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
+            raise ValueError("noise_variance must be nonnegative and finite")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.kind not in ("random", "sparse"):
             raise ValueError("kind must be 'random' or 'sparse'")
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
         unknown = [a for a in self.algos if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
@@ -293,15 +296,27 @@ def parse_bench_config(path, kind: str) -> BenchConfig:
     return BenchConfig(**kwargs)
 
 
-def _solve_one(algo: str, inst: Instance, cfg: BenchConfig) -> SolveResult:
+def _bench_options(cfg: BenchConfig, algo: str):
+    """The solver's options from the config; ValueError on a value it rejects.
+
+    A level solver gets ``t = 1`` here; :func:`_solve_one` sets each
+    instance's level.
+    """
+    solver = SOLVERS[algo]
+    settings = {solver.limit: cfg.max_iter, "step_tol": cfg.step_tol}
+    if solver.level:
+        settings["t"] = 1.0
+    return solver.options(**settings)
+
+
+def _solve_one(algo: str, inst: Instance, opts) -> SolveResult:
     solver = SOLVERS[algo]
     P = inst.problem
     if solver.full_space and not isinstance(P.C, FullSpace):
         P = ProblemSpec(A=P.A, C=FullSpace(P.n), Q=P.Q, gamma=P.gamma)
-    settings = {solver.limit: cfg.max_iter, "step_tol": cfg.step_tol}
     if solver.level:
-        settings["t"] = inst.t_level
-    return solver.solve(P, inst.x0, solver.options(**settings))
+        opts = replace(opts, t=inst.t_level)
+    return solver.solve(P, inst.x0, opts)
 
 
 def _instance(cfg: BenchConfig, trial: int) -> Instance:
@@ -401,10 +416,13 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
 
     Produces ``summary.csv`` (one row per pair, sorted by trial then
     algorithm), optional per-run ``trace_<algo>_<trial>.csv`` files, and
-    per-algorithm quantile files.  A solver that rejects its problem or
-    options, or fails numerically, yields a row with status ``error`` and the
-    run continues; any other exception propagates.
+    per-algorithm quantile files.  The solvers' options are built from the
+    config once, before the first trial; a value they reject raises
+    ValueError and nothing is written.  A solve that rejects its problem or
+    instance level, or fails numerically, yields a row with status ``error``
+    and the run continues; any other exception propagates.
     """
+    options = {algo: _bench_options(cfg, algo) for algo in cfg.algos}
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows: list[dict] = []
     traces_by_algo: dict[str, list[SolveResult]] = {a: [] for a in cfg.algos}
@@ -413,7 +431,7 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
         for algo in sorted(cfg.algos):
             t_start = time.perf_counter()
             try:
-                result = _solve_one(algo, inst, cfg)
+                result = _solve_one(algo, inst, options[algo])
             except (ConfigurationError, ValueError, FloatingPointError) as exc:
                 rows.append(
                     {

@@ -17,8 +17,6 @@ _TINY = float(np.finfo(float).tiny)
 __all__ = [
     "as_matrix",
     "as_vector",
-    "apply",
-    "apply_transpose",
     "sfp_gradient",
     "inflated_op_norm",
     "read_matrix",
@@ -46,28 +44,6 @@ def as_matrix(A, name: str = "A") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def apply(A, x) -> np.ndarray:
-    """Return ``A @ x`` with dimension checking."""
-    A = as_matrix(A)
-    x = as_vector(x)
-    if x.shape[0] != A.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, x has length {x.shape[0]}"
-        )
-    return A @ x
-
-
-def apply_transpose(A, y) -> np.ndarray:
-    """Return ``A.T @ y`` with dimension checking."""
-    A = as_matrix(A)
-    y = as_vector(y, "y")
-    if y.shape[0] != A.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: A is {A.shape[0]}x{A.shape[1]}, y has length {y.shape[0]}"
-        )
-    return A.T @ y
 
 
 def sfp_gradient(A, Q, x) -> np.ndarray:

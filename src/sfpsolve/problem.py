@@ -244,12 +244,7 @@ def _smooth_gradient(P: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def stationarity_residual(
-    P: ProblemSpec,
-    x,
-    coord_zero_tol: float | None = None,
-    active_tol: float = 1e-9,
-) -> float:
+def stationarity_residual(P: ProblemSpec, x) -> float:
     """Distance of the first-order optimality inclusion from being satisfied.
 
     A point is stationary when ``-g(x)`` lies in ``gamma*d||x||_1 + N_C(x)``
@@ -264,14 +259,14 @@ def stationarity_residual(
     is stationary; on an off-centre ball or a singleton it is a monitoring
     quantity only.
 
-    ``coord_zero_tol`` controls which coordinates count as zero when picking
-    the l1 subdifferential (default ``1e-8 * (1 + max|x_i|)``); ``active_tol``
-    does the same for bound activity in ``N_C``.
+    A coordinate counts as zero in the l1 subdifferential when
+    ``|x_i| <= 1e-8 * (1 + max|x_i|)``, and a bound as active in ``N_C``
+    within ``1e-9``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] != P.n:
         raise ValueError("dimension mismatch between x and problem")
-    return _stationarity_from_gradient(P, x, _smooth_gradient(P, x), coord_zero_tol, active_tol)
+    return _stationarity_from_gradient(P, x, _smooth_gradient(P, x))
 
 
 def _stationarity_from_gradient(

@@ -23,9 +23,6 @@ __all__ = [
     "Ball",
     "Box",
     "L1Ball",
-    "project",
-    "is_member",
-    "interval_bounds",
     "projected_shrink_is_prox",
     "parse_set",
 ]
@@ -190,32 +187,6 @@ class L1Ball(ConvexSet):
         return f"L1Ball(radius={self.radius}, dim={self.dim})"
 
 
-def project(S: ConvexSet, x) -> np.ndarray:
-    """Nearest point of ``S`` to ``x`` in the Euclidean norm."""
-    return S.project(x)
-
-
-def is_member(S: ConvexSet, x, tol: float = DEFAULT_MEMBER_TOL) -> bool:
-    """True iff ``||x - project(S, x)|| <= tol``."""
-    return S.contains(x, tol)
-
-
-def interval_bounds(S: ConvexSet):
-    """Componentwise bounds ``(lower, upper)`` for separable sets, else None.
-
-    Separable sets (full space, orthant, box) admit exact per-coordinate
-    normal-cone arithmetic.
-    """
-    bounds = _finite_bounds(S)
-    if bounds is None:
-        return None
-    lower, upper = bounds
-    return (
-        np.full(S.dim, -np.inf if lower is None else lower),
-        np.full(S.dim, np.inf if upper is None else upper),
-    )
-
-
 def projected_shrink_is_prox(S: ConvexSet) -> bool:
     """Whether ``P_S(soft_threshold(a, t))`` is the prox of ``t*||.||_1 + i_S`` at ``a``.
 
@@ -229,9 +200,10 @@ def projected_shrink_is_prox(S: ConvexSet) -> bool:
 
 
 def _finite_bounds(S: ConvexSet):
-    """The finite sides of :func:`interval_bounds`, without building arrays.
+    """The finite componentwise bounds of a separable set, else None.
 
-    None for a set that is not separable; else ``(lower, upper)``, each a
+    Separable sets (full space, orthant, box) admit exact per-coordinate
+    normal-cone arithmetic.  For them the value is ``(lower, upper)``, each a
     scalar or an array that is finite in every coordinate, or None where
     that side is infinite in every coordinate (no separable set mixes the two).
     """

@@ -118,6 +118,28 @@ def test_bench_random_subcommand(tmp_path, capsys):
     assert os.path.exists(out_dir / "summary.csv")
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("max_iter=0", "max_iter"),
+        ("step_tol=nan", "step_tol"),
+        ("trials=0", "trials"),
+        ("noise_variance=nan", "noise_variance"),
+    ],
+)
+def test_bench_rejects_an_out_of_range_config_before_any_trial(tmp_path, capsys, line, field):
+    out_dir = tmp_path / "bench"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "seed=5\nm=12\nn=24\nk=2\ntrials=2\ngamma=0.6\nnoise_variance=0.0001\n"
+        f"algos=fb,cq\nout_dir={out_dir}\nmax_iter=150\n{line}\n"
+    )
+    code = main(["bench-sparse", "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+    assert not os.path.exists(out_dir / "summary.csv")
+
+
 def test_bench_missing_config_is_config_error(tmp_path, capsys):
     code = main(["bench-sparse", "--config", str(tmp_path / "missing.txt")])
     assert code == 2

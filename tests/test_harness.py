@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -125,6 +126,17 @@ def test_spec_validation():
         BenchConfig(kind="sparse", algos=("fb", "what"))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["noise_variance", "gamma"])
+def test_sparse_spec_rejects_nan_and_inf(field, value):
+    # A NaN noise_variance fails the test noise_variance > 0, which would
+    # silently draw noiseless measurements.
+    kwargs = dict(seed=0, m=3, n=3, sparsity=1, noise_variance=1e-4, gamma=0.6)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        SparseSpec(**kwargs)
+
+
 def test_parse_bench_config(tmp_path):
     cfg_file = tmp_path / "cfg.txt"
     cfg_file.write_text(
@@ -194,10 +206,11 @@ def test_singleton_target_is_the_radius_zero_ball(algo, monkeypatch):
         0,
     )
     b = inst.problem.Q.point
+    opts = harness._bench_options(cfg, algo)
     runs = []
     for Q in (Singleton(b), Ball(b, 0.0)):
         P = ProblemSpec(A=inst.problem.A, C=inst.problem.C, Q=Q, gamma=inst.problem.gamma)
-        runs.append(harness._solve_one(algo, dataclasses.replace(inst, problem=P), cfg))
+        runs.append(harness._solve_one(algo, dataclasses.replace(inst, problem=P), opts))
     single, ball = runs
     assert single.iterations > 0
     assert (single.status, single.iterations, single.message) == (

@@ -25,7 +25,6 @@ from sfpsolve.sets import (
     L1Ball,
     NonnegativeOrthant,
     Singleton,
-    interval_bounds,
 )
 
 
@@ -64,10 +63,21 @@ def _reference_sfp_residual_value(P, x):
     return 0.5 * float(np.sum((Ax - P.Q.project(Ax)) ** 2))
 
 
+def _interval_bounds(C):
+    """Componentwise bounds of a separable set as arrays, +-inf where unbounded."""
+    n = C.dim
+    if isinstance(C, FullSpace):
+        return np.full(n, -np.inf), np.full(n, np.inf)
+    if isinstance(C, NonnegativeOrthant):
+        return np.zeros(n), np.full(n, np.inf)
+    assert isinstance(C, Box)
+    return C.lower.copy(), C.upper.copy()
+
+
 def _reference_stationarity(P, x, g, coord_zero_tol=None, active_tol=1e-9):
     """The interval distance with both cones spelled out as +-inf arrays."""
     target = -g
-    lower, upper = interval_bounds(P.C)
+    lower, upper = _interval_bounds(P.C)
     if coord_zero_tol is None:
         coord_zero_tol = 1e-8 * (1.0 + float(np.max(np.abs(x))))
     gamma = P.gamma
@@ -228,7 +238,7 @@ SEPARABLE = [FullSpace(N), NonnegativeOrthant(N), Box(LOWER, UPPER)]
 
 def _special_points(C, gamma, rng):
     """x with coordinates at the zero tolerance and at the bounds; g at +-gamma."""
-    lower, upper = interval_bounds(C)
+    lower, upper = _interval_bounds(C)
     lo = np.where(np.isfinite(lower), lower, -2.0)
     hi = np.where(np.isfinite(upper), upper, 2.0)
     picks = [

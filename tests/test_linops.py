@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from sfpsolve.linops import (
-    apply,
-    apply_transpose,
     inflated_op_norm,
     read_matrix,
     read_vector,
@@ -14,64 +12,14 @@ from sfpsolve.linops import (
 from sfpsolve.sets import Ball, Singleton
 
 
-def naive_matvec(A, x):
-    """Triple-loop reference for A @ x."""
-    m, n = A.shape
-    out = np.zeros(m)
-    for i in range(m):
-        acc = 0.0
-        for j in range(n):
-            acc += A[i, j] * x[j]
-        out[i] = acc
-    return out
-
-
-def test_apply_identity():
-    assert np.array_equal(apply(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
-
-
-def test_apply_hand_case():
-    assert np.array_equal(apply([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-
-def test_apply_matches_naive_loop():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((5, 3))
-    x = rng.standard_normal(3)
-    assert np.linalg.norm(apply(A, x) - naive_matvec(A, x)) <= 1e-12
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        apply(np.eye(2), [1.0, 2.0, 3.0])
-
-
-def test_apply_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        apply([[np.nan, 0.0]], [1.0, 2.0])
-
-
-def test_apply_transpose_identity():
-    assert np.array_equal(apply_transpose(np.eye(2), [1.0, 2.0]), [1.0, 2.0])
-
-
-def test_apply_transpose_first_row():
-    assert np.array_equal(apply_transpose([[1.0, 2.0], [3.0, 4.0]], [1.0, 0.0]), [1.0, 2.0])
-
-
-def test_apply_transpose_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        apply_transpose(np.ones((3, 2)), [1.0, 2.0])
-
-
 def test_adjoint_identity_sampled():
     rng = np.random.default_rng(1)
     for _ in range(50):
         A = rng.standard_normal((6, 4))
         x = rng.standard_normal(4)
         y = rng.standard_normal(6)
-        lhs = float(apply(A, x) @ y)
-        rhs = float(x @ apply_transpose(A, y))
+        lhs = float((A @ x) @ y)
+        rhs = float(x @ (A.T @ y))
         assert abs(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(x) * np.linalg.norm(y))
 
 

@@ -11,10 +11,7 @@ from sfpsolve.sets import (
     L1Ball,
     NonnegativeOrthant,
     Singleton,
-    interval_bounds,
-    is_member,
     parse_set,
-    project,
 )
 
 ALL_SETS = [
@@ -115,12 +112,12 @@ def test_ball_zero_radius_acts_as_singleton():
 
 
 def test_is_member_examples():
-    assert is_member(Ball(np.zeros(2), 1.0), [0.5, 0.0], 0.0)
+    assert Ball(np.zeros(2), 1.0).contains([0.5, 0.0], 0.0)
     b = np.array([1.0, 2.0])
-    assert is_member(Singleton(b), b, 0.0)
+    assert Singleton(b).contains(b, 0.0)
     box = Box(np.zeros(2), np.ones(2))
-    assert is_member(box, [1.0005, 0.5], 1e-3)
-    assert not is_member(box, [1.0005, 0.5], 1e-6)
+    assert box.contains([1.0005, 0.5], 1e-3)
+    assert not box.contains([1.0005, 0.5], 1e-6)
 
 
 @pytest.mark.parametrize("S", ALL_SETS, ids=lambda s: type(s).__name__)
@@ -128,9 +125,9 @@ def test_projection_idempotent(S):
     rng = np.random.default_rng(4)
     for _ in range(100):
         x = rng.standard_normal(S.dim) * 3.0
-        p = project(S, x)
-        assert np.linalg.norm(project(S, p) - p) <= 1e-12
-        assert is_member(S, p, 1e-9)
+        p = S.project(x)
+        assert np.linalg.norm(S.project(p) - p) <= 1e-12
+        assert S.contains(p, 1e-9)
 
 
 @pytest.mark.parametrize("S", ALL_SETS, ids=lambda s: type(s).__name__)
@@ -139,7 +136,7 @@ def test_projection_nonexpansive(S):
     for _ in range(100):
         x = rng.standard_normal(S.dim) * 3.0
         y = rng.standard_normal(S.dim) * 3.0
-        lhs = np.linalg.norm(project(S, x) - project(S, y))
+        lhs = np.linalg.norm(S.project(x) - S.project(y))
         assert lhs <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -148,8 +145,8 @@ def test_projection_variational_inequality(S):
     rng = np.random.default_rng(6)
     for _ in range(50):
         x = rng.standard_normal(S.dim) * 3.0
-        p = project(S, x)
-        z = project(S, rng.standard_normal(S.dim) * 3.0)  # a point of S
+        p = S.project(x)
+        z = S.project(rng.standard_normal(S.dim) * 3.0)  # a point of S
         assert float((x - p) @ (z - p)) <= 1e-9
 
 
@@ -159,7 +156,7 @@ def test_cone_projection_homogeneous(S):
     for _ in range(100):
         x = rng.standard_normal(5) * 2.0
         alpha = rng.uniform(0.1, 10.0)
-        assert np.linalg.norm(project(S, alpha * x) - alpha * project(S, x)) <= 1e-12
+        assert np.linalg.norm(S.project(alpha * x) - alpha * S.project(x)) <= 1e-12
 
 
 def test_invalid_constructions():
@@ -183,14 +180,7 @@ def test_radii_reject_nan_and_inf(make, radius):
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        project(FullSpace(3), [1.0, 2.0])
-
-
-def test_interval_bounds():
-    lo, hi = interval_bounds(NonnegativeOrthant(2))
-    assert np.array_equal(lo, [0.0, 0.0]) and np.all(np.isinf(hi))
-    assert interval_bounds(L1Ball(1.0, 2)) is None
-    assert interval_bounds(Singleton(np.zeros(2))) is None
+        FullSpace(3).project([1.0, 2.0])
 
 
 def test_parse_set_grammar(tmp_path):
