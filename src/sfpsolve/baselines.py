@@ -19,7 +19,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .linops import inflated_op_norm, norm, sfp_gradient, squared_op_norm
+from .linops import norm, sfp_gradient, squared_op_norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -61,7 +61,7 @@ class CqOptions:
     def resolve_step(self, P: ProblemSpec) -> float:
         if self.step is not None:
             return self.step
-        return 1.0 / squared_op_norm(inflated_op_norm(P.A))
+        return 1.0 / squared_op_norm(P.op_norm)
 
 
 def solve_cq(P: ProblemSpec, x0, opts: CqOptions | None = None) -> SolveResult:
@@ -265,12 +265,10 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> floa
     ``u``, so the step size sets only the speed.  The run stops at the first of:
 
     * a bound above ``t``;
-    * a bound that cannot get there: ``D`` is 1-strongly concave, so its
-      maximizer ``u*`` lies within ``sqrt(2*gap)`` of ``u``, with
-      ``gap = F(z) - D(u)``, and the bound at ``u*``,
-      ``(D(u*) + 0.5*||u*||^2)/gamma``, is at most
-      ``(F(z) + 0.5*(||u|| + sqrt(2*gap))^2)/gamma``; the run stops once
-      that is at most ``t``;
+    * a bound that cannot get there (see "Giving up" below);
+    * a second step in a row that leaves the iterate ``x`` unchanged: it
+      started from ``z = x`` with ``Az = Ax`` and ended there, so every later
+      iteration would repeat it;
     * ``max_iter`` iterations.
 
     Margin.  With ``eta = 64*N*eps`` for ``N = max(m, n)``, as in
@@ -286,6 +284,19 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> floa
 
     which exceeds ``t`` iff ``B = (<c, u> - R*||u||)/gamma`` exceeds ``t`` by
     ``eta*||u||*(||c|| + R + t*||A||_F)/gamma``.
+
+    Giving up.  ``D`` is 1-strongly concave, so its maximizer ``u*`` lies
+    within ``s = sqrt(2*gap)`` of ``u``, with ``gap = F(z) - D(u)``.  By
+    weak duality ``D(u*) <= F(z)``, so ``B`` at ``u*``,
+    ``(D(u*) + 0.5*||u*||^2)/gamma``, is at most
+    ``(F(z) + 0.5*(||u|| + s)^2)/gamma``; and as ``||u*|| >= max(||u|| - s, 0)``,
+    the margin at ``u*`` is at least
+    ``eta*max(||u|| - s, 0)*(||c|| + R + t*||A||_F)/gamma``.  The run stops
+    once the first is at most ``t`` plus the second.  In noiseless exact
+    recovery (``min{||x||_1 : Ax in Q} = t``) that never happens: the
+    computed ``gap`` stalls near 3e-13 and ``||u||*s`` stays about a
+    hundred times the margin term.  The iteration reaches a fixed point
+    there instead, which the idle-step stop detects.
 
     Returns the largest bound over the iterates, or ``-inf`` when none is
     finite: any non-finite value, such as an entry of ``AA'`` that
@@ -309,7 +320,8 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> floa
         shrink = gamma * step
         x = z = np.zeros(P.n)
         Ax = Az = np.zeros(P.m)
-        theta = 1.0
+        theta, idle = 1.0, 0
+        margin_scale = c_norm + R + t * fro
         for _ in range(max_iter):
             # r = Az - P_Q(Az) without Q.project, as in the screen, so that the
             # solver's counts of projections and gradients are its iterations' own.
@@ -333,7 +345,9 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> floa
                     break
             objective = 0.5 * r_norm * r_norm + gamma * float(np.abs(z).sum())
             gap = max(objective - (cu - R * u_norm - 0.5 * u_norm * u_norm), 0.0)
-            if not objective + 0.5 * (u_norm + math.sqrt(2.0 * gap)) ** 2 > t * gamma:
+            spread = math.sqrt(2.0 * gap)
+            margin = eta * max(u_norm - spread, 0.0) * margin_scale
+            if not objective + 0.5 * (u_norm + spread) ** 2 > t * gamma + margin:
                 break
             # Proximal gradient step from z, then momentum, restarted where the
             # step turns against the last move.
@@ -341,7 +355,14 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> floa
             x_next = w - np.minimum(np.maximum(w, -shrink), shrink)
             Ax_next = A @ x_next
             move = x_next - x
-            if (z - x_next).dot(move) > 0.0:
+            turn = (z - x_next).dot(move)
+            # A second step in a row that leaves x where it is: it started from
+            # z = x with Az = Ax and ended there, so every later iteration
+            # repeats it and no later bound differs.  A zero move makes turn 0.
+            idle = idle + 1 if turn == 0.0 and not move.any() else 0
+            if idle == 2:
+                break
+            if turn > 0.0:
                 theta = 1.0
             theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
             beta = (theta - 1.0) / theta_next

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .inner import INNER_SOLVERS, InnerOptions, SubproblemSpec
-from .linops import inflated_op_norm, norm
+from .linops import norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -124,8 +124,9 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
         opts = DcaOptions()
     x, message = start_point(P, x0)
     zero_tol = opts.resolve_zero_tol(x)
-    # ||A|| once per solve, handed to every step's inner solver.
-    op_norm = inflated_op_norm(P.A)
+    # ||A|| from the problem's cache (computed at most once per problem),
+    # handed to every step's inner solver.
+    op_norm = P.op_norm
     capped, discarded = [], []
 
     def step(k, x):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linops import inflated_op_norm, norm, sfp_gradient, squared_op_norm
+from .linops import norm, sfp_gradient, squared_op_norm
 from .problem import (
     ConfigurationError,
     ProblemSpec,
@@ -60,7 +60,7 @@ class FbOptions:
             raise ValueError("step_tol must be positive and finite")
 
     def resolve_step(self, P: ProblemSpec) -> float:
-        bound = P.gamma / squared_op_norm(inflated_op_norm(P.A))
+        bound = P.gamma / squared_op_norm(P.op_norm)
         if self.step is None:
             return 0.9 * bound
         if self.step >= bound and not self.allow_unsafe_step:

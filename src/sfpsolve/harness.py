@@ -319,10 +319,18 @@ def _solve_one(algo: str, inst: Instance, opts) -> SolveResult:
     return solver.solve(P, inst.x0, opts)
 
 
-def _instance(cfg: BenchConfig, trial: int) -> Instance:
+def _instances(cfg: BenchConfig) -> Callable[[int], Instance]:
+    """The config's trial generator, with its problem half checked once.
+
+    Raises ValueError on a dimension, level, noise or ``gamma`` that the
+    generators or :class:`ProblemSpec` would reject in every trial.
+    """
     if cfg.kind == "random":
         spec = RandomSpec(seed=cfg.seed, m=cfg.m, n=cfg.n, trials=cfg.trials)
-        return gen_random_problem(spec, trial, gamma=cfg.gamma)
+        # RandomSpec has no gamma; this is ProblemSpec's own check.
+        if not (math.isfinite(cfg.gamma) and cfg.gamma > 0):
+            raise ValueError("gamma must be positive and finite")
+        return lambda trial: gen_random_problem(spec, trial, gamma=cfg.gamma)
     spec = SparseSpec(
         seed=cfg.seed,
         m=cfg.m,
@@ -331,7 +339,7 @@ def _instance(cfg: BenchConfig, trial: int) -> Instance:
         noise_variance=cfg.noise_variance,
         gamma=cfg.gamma,
     )
-    return gen_sparse_recovery(spec, trial)
+    return lambda trial: gen_sparse_recovery(spec, trial)
 
 
 def write_atomic(path, content: str) -> None:
@@ -416,18 +424,20 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
 
     Produces ``summary.csv`` (one row per pair, sorted by trial then
     algorithm), optional per-run ``trace_<algo>_<trial>.csv`` files, and
-    per-algorithm quantile files.  The solvers' options are built from the
-    config once, before the first trial; a value they reject raises
-    ValueError and nothing is written.  A solve that rejects its problem or
-    instance level, or fails numerically, yields a row with status ``error``
-    and the run continues; any other exception propagates.
+    per-algorithm quantile files.  The solvers' options and the problem
+    generator are built from the config once, before ``out_dir`` is created;
+    a value they reject raises ValueError and nothing is written.  A solve
+    that rejects its problem or instance level, or fails numerically, yields
+    a row with status ``error`` and the run continues; any other exception
+    propagates.
     """
     options = {algo: _bench_options(cfg, algo) for algo in cfg.algos}
+    instance = _instances(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows: list[dict] = []
     traces_by_algo: dict[str, list[SolveResult]] = {a: [] for a in cfg.algos}
     for trial in range(cfg.trials):
-        inst = _instance(cfg, trial)
+        inst = instance(trial)
         for algo in sorted(cfg.algos):
             t_start = time.perf_counter()
             try:

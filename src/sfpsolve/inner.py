@@ -54,8 +54,8 @@ class SubproblemSpec:
 
     base: ProblemSpec
     v: np.ndarray
-    # ||A|| of base, set by solve_dca, which computes it once per solve;
-    # None lets each inner solve compute it.
+    # ||A|| of base, set by solve_dca from ``base.op_norm``; None lets each
+    # inner solve compute it itself.
     _op_norm: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,6 +80,9 @@ class SubproblemSpec:
         return self.base.A.T @ (Ax - self.base.Q.project(Ax)) + self.v
 
     def _a_norm(self) -> float:
+        # A bare dca_step or inner solve computes ||A|| itself instead of
+        # reading base.op_norm, so each standalone solve costs exactly one SVD
+        # whatever solved the same problem before it.
         return self._op_norm if self._op_norm is not None else inflated_op_norm(self.base.A)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linops import inflated_op_norm, norm, squared_op_norm
+from .linops import norm, squared_op_norm
 from .problem import (
     ConfigurationError,
     ProblemSpec,
@@ -92,7 +92,7 @@ class MfOptions:
     def resolve_mu(self, P: ProblemSpec) -> float:
         if self.mu_shift is not None:
             return self.mu_shift
-        return 0.1 * squared_op_norm(inflated_op_norm(P.A))
+        return 0.1 * squared_op_norm(P.op_norm)
 
     def resolve_stationarity_tol(self, P: ProblemSpec) -> float:
         if self.stationarity_tol is not None:
@@ -230,7 +230,8 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     linear with breakpoints ``-x_k[i]/d[i]``; both are set up once here, from
     a few dot products and the prefix sums of the sorted breakpoints.  A
     ball ``Q`` (a singleton too) makes the residual a function of the
-    quadratic ``||Ax - center||^2``; any other ``Q`` is projected onto.
+    quadratic ``||Ax - center||^2``; any other ``Q`` is projected onto.  For
+    ``C = R^n`` and a ball ``Q``, ``phi`` computes that residual inline.
     Membership in ``C`` is tested only for ``lam > 1`` (on ``[0, 1]`` the
     point is a convex combination of two points of ``C``), and never on R^n.
     On an l1 ball the scalar ``||x||_1`` decides it, except in a band of
@@ -247,8 +248,9 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     beta = -x_m / d_m
     order = np.argsort(beta)
     breakpoints = beta[order].tolist()
-    W = np.concatenate(([0.0], np.cumsum(np.abs(d_m)[order]))).tolist()
-    V = np.concatenate(([0.0], np.cumsum((-np.sign(d_m) * x_m)[order]))).tolist()
+    # np.cumsum adds in order, so W[j] and V[j] are the sequential sums.
+    W = [0.0, *np.cumsum(np.abs(d_m)[order]).tolist()]
+    V = [0.0, *np.cumsum((-np.sign(d_m) * x_m)[order]).tolist()]
     W_n, V_n = W[-1], V[-1]
     c0 = float(np.abs(x_k[~moving]).sum())
 
@@ -261,6 +263,18 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
             if radius == 0.0:
                 return 0.5 * q
             return 0.5 * max(math.sqrt(q) - radius, 0.0) ** 2
+
+        if not test_beyond_one:
+            # C = R^n: the phi below with residual inlined, the same operations
+            # without a nested call per evaluation.
+            def phi_free(lam: float) -> float:
+                j = bisect_right(breakpoints, lam)
+                q = p + t * (lam - lam_q) ** 2
+                res = 0.5 * q if radius == 0.0 else 0.5 * max(math.sqrt(q) - radius, 0.0) ** 2
+                l1 = lam * (2.0 * W[j] - W_n) - (2.0 * V[j] - V_n) + c0
+                return res + gamma * (l1 - math.sqrt(e + c * (lam - lam0) ** 2))
+
+            return phi_free
 
     else:
         # No closed-form distance to a box, orthant or l1 ball: project.
@@ -304,7 +318,7 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
 
 
 def mf_line_search(
-    P: ProblemSpec, x_k, x_tilde, opts: MfOptions | None = None
+    P: ProblemSpec, x_k, x_tilde, opts: MfOptions | None = None, *, _Ax_k=None
 ) -> float:
     """Step length approximately minimizing the objective along the segment.
 
@@ -312,11 +326,13 @@ def mf_line_search(
     ``[0, lambda_max]`` by golden-section search, then compares against the
     candidates ``lam in {0, 1, lambda_max}`` so the returned step never does
     worse than staying put or taking the full step.  ``x_k`` and ``x_tilde``
-    must lie in ``C``.  The search applies ``A`` twice, to ``x_k`` and to
-    ``d = x_tilde - x_k``; each evaluation of ``phi`` is then a few scalar
-    operations and one bisection over the sorted breakpoints of ``||x||_1``
-    (see :func:`_segment_objective`), plus a projection onto ``Q`` when
-    ``Q`` is not a ball and a membership test in ``C`` for ``lam > 1``.  ``phi`` agrees with :func:`gamma_objective` up to round-off.
+    must lie in ``C``.  The search applies ``A`` once, to
+    ``d = x_tilde - x_k``, and once more to ``x_k`` unless ``_Ax_k``, the
+    caller's ``A @ x_k``, is given; each evaluation of ``phi`` is then a few
+    scalar operations and one bisection over the sorted breakpoints of
+    ``||x||_1`` (see :func:`_segment_objective`), plus a projection onto
+    ``Q`` when ``Q`` is not a ball and a membership test in ``C`` for
+    ``lam > 1``.  ``phi`` agrees with :func:`gamma_objective` up to round-off.
     """
     if opts is None:
         opts = MfOptions()
@@ -324,7 +340,8 @@ def mf_line_search(
     d = np.asarray(x_tilde, dtype=float) - x_k
     if norm(d) == 0.0:
         return 0.0
-    phi = _segment_objective(P, x_k, d, P.A @ x_k, P.A @ d)
+    Ax_k = P.A @ x_k if _Ax_k is None else _Ax_k
+    phi = _segment_objective(P, x_k, d, Ax_k, P.A @ d)
     gs_x, gs_f = _golden_section(phi, 0.0, opts.lambda_max, opts.golden_evals)
     candidates = [(0.0, phi(0.0)), (1.0, phi(1.0)), (opts.lambda_max, phi(opts.lambda_max)), (gs_x, gs_f)]
     best_lam, _ = min(candidates, key=lambda item: item[1])
@@ -346,9 +363,9 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     resolved = replace(opts, mu_shift=opts.resolve_mu(P))
     resolved = replace(resolved, stationarity_tol=resolved.resolve_stationarity_tol(P))
     mu = resolved.mu_shift
-    # Stationarity residual and smooth gradient of the last recorded
-    # iterate, which is the next step's start.
-    residual, gradient = float("inf"), None
+    # Stationarity residual, smooth gradient and image under A of the last
+    # recorded iterate, which is the next step's start.
+    residual, gradient, image = float("inf"), None, None
     # Whether the last step stayed on the segment from x to x_tilde, whose
     # ends lie in C: then so does x_next, and its record needs no membership test.
     on_segment = False
@@ -358,15 +375,15 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
         if residual <= resolved.stationarity_tol:
             return None, 0.0, Stop(Status.CONVERGED)
         x_tilde = direction_minimizer(gradient - mu * x, P.gamma, mu, P.C)
-        lam = mf_line_search(P, x, x_tilde, resolved)
+        lam = mf_line_search(P, x, x_tilde, resolved, _Ax_k=image)
         on_segment = lam <= 1.0
         x_next = (1.0 - lam) * x + lam * x_tilde
         return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
-        nonlocal residual, gradient
+        nonlocal residual, gradient, image
         in_C = on_segment or P.C.contains(x)
-        columns, gradient = columns_and_gradient(P, x, in_C)
+        columns, gradient, image = columns_and_gradient(P, x, in_C)
         residual = columns["grad_residual"]
         return columns
 

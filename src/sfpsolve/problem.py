@@ -12,6 +12,7 @@ and +inf outside ``C``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linops import as_matrix, as_vector, norm, sfp_gradient
+from .linops import as_matrix, as_vector, inflated_op_norm, norm, sfp_gradient
 from .prox import l1_l2, soft_threshold
 from .sets import ConvexSet, _finite_bounds
 
@@ -78,6 +79,16 @@ class ProblemSpec:
             )
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be positive and finite")
+
+    @functools.cached_property
+    def op_norm(self) -> float:
+        """``||A||_2``, computed on first use and kept: ``A`` is a read-only copy.
+
+        Every solver that needs it reads it here, so solvers run on the same
+        problem share one SVD.  It is not computed in ``__post_init__``, so
+        building a problem that no step bound needs costs no SVD.
+        """
+        return inflated_op_norm(self.A)
 
     @property
     def m(self) -> int:
@@ -275,8 +286,13 @@ def _stationarity_from_gradient(
     g: np.ndarray,
     coord_zero_tol: float | None = None,
     active_tol: float = 1e-9,
+    *,
+    _mag: np.ndarray | None = None,
 ) -> float:
-    """:func:`stationarity_residual` at ``x`` given the smooth gradient ``g`` there."""
+    """:func:`stationarity_residual` at ``x`` given the smooth gradient ``g`` there.
+
+    ``_mag``, when given, is ``np.abs(x)``, computed once by the caller.
+    """
     bounds = _finite_bounds(P.C)
     if bounds is None:
         step = P.C.project(soft_threshold(x - g, P.gamma))
@@ -284,7 +300,7 @@ def _stationarity_from_gradient(
 
     lower, upper = bounds
     gamma = P.gamma
-    mag = np.abs(x)
+    mag = np.abs(x) if _mag is None else _mag
     if coord_zero_tol is None:
         coord_zero_tol = 1e-8 * (1.0 + float(mag.max()))
     nonzero = mag > coord_zero_tol
@@ -311,25 +327,31 @@ def _stationarity_from_gradient(
     return norm(dist)
 
 
-def columns_and_gradient(P: ProblemSpec, x: np.ndarray, in_C: bool) -> tuple[dict, np.ndarray]:
-    """Trace columns of the l1-l2 solvers at ``x``, and the smooth gradient there.
+def columns_and_gradient(
+    P: ProblemSpec, x: np.ndarray, in_C: bool
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Trace columns of the l1-l2 solvers at ``x``, the smooth gradient there and ``Ax``.
 
     ``in_C`` is the caller's test of ``x`` in ``C``.  One product with ``A``
-    and one with ``A.T`` serve all columns, each computed with the operations
-    of :func:`gamma_objective`, :func:`stationarity_residual` and
+    and one with ``A.T`` serve all columns, and one ``|x|`` and one
+    ``||x||_2`` serve the objective, the gradient and the stationarity
+    residual; each column is computed with the operations of
+    :func:`gamma_objective`, :func:`stationarity_residual` and
     :func:`sfp_residual_value`, so it is the float those return at ``x``.
     """
     Ax = P.A @ x
     r = Ax - P.Q.project(Ax)
     sfp = 0.5 * float((r**2).sum())
     g = P.A.T @ r
+    mag = np.abs(x)
     norm_x = norm(x)
     if norm_x > 0.0:
         g -= P.gamma * (x / norm_x)
-    objective = sfp + P.gamma * l1_l2(x) if in_C else float("inf")
+    # float(mag.sum() - norm_x) is prox.l1_l2(x).
+    objective = sfp + P.gamma * float(mag.sum() - norm_x) if in_C else float("inf")
     columns = {
         "objective": objective,
-        "grad_residual": _stationarity_from_gradient(P, x, g),
+        "grad_residual": _stationarity_from_gradient(P, x, g, _mag=mag),
         "sfp_residual": sfp,
     }
-    return columns, g
+    return columns, g, Ax

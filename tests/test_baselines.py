@@ -537,6 +537,32 @@ def test_mcq_certifies_the_desk_instances(trial):
     assert r.message.endswith("> t = 10")
 
 
+class _CountingMatrix(np.ndarray):
+    """A view of ``A`` that counts its products (``A.T`` is a counting view too)."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_level_set_bound_gives_up_where_the_l1_minimum_is_t(trial):
+    # Noiseless exact recovery: min ||x||_1 over {Ax = b} is t = ||x_true||_1,
+    # so no bound can exceed t.  The bound's own iteration reaches a fixed
+    # point after 173-214 steps; the run ran its 1,000 iterations before.
+    spec = replace(DESK, noise_variance=0.0)
+    inst = gen_sparse_recovery(spec, trial)
+    P = inst.problem
+    object.__setattr__(P, "A", P.A.view(_CountingMatrix))
+    _CountingMatrix.products = 0
+    bound = baselines.level_set_bound(P, inst.t_level, 1000)
+    assert inst.t_level - 1e-8 < bound <= inst.t_level
+    # One product for AA', two per iteration.
+    assert _CountingMatrix.products <= 1 + 2 * 250
+
+
 @pytest.mark.parametrize("trial", range(4))
 def test_level_set_bound_does_not_certify_the_noise_ball(trial):
     # The l1-ball workload's target B(b, sqrt(m * noise_variance)) holds A x_true.

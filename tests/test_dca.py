@@ -157,7 +157,9 @@ def test_discarded_step_ends_the_run_well_before_the_limit():
 
 
 def _count_op_norms(monkeypatch):
-    from sfpsolve import dca, inner, linops
+    # solve_dca reads ProblemSpec.op_norm, whose first use calls the norm
+    # bound in sfpsolve.problem; a bare step's inner solve calls inner's.
+    from sfpsolve import inner, linops, problem
 
     calls = []
 
@@ -165,7 +167,7 @@ def _count_op_norms(monkeypatch):
         calls.append(1)
         return linops.inflated_op_norm(A)
 
-    for module in (dca, inner):
+    for module in (inner, problem):
         monkeypatch.setattr(module, "inflated_op_norm", counting)
     return calls
 

@@ -329,3 +329,27 @@ def test_run_benchmark_reports_divergence_with_its_trace(tmp_path, monkeypatch):
     assert [r["status"] for r in summary if r["algo"] == "cq"] == ["diverged", "diverged"]
     with open(os.path.join(cfg.out_dir, "trace_cq_0.csv")) as fh:
         assert len(fh.readlines()) == 1 + rows[0]["iterations"] + 1  # header, k = 0..iterations
+
+
+@pytest.mark.parametrize(
+    "kind, line, field",
+    [
+        ("random", "gamma=nan", "gamma"),
+        ("sparse", "m=0", "dimensions"),
+        ("sparse", "k=25", "sparsity"),
+        ("sparse", "noise_variance=-1", "noise_variance"),
+    ],
+)
+def test_bad_problem_config_exits_before_out_dir_exists(tmp_path, capsys, kind, line, field):
+    # The problem half of the config is checked once, before out_dir is made.
+    from sfpsolve.cli import main
+
+    out_dir = tmp_path / "bench"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "seed=5\nm=12\nn=24\nk=2\ntrials=2\ngamma=0.6\nnoise_variance=0.0001\n"
+        f"algos=cq\nout_dir={out_dir}\nmax_iter=50\n{line}\n"
+    )
+    assert main([f"bench-{kind}", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must ")
+    assert not out_dir.exists()

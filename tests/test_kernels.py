@@ -7,14 +7,19 @@ they must return the same bytes on every input: signed zeros, ties, points
 exactly at a tolerance or at a bound included.
 """
 
+import math
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
-from sfpsolve import inner, prox
+from sfpsolve import inner, minefuku, prox
 from sfpsolve.linops import norm
 from sfpsolve.problem import (
     ProblemSpec,
     _stationarity_from_gradient,
+    columns_and_gradient,
     sfp_residual_value,
     stationarity_residual,
 )
@@ -362,3 +367,110 @@ def test_dr_loop_matches_reference(C, tau, budget):
         want = _reference_constrained_l1_prox_dr(anchor, thresh, C, budget, tau)
         assert got[1] == want[1]
         assert _same(got[0], want[0])
+
+
+# -- trace columns ----------------------------------------------------------
+
+
+def _reference_columns(P, x, in_C):
+    """The l1-l2 trace columns, the gradient and ``Ax``, each from its own formula."""
+    g = _reference_smooth_gradient(P, x)
+    if isinstance(P.C, (FullSpace, NonnegativeOrthant, Box)):
+        grad_residual = _reference_stationarity(P, x, g)
+    else:
+        grad_residual = float(np.linalg.norm(x - P.C.project(_reference_soft_threshold(x - g, P.gamma))))
+    sfp = _reference_sfp_residual_value(P, x)
+    columns = {
+        "objective": sfp + P.gamma * _reference_l1_l2(x) if in_C else float("inf"),
+        "grad_residual": grad_residual,
+        "sfp_residual": sfp,
+    }
+    return columns, g, P.A @ x
+
+
+@pytest.mark.parametrize(
+    "C", [*SEPARABLE, L1Ball(2.0, N), Ball(np.full(N, 0.1), 1.5)], ids=repr
+)
+def test_columns_and_gradient_match_reference(C):
+    # One |x| and one ||x||_2 serve the objective, the gradient and the
+    # stationarity column.
+    P = _problem(C, N, seed=7, gamma=0.3)
+    rng = np.random.default_rng(8)
+    points = [x for x, _ in _special_points(SEPARABLE[2], P.gamma, rng)]
+    points += [rng.standard_normal(N) * scale for scale in (1e-9, 1.0, 1e3)]
+    for x in points:
+        for in_C in (True, False):
+            columns, g, Ax = columns_and_gradient(P, x, in_C)
+            want_columns, want_g, want_Ax = _reference_columns(P, x, in_C)
+            assert columns.keys() == want_columns.keys()
+            assert all(_same(columns[k], want_columns[k]) for k in columns)
+            assert _same(g, want_g) and _same(Ax, want_Ax)
+
+
+# -- mf line search ------------------------------------------------------
+
+
+def _reference_segment_phi(P, x_k, d, lam):
+    """``gamma_objective(P, x_k + lam*d)`` from the breakpoint form of ``||x||_1``.
+
+    The prefix sums of ``|d_i|`` and ``|d_i|*beta_i`` are sequential sums in
+    breakpoint order, written as a plain Python accumulation.
+    """
+    moving = d != 0.0
+    x_m, d_m = x_k[moving], d[moving]
+    beta = -x_m / d_m
+    order = np.argsort(beta)
+    W = list(accumulate(np.abs(d_m)[order].tolist(), initial=0.0))
+    V = list(accumulate((-np.sign(d_m) * x_m)[order].tolist(), initial=0.0))
+    j = bisect_right(beta[order].tolist(), lam)
+    l1 = lam * (2.0 * W[j] - W[-1]) - (2.0 * V[j] - V[-1]) + float(np.abs(x_k[~moving]).sum())
+    if not isinstance(P.C, FullSpace) and lam > 1.0 and not P.C.contains(x_k + lam * d):
+        return math.inf
+    e, c, lam0 = minefuku._squared_norm_along(x_k, d)
+    l2 = math.sqrt(e + c * (lam - lam0) ** 2)
+    Ax_k, Ad = P.A @ x_k, P.A @ d
+    if isinstance(P.Q, Ball):
+        p, t, lam_q = minefuku._squared_norm_along(Ax_k - P.Q.center, Ad)
+        q = p + t * (lam - lam_q) ** 2
+        residual = 0.5 * q if P.Q.radius == 0.0 else 0.5 * max(math.sqrt(q) - P.Q.radius, 0.0) ** 2
+    else:
+        Ax = Ax_k + lam * Ad
+        r = Ax - P.Q.project(Ax)
+        residual = 0.5 * float(r @ r)
+    return residual + P.gamma * (l1 - l2)
+
+
+@pytest.mark.parametrize("C", [FullSpace(30), L1Ball(5.0, 30)], ids=repr)
+@pytest.mark.parametrize("target", ["singleton", "ball", "ball-radius-0", "box"])
+def test_segment_objective_matches_reference(C, target):
+    # Covers the prefix sums and, for C = R^n and a ball Q, the inlined residual.
+    rng = np.random.default_rng(24)
+    A = rng.standard_normal((12, 30))
+    b = rng.standard_normal(12)
+    Q = {
+        "singleton": Singleton(b),
+        "ball": Ball(b, 1.1 * np.linalg.norm(b)),
+        "ball-radius-0": Ball(b, 0.0),
+        "box": Box(b - 0.5, b + 0.5),
+    }[target]
+    P = ProblemSpec(A=A, C=C, Q=Q, gamma=0.3)
+    half = C if isinstance(C, FullSpace) else L1Ball(C.radius / 2.0, 30)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x_k = half.project(3.0 * rng.standard_normal(30))
+        x_t = half.project(3.0 * rng.standard_normal(30))
+        x_t[:5] = x_k[:5]
+        x_k[5:8] = x_t[5:8] = 0.0
+        segments = [
+            (x_k, x_t - x_k),
+            (np.zeros(30), x_t),
+            (x_k, -1.7 * x_k),
+            (x_k, -x_k * np.resize([1.5, 1.25, 0.3], 30)),
+            (x_k, np.zeros(30)),
+        ]
+        for x, d in segments:
+            phi = minefuku._segment_objective(P, x, d, A @ x, A @ d)
+            moving = d != 0.0
+            lams = np.concatenate([np.linspace(0.0, 2.0, 41), -x[moving] / d[moving]])
+            for lam in lams[(lams >= 0.0) & (lams <= 2.0)].tolist():
+                assert _same(phi(lam), _reference_segment_phi(P, x, d, lam))

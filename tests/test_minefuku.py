@@ -19,6 +19,7 @@ from sfpsolve.problem import (
     ConfigurationError,
     ProblemSpec,
     Status,
+    columns_and_gradient,
     gamma_objective,
     stationarity_residual,
 )
@@ -523,17 +524,18 @@ class Counting(np.ndarray):
 
 @pytest.mark.parametrize("case", ["fullspace", "l1ball"])
 def test_products_with_A_per_iteration(case):
-    # Per iteration: Ax and A'r for the record (its columns and the next
-    # gradient), A x_k and A x_tilde for the line search.  The start record
-    # adds two.  Evaluating the objective for each line-search candidate
-    # took 49 products per iteration.
+    # Per iteration: Ax and A'r for the record (its columns, the next
+    # gradient and the next search's A x_k), and A d for the line search.
+    # The start record adds two.  Evaluating the objective for each
+    # line-search candidate took 49 products per iteration, and applying A
+    # to x_k again in the search 4.
     inst, problems = _sparse_problems(0)
     P = problems[case]
     object.__setattr__(P, "A", P.A.view(Counting))
     Counting.products = 0
     r = solve_mf(P, inst.x0)
     assert r.status == Status.CONVERGED and r.iterations > 10
-    assert Counting.products <= 4 * r.iterations + 2
+    assert Counting.products <= 3 * r.iterations + 2
 
 
 def test_line_search_tests_membership_beyond_the_full_step():
@@ -560,8 +562,11 @@ def test_line_search_tests_membership_beyond_the_full_step():
         assert phi(lam) <= min(phi(0.0), phi(1.0)) + 1e-12
 
 
-def _objective_per_candidate_search(P, x_k, x_tilde, opts=None):
-    """The line search that evaluates ``gamma_objective`` at every candidate."""
+def _objective_per_candidate_search(P, x_k, x_tilde, opts=None, *, _Ax_k=None):
+    """The line search that evaluates ``gamma_objective`` at every candidate.
+
+    It takes and ignores ``_Ax_k``, which :func:`solve_mf` hands to the search.
+    """
     if opts is None:
         opts = MfOptions()
     x_k = np.asarray(x_k, dtype=float)
@@ -727,3 +732,35 @@ def test_mf_records_test_membership_only_beyond_the_full_step(monkeypatch):
     assert len(from_records) == 1 + beyond
     # Every recorded objective is finite: each iterate is in C.
     assert np.all(np.isfinite(r.objectives()))
+
+
+def _orthant_segments(seed):
+    """The segments of :func:`_segments` on R^30 with both ends folded into the orthant."""
+    return [(np.abs(x_k), np.abs(x_k + d) - np.abs(x_k)) for x_k, d in _segments(FullSpace(30), seed)]
+
+
+@pytest.mark.parametrize("C", [FullSpace(30), L1Ball(5.0, 30), NonnegativeOrthant(30)], ids=repr)
+@pytest.mark.parametrize("target", ["singleton", "ball", "orthant"])
+def test_line_search_with_the_records_image_returns_the_same_step(C, target):
+    # solve_mf hands the record's A x_k to the search, which then applies A
+    # only to d; the step keeps every bit.
+    rng = np.random.default_rng(25)
+    A = rng.standard_normal((12, 30))
+    b = rng.standard_normal(12)
+    Q = {
+        "singleton": Singleton(b),
+        "ball": Ball(b, 1.1 * np.linalg.norm(b)),
+        "orthant": NonnegativeOrthant(12),
+    }[target]
+    P = ProblemSpec(A=A, C=C, Q=Q, gamma=0.3)
+    steps = []
+    for seed in range(3):
+        segments = _orthant_segments(seed) if isinstance(C, NonnegativeOrthant) else _segments(C, seed)
+        for x_k, d in [*segments, (segments[0][0], np.zeros(30))]:
+            x_tilde = x_k + d
+            image = columns_and_gradient(P, x_k, True)[2]
+            lam = mf_line_search(P, x_k, x_tilde, _Ax_k=image)
+            assert lam.hex() == mf_line_search(P, x_k, x_tilde).hex()
+            steps.append(lam)
+    # The searches end at several distinct steps, the zero step included.
+    assert 0.0 in steps and len(set(steps)) > 3

@@ -269,6 +269,35 @@ def test_step_bound_names_an_op_norm_whose_square_is_not_a_normal_float(solve, o
         solve(P, np.ones(2), opts)
 
 
+def test_op_norm_is_computed_once_per_problem_on_first_use(monkeypatch):
+    from sfpsolve import linops, problem
+
+    calls = []
+
+    def counting(A):
+        calls.append(1)
+        return linops.inflated_op_norm(A)
+
+    monkeypatch.setattr(problem, "inflated_op_norm", counting)
+    rng = np.random.default_rng(26)
+    A = rng.standard_normal((6, 10))
+    P = ProblemSpec(A=A, C=FullSpace(10), Q=Singleton(A @ rng.standard_normal(10)), gamma=0.5)
+    # Building the problem makes no SVD.
+    assert calls == []
+    x0 = np.zeros(10)
+    first = solve_fb(P, x0, FbOptions(max_iter=20))
+    assert len(calls) == 1
+    # Other solvers, and a second solve, on the same problem make none.
+    for solve, opts in [(solve_cq, CqOptions(max_iter=20)), (solve_mf, MfOptions(max_iter=20)),
+                        (solve_dca, None)]:
+        solve(P, x0, opts)
+    again = solve_fb(P, x0, FbOptions(max_iter=20))
+    assert len(calls) == 1
+    assert P.op_norm == float(np.linalg.norm(A, 2))
+    # The cached norm gives the steps of the computed one.
+    assert again.x.tobytes() == first.x.tobytes()
+
+
 def test_dca_inner_step_bound_names_an_op_norm_whose_square_overflows():
     A = 1e200 * np.eye(2)
     P = ProblemSpec(A=A, C=FullSpace(2), Q=Singleton(A @ np.ones(2)), gamma=0.5)
