@@ -19,7 +19,7 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .linops import norm, sfp_gradient, squared_op_norm
+from .linops import check_count, check_positive, norm, sfp_gradient, squared_op_norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -51,12 +51,10 @@ class CqOptions:
     step_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not (math.isfinite(self.step_tol) and self.step_tol >= 0):
-            raise ValueError("step_tol must be nonnegative and finite")
+        if self.step is not None:
+            check_positive(self.step, "step")
+        check_count(self.max_iter, "max_iter")
+        check_positive(self.step_tol, "step_tol", zero=True)
 
     def resolve_step(self, P: ProblemSpec) -> float:
         if self.step is not None:
@@ -149,14 +147,11 @@ class McqOptions:
             raise ValueError("l must lie in (0, 1)")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError("sigma must be positive and finite")
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise ValueError("t must be positive and finite")
-        if self.max_iter < 1 or self.backtrack_cap < 1:
-            raise ValueError("iteration limits must be positive")
-        if not (math.isfinite(self.step_tol) and self.step_tol >= 0):
-            raise ValueError("step_tol must be nonnegative and finite")
+        check_positive(self.sigma, "sigma")
+        check_positive(self.t, "t")
+        check_count(self.max_iter, "max_iter")
+        check_count(self.backtrack_cap, "backtrack_cap")
+        check_positive(self.step_tol, "step_tol", zero=True)
 
 
 def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:

@@ -10,13 +10,12 @@ non-increasing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .inner import INNER_SOLVERS, InnerOptions, SubproblemSpec
-from .linops import norm
+from .linops import check_count, check_positive, norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -54,12 +53,10 @@ class DcaOptions:
                 f"unknown inner solver {self.inner_solver!r}; "
                 f"choose from {sorted(INNER_SOLVERS)}"
             )
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
-        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
-            raise ValueError("step_tol must be positive and finite")
-        if self.zero_tol is not None and not (math.isfinite(self.zero_tol) and self.zero_tol >= 0):
-            raise ValueError("zero_tol must be nonnegative and finite")
+        check_count(self.max_outer, "max_outer")
+        check_positive(self.step_tol, "step_tol")
+        if self.zero_tol is not None:
+            check_positive(self.zero_tol, "zero_tol", zero=True)
 
     def resolve_zero_tol(self, x: np.ndarray) -> float:
         if self.zero_tol is not None:

@@ -17,10 +17,9 @@ bound unless explicitly disabled for experiments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .linops import norm, sfp_gradient, squared_op_norm
+from .linops import check_count, check_positive, norm, sfp_gradient, squared_op_norm
 from .problem import (
     ConfigurationError,
     ProblemSpec,
@@ -52,12 +51,10 @@ class FbOptions:
     allow_unsafe_step: bool = False
 
     def __post_init__(self):
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError("step must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
-            raise ValueError("step_tol must be positive and finite")
+        if self.step is not None:
+            check_positive(self.step, "step")
+        check_count(self.max_iter, "max_iter")
+        check_positive(self.step_tol, "step_tol")
 
     def resolve_step(self, P: ProblemSpec) -> float:
         bound = P.gamma / squared_op_norm(P.op_norm)

@@ -15,7 +15,6 @@ non-timing output byte for byte.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import tempfile
 import time
@@ -27,6 +26,7 @@ import numpy as np
 from .baselines import CqOptions, McqOptions, solve_cq, solve_mcq
 from .dca import DcaOptions, solve_dca
 from .fbsplit import FbOptions, solve_fb
+from .linops import check_count, check_positive
 from .minefuku import MfOptions, solve_mf
 from .problem import ConfigurationError, ProblemSpec, SolveResult
 from .sets import FullSpace, NonnegativeOrthant, Singleton
@@ -82,10 +82,10 @@ class RandomSpec:
     trials: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        check_count(self.seed, "seed", low=None)
+        check_count(self.m, "m")
+        check_count(self.n, "n")
+        check_count(self.trials, "trials")
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,14 @@ class SparseSpec:
     gamma: float
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
-        if not 0 <= self.sparsity <= self.n:
+        check_count(self.seed, "seed", low=None)
+        check_count(self.m, "m")
+        check_count(self.n, "n")
+        check_count(self.sparsity, "sparsity", 0)
+        if self.sparsity > self.n:
             raise ValueError("sparsity must lie in [0, n]")
-        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
-            raise ValueError("noise_variance must be nonnegative and finite")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be positive and finite")
+        check_positive(self.noise_variance, "noise_variance", zero=True)
+        check_positive(self.gamma, "gamma")
 
 
 @dataclass(frozen=True)
@@ -244,11 +244,21 @@ class BenchConfig:
     def __post_init__(self):
         if self.kind not in ("random", "sparse"):
             raise ValueError("kind must be 'random' or 'sparse'")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        check_count(self.trials, "trials")
         unknown = [a for a in self.algos if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _flag(text: str) -> bool:
+    """A config file's yes/no value, in any case; ValueError on any other word."""
+    if text.lower() not in _FLAGS:
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return _FLAGS[text.lower()]
 
 
 _CONFIG_TYPES = {
@@ -263,8 +273,8 @@ _CONFIG_TYPES = {
     "out_dir": str,
     "max_iter": int,
     "step_tol": float,
-    "traces": str,
-    "quantiles": str,
+    "traces": _flag,
+    "quantiles": _flag,
 }
 
 
@@ -282,15 +292,16 @@ def parse_bench_config(path, kind: str) -> BenchConfig:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_TYPES[key](val)
+            try:
+                values[key] = _CONFIG_TYPES[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     kwargs = {"kind": kind}
     for key, val in values.items():
         if key == "k":
             kwargs["sparsity"] = val
         elif key == "algos":
             kwargs["algos"] = tuple(a.strip() for a in val.split(",") if a.strip())
-        elif key in ("traces", "quantiles"):
-            kwargs[key] = val.lower() in ("1", "true", "yes", "on")
         else:
             kwargs[key] = val
     return BenchConfig(**kwargs)
@@ -327,9 +338,7 @@ def _instances(cfg: BenchConfig) -> Callable[[int], Instance]:
     """
     if cfg.kind == "random":
         spec = RandomSpec(seed=cfg.seed, m=cfg.m, n=cfg.n, trials=cfg.trials)
-        # RandomSpec has no gamma; this is ProblemSpec's own check.
-        if not (math.isfinite(cfg.gamma) and cfg.gamma > 0):
-            raise ValueError("gamma must be positive and finite")
+        check_positive(cfg.gamma, "gamma")  # ProblemSpec's check; RandomSpec has no gamma
         return lambda trial: gen_random_problem(spec, trial, gamma=cfg.gamma)
     spec = SparseSpec(
         seed=cfg.seed,

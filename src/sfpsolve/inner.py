@@ -21,12 +21,11 @@ mutual cross-checks in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import as_vector, inflated_op_norm, norm, squared_op_norm
+from .linops import as_vector, check_count, check_positive, inflated_op_norm, norm, squared_op_norm
 from .problem import (
     ProblemSpec,
     SolveResult,
@@ -118,20 +117,18 @@ class InnerOptions:
     record_trace: bool = True
 
     def __post_init__(self):
-        if self.kappa is not None and not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError("kappa must be positive and finite")
+        if self.kappa is not None:
+            check_positive(self.kappa, "kappa")
         if not 0.0 < self.tau < 2.0:
             raise ValueError("tau must lie in (0, 2)")
         if not 0.0 < self.lambda_relax <= 1.0:
             raise ValueError("lambda_relax must lie in (0, 1]")
         if not 0.0 < self.step_fraction < 1.0:
             raise ValueError("step_fraction must lie in (0, 1)")
-        if self.budget_base < 1 or self.budget_cap < self.budget_base:
-            raise ValueError("invalid inner budget ramp")
-        if self.outer_max < 1:
-            raise ValueError("outer_max must be at least 1")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be positive and finite")
+        check_count(self.budget_base, "budget_base")
+        check_count(self.budget_cap, "budget_cap", self.budget_base)
+        check_count(self.outer_max, "outer_max")
+        check_positive(self.tol, "tol")
 
     def budget(self, k: int) -> int:
         return min(self.budget_base + k, self.budget_cap)

@@ -2,13 +2,16 @@
 
 Matrices are plain 2-D float64 ``numpy`` arrays (row-major), vectors are
 1-D arrays.  :func:`as_vector` and :func:`as_matrix` reject non-finite
-entries where data enters the program; kernels called inside iterations,
-such as :func:`sfp_gradient`, check no entries.
+entries where data enters the program, as :func:`check_positive` and
+:func:`check_count` reject bad scalar fields of the options, specs and
+sets; kernels called inside iterations, such as :func:`sfp_gradient`,
+check no entries.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -44,6 +47,23 @@ def as_matrix(A, name: str = "A") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_positive(value, name: str, *, zero: bool = False) -> None:
+    """Raise ValueError unless ``value`` is finite and above 0 (at least 0 with ``zero``)."""
+    if not (math.isfinite(value) and (value >= 0 if zero else value > 0)):
+        sign = "nonnegative" if zero else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def check_count(value, name: str, low: int | None = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too) of at least ``low``.
+
+    ``low=None`` admits every integer.
+    """
+    if not (isinstance(value, numbers.Integral) and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def sfp_gradient(A, Q, x) -> np.ndarray:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import norm, squared_op_norm
+from .linops import check_count, check_positive, norm, squared_op_norm
 from .problem import (
     ConfigurationError,
     ProblemSpec,
@@ -75,19 +75,14 @@ class MfOptions:
     stationarity_tol: float | None = None
 
     def __post_init__(self):
-        if self.mu_shift is not None and not (math.isfinite(self.mu_shift) and self.mu_shift >= 0):
-            raise ValueError("mu_shift must be nonnegative and finite")
-        if not (math.isfinite(self.lambda_max) and self.lambda_max > 0):
-            raise ValueError("lambda_max must be positive and finite")
-        if self.golden_evals < 4:
-            raise ValueError("golden_evals must be at least 4")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
-            raise ValueError("tolerances must be positive and finite")
-        tol = self.stationarity_tol
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise ValueError("tolerances must be positive and finite")
+        if self.mu_shift is not None:
+            check_positive(self.mu_shift, "mu_shift", zero=True)
+        check_positive(self.lambda_max, "lambda_max")
+        check_count(self.golden_evals, "golden_evals", 4)
+        check_count(self.max_iter, "max_iter")
+        check_positive(self.step_tol, "step_tol")
+        if self.stationarity_tol is not None:
+            check_positive(self.stationarity_tol, "stationarity_tol")
 
     def resolve_mu(self, P: ProblemSpec) -> float:
         if self.mu_shift is not None:
@@ -230,8 +225,7 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     linear with breakpoints ``-x_k[i]/d[i]``; both are set up once here, from
     a few dot products and the prefix sums of the sorted breakpoints.  A
     ball ``Q`` (a singleton too) makes the residual a function of the
-    quadratic ``||Ax - center||^2``; any other ``Q`` is projected onto.  For
-    ``C = R^n`` and a ball ``Q``, ``phi`` computes that residual inline.
+    quadratic ``||Ax - center||^2``; any other ``Q`` is projected onto.
     Membership in ``C`` is tested only for ``lam > 1`` (on ``[0, 1]`` the
     point is a convex combination of two points of ``C``), and never on R^n.
     On an l1 ball the scalar ``||x||_1`` decides it, except in a band of
@@ -254,65 +248,47 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     W_n, V_n = W[-1], V[-1]
     c0 = float(np.abs(x_k[~moving]).sum())
 
-    if isinstance(Q, Ball):
-        center, radius = Q.center, Q.radius
-        p, t, lam_q = _squared_norm_along(Ax_k - center, Ad)
-
-        def residual(lam):
-            q = p + t * (lam - lam_q) ** 2
-            if radius == 0.0:
-                return 0.5 * q
-            return 0.5 * max(math.sqrt(q) - radius, 0.0) ** 2
-
-        if not test_beyond_one:
-            # C = R^n: the phi below with residual inlined, the same operations
-            # without a nested call per evaluation.
-            def phi_free(lam: float) -> float:
-                j = bisect_right(breakpoints, lam)
-                q = p + t * (lam - lam_q) ** 2
-                res = 0.5 * q if radius == 0.0 else 0.5 * max(math.sqrt(q) - radius, 0.0) ** 2
-                l1 = lam * (2.0 * W[j] - W_n) - (2.0 * V[j] - V_n) + c0
-                return res + gamma * (l1 - math.sqrt(e + c * (lam - lam0) ** 2))
-
-            return phi_free
-
-    else:
-        # No closed-form distance to a box, orthant or l1 ball: project.
-        def residual(lam):
-            Ax = Ax_k + lam * Ad
-            r = Ax - Q.project(Ax)
-            return 0.5 * float(r @ r)
-
-    if isinstance(C, L1Ball):
-        # dist(x, C) lies between (||x||_1 - radius)/sqrt(n) and ||x||_1 - radius,
+    ball = isinstance(Q, Ball)
+    if ball:
+        # ||Ax - center||^2 along the segment; no Q.project per evaluation.
+        radius = Q.radius
+        p, t, lam_q = _squared_norm_along(Ax_k - Q.center, Ad)
+    l1_ball = isinstance(C, L1Ball)
+    if l1_ball:
+        # dist(x, C) lies between (||x||_1 - level)/sqrt(n) and ||x||_1 - level,
         # so the scalar ||x||_1 settles membership outside a band of width
-        # sqrt(n)*DEFAULT_MEMBER_TOL above the radius.  The slack covers the
+        # sqrt(n)*DEFAULT_MEMBER_TOL above the level.  The slack covers the
         # round-off of the prefix sums and of the projection in C.contains
         # (n^2*eps relative).
         n = x_k.shape[0]
+        level = C.radius
         band = math.sqrt(n) * DEFAULT_MEMBER_TOL
         unit = 4.0 * n * n * float(np.finfo(float).eps)
         l1_x = float(np.abs(x_k).sum())
 
-        def is_member(lam, l1):
-            slack = unit * (l1_x + lam * W_n)
-            if l1 <= C.radius - slack:
-                return True
-            if l1 > C.radius + band + slack:
-                return False
-            return C.contains(x_k + lam * d)
-
-    else:
-        def is_member(lam, l1):
-            return C.contains(x_k + lam * d)
-
     def phi(lam: float) -> float:
         j = bisect_right(breakpoints, lam)
         l1 = lam * (2.0 * W[j] - W_n) - (2.0 * V[j] - V_n) + c0
-        if test_beyond_one and lam > 1.0 and not is_member(lam, l1):
-            return math.inf
-        l2 = math.sqrt(e + c * (lam - lam0) ** 2)
-        return residual(lam) + gamma * (l1 - l2)
+        if test_beyond_one and lam > 1.0:
+            if l1_ball:
+                slack = unit * (l1_x + lam * W_n)
+                # In the band, or for a NaN l1, C.contains decides.
+                inside = l1 <= level - slack or (
+                    not l1 > level + band + slack and C.contains(x_k + lam * d)
+                )
+            else:
+                inside = C.contains(x_k + lam * d)
+            if not inside:
+                return math.inf
+        if ball:
+            q = p + t * (lam - lam_q) ** 2
+            res = 0.5 * q if radius == 0.0 else 0.5 * max(math.sqrt(q) - radius, 0.0) ** 2
+        else:
+            # No closed-form distance to a box, orthant or l1 ball: project.
+            Ax = Ax_k + lam * Ad
+            r = Ax - Q.project(Ax)
+            res = 0.5 * float(r @ r)
+        return res + gamma * (l1 - math.sqrt(e + c * (lam - lam0) ** 2))
 
     return phi
 
@@ -360,9 +336,8 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     if opts is None:
         opts = MfOptions()
     x, message = start_point(P, x0)
-    resolved = replace(opts, mu_shift=opts.resolve_mu(P))
-    resolved = replace(resolved, stationarity_tol=resolved.resolve_stationarity_tol(P))
-    mu = resolved.mu_shift
+    mu = opts.resolve_mu(P)
+    stationarity_tol = opts.resolve_stationarity_tol(P)
     # Stationarity residual, smooth gradient and image under A of the last
     # recorded iterate, which is the next step's start.
     residual, gradient, image = float("inf"), None, None
@@ -372,10 +347,10 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
 
     def step(k, x):
         nonlocal on_segment
-        if residual <= resolved.stationarity_tol:
+        if residual <= stationarity_tol:
             return None, 0.0, Stop(Status.CONVERGED)
         x_tilde = direction_minimizer(gradient - mu * x, P.gamma, mu, P.C)
-        lam = mf_line_search(P, x, x_tilde, resolved, _Ax_k=image)
+        lam = mf_line_search(P, x, x_tilde, opts, _Ax_k=image)
         on_segment = lam <= 1.0
         x_next = (1.0 - lam) * x + lam * x_tilde
         return x_next, norm(x_next - x), None
@@ -390,6 +365,6 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     result = iterate(x, step, monitor, opts.max_iter, opts.step_tol, message=message)
     # The stationarity stop is tested before each step, so an iterate that
     # passes it at max_iter would otherwise be reported as MAX_ITERATIONS.
-    if result.status is Status.MAX_ITERATIONS and residual <= resolved.stationarity_tol:
+    if result.status is Status.MAX_ITERATIONS and residual <= stationarity_tol:
         result.status = Status.CONVERGED
     return result

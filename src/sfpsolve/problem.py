@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linops import as_matrix, as_vector, inflated_op_norm, norm, sfp_gradient
+from .linops import as_matrix, as_vector, check_positive, inflated_op_norm, norm, sfp_gradient
 from .prox import l1_l2, soft_threshold
 from .sets import ConvexSet, _finite_bounds
 
@@ -77,8 +77,7 @@ class ProblemSpec:
             raise ValueError(
                 f"Q lives in R^{self.Q.dim} but A has {A.shape[0]} rows"
             )
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be positive and finite")
+        check_positive(self.gamma, "gamma")
 
     @functools.cached_property
     def op_norm(self) -> float:
@@ -281,13 +280,7 @@ def stationarity_residual(P: ProblemSpec, x) -> float:
 
 
 def _stationarity_from_gradient(
-    P: ProblemSpec,
-    x: np.ndarray,
-    g: np.ndarray,
-    coord_zero_tol: float | None = None,
-    active_tol: float = 1e-9,
-    *,
-    _mag: np.ndarray | None = None,
+    P: ProblemSpec, x: np.ndarray, g: np.ndarray, *, _mag: np.ndarray | None = None
 ) -> float:
     """:func:`stationarity_residual` at ``x`` given the smooth gradient ``g`` there.
 
@@ -301,9 +294,7 @@ def _stationarity_from_gradient(
     lower, upper = bounds
     gamma = P.gamma
     mag = np.abs(x) if _mag is None else _mag
-    if coord_zero_tol is None:
-        coord_zero_tol = 1e-8 * (1.0 + float(mag.max()))
-    nonzero = mag > coord_zero_tol
+    nonzero = mag > 1e-8 * (1.0 + float(mag.max()))
     # -g_i is measured against gamma*d|x_i|: the point gamma*sign(x_i), or
     # the interval [-gamma, gamma] at a zero coordinate.  w_i = g_i + that
     # point (g_i at zero) is positive when -g_i lies below it, negative above.
@@ -320,9 +311,9 @@ def _stationarity_from_gradient(
         w[i] = w_i
         absorbed = np.zeros(x.shape, dtype=bool)
         if lower is not None:
-            absorbed |= (x <= lower + active_tol) & (w > 0.0)
+            absorbed |= (x <= lower + 1e-9) & (w > 0.0)
         if upper is not None:
-            absorbed |= (x >= upper - active_tol) & (w < 0.0)
+            absorbed |= (x >= upper - 1e-9) & (w < 0.0)
         dist[absorbed] = 0.0
     return norm(dist)
 

@@ -9,11 +9,9 @@ solvers in this package interact with sets only through ``project`` and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .linops import as_vector, norm, read_vector
+from .linops import as_vector, check_count, check_positive, norm, read_vector
 
 __all__ = [
     "ConvexSet",
@@ -57,8 +55,7 @@ class FullSpace(ConvexSet):
     """All of R^n; projection is the identity."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        check_count(dim, "dim")
         self.dim = int(dim)
 
     def project(self, x):
@@ -72,8 +69,7 @@ class NonnegativeOrthant(ConvexSet):
     """The cone ``x >= 0``; projection clamps negative entries to zero."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        check_count(dim, "dim")
         self.dim = int(dim)
 
     def project(self, x):
@@ -90,8 +86,7 @@ class Ball(ConvexSet):
     """
 
     def __init__(self, center, radius: float):
-        if not (math.isfinite(radius) and radius >= 0):
-            raise ValueError("radius must be nonnegative and finite")
+        check_positive(radius, "radius", zero=True)
         self.center = as_vector(center, "center").copy()
         self.center.setflags(write=False)
         self.radius = float(radius)
@@ -103,8 +98,6 @@ class Ball(ConvexSet):
         dist = norm(d)
         if dist <= self.radius:
             return x.copy()
-        if dist == 0.0:
-            return self.center.copy()
         return self.center + (self.radius / dist) * d
 
     def __repr__(self):
@@ -151,10 +144,8 @@ class L1Ball(ConvexSet):
     """The set ``||x||_1 <= radius`` with the exact sort-based projection."""
 
     def __init__(self, radius: float, dim: int):
-        if not (math.isfinite(radius) and radius > 0):
-            raise ValueError("l1-ball radius must be positive and finite")
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        check_positive(radius, "radius")
+        check_count(dim, "dim")
         self.radius = float(radius)
         self.dim = int(dim)
         self._counts = np.arange(1.0, self.dim + 1.0)

@@ -603,3 +603,21 @@ def test_level_set_bound_needs_a_ball():
     P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Box(-np.ones(2), np.ones(2)), gamma=1.0)
     with pytest.raises(ValueError, match="ball"):
         baselines.level_set_bound(P, 1.0, 10)
+
+
+def test_cq_overflowing_first_step_ends_diverged():
+    # x_1 = 1e300 * A'b with b = 1e10*1 overflows: the run stops before recording it.
+    A = np.random.default_rng(3).standard_normal((5, 8))
+    P = ProblemSpec(A=A, C=FullSpace(8), Q=Singleton(1e10 * np.ones(5)), gamma=1.0)
+    r = solve_cq(P, np.zeros(8), CqOptions(step=1e300))
+    assert r.status == Status.DIVERGED
+    assert r.message == "non-finite iterate at iteration 1"
+    assert len(r.trace) == 1 and np.array_equal(r.x, np.zeros(8))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["AA'-overflows", "AA'-underflows"])
+def test_level_set_bound_without_a_finite_step_gives_no_certificate(scale):
+    # AA' overflows to inf, or underflows to 0 so that lambda_max(AA') = 0.
+    A = np.random.default_rng(4).standard_normal((5, 8))
+    P = ProblemSpec(A=scale * A, C=FullSpace(8), Q=Singleton(np.ones(5)), gamma=1.0)
+    assert baselines.level_set_bound(P, 1.0, 100) == -math.inf

@@ -158,6 +158,43 @@ def test_parse_bench_config_rejects_unknown_key(tmp_path):
         parse_bench_config(cfg_file, "sparse")
 
 
+@pytest.mark.parametrize("word, value", [("on", True), ("YES", True), ("0", False), ("Off", False)])
+def test_parse_bench_config_reads_each_flag_word(tmp_path, word, value):
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"traces={word}\nquantiles={word}\n")
+    cfg = parse_bench_config(cfg_file, "sparse")
+    assert cfg.traces is value and cfg.quantiles is value
+
+
+@pytest.mark.parametrize("key", ["traces", "quantiles"])
+def test_bench_config_misspelt_flag_exits_2_with_its_line(tmp_path, capsys, key):
+    from sfpsolve.cli import main
+
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"trials=1\nout_dir={tmp_path / 'out'}\n{key}=ture\n")
+    assert main(["bench-sparse", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg_file}:3: {key}: expected ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_config_non_integer_exits_2_with_its_line(tmp_path, capsys):
+    from sfpsolve.cli import main
+
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text(f"out_dir={tmp_path / 'out'}\nm=2.5\n")
+    assert main(["bench-random", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg_file}:2: m: ")
+
+
+def test_bench_random_runs_fb_on_the_full_space(tmp_path):
+    # The random instances constrain x to the orthant; fb runs them with C = R^n.
+    cfg = BenchConfig(kind="random", seed=2, m=6, n=10, trials=1, algos=("fb",),
+                      out_dir=str(tmp_path / "out"), max_iter=30)
+    (row,) = run_benchmark(cfg)
+    assert row["status"] in ("converged", "max_iterations"), row["message"]
+    assert row["iterations"] > 0
+
+
 def small_config(out_dir, traces=False):
     return BenchConfig(
         kind="sparse",
@@ -335,7 +372,7 @@ def test_run_benchmark_reports_divergence_with_its_trace(tmp_path, monkeypatch):
     "kind, line, field",
     [
         ("random", "gamma=nan", "gamma"),
-        ("sparse", "m=0", "dimensions"),
+        ("sparse", "m=0", "m"),
         ("sparse", "k=25", "sparsity"),
         ("sparse", "noise_variance=-1", "noise_variance"),
     ],

@@ -235,7 +235,7 @@ def test_sfp_residual_value_matches_reference():
 
 N = 12
 TOL = 1e-3
-ACTIVE = 1e-9
+ACTIVE = 1e-9  # the active-bound tolerance of _stationarity_from_gradient
 LOWER = np.array([-1.0, -1.0, 0.0, 0.5, -2.0, -1.0, 0.0, -0.5, -1.0, -3.0, 0.25, -1.0])
 UPPER = np.array([1.0, 2.0, 0.0, 0.5, 2.0, 1.0, 1.0, 0.5, 1.0, 3.0, 0.25, -0.5])
 SEPARABLE = [FullSpace(N), NonnegativeOrthant(N), Box(LOWER, UPPER)]
@@ -278,9 +278,12 @@ def test_stationarity_matches_reference_at_tolerances_and_bounds(C):
     P = _problem(C, N, gamma=0.3)
     rng = np.random.default_rng(4)
     for x, g in _special_points(C, P.gamma, rng):
-        got = _stationarity_from_gradient(P, x, g, TOL, ACTIVE)
-        assert _same(got, _reference_stationarity(P, x, g, TOL, ACTIVE))
-        # The default zero tolerance scales with max|x_i|.
+        assert _same(_stationarity_from_gradient(P, x, g), _reference_stationarity(P, x, g))
+        # The zero tolerance scales with max|x_i|: coordinates at it, at its
+        # negative and just above it.
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(x))))
+        x = x.copy()
+        x[:3] = tol, -tol, np.nextafter(tol, 1.0)
         assert _same(_stationarity_from_gradient(P, x, g), _reference_stationarity(P, x, g))
 
 

@@ -1,7 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from sfpsolve.baselines import CqOptions, McqOptions
+from sfpsolve.dca import DcaOptions
+from sfpsolve.fbsplit import FbOptions
+from sfpsolve.harness import BenchConfig, RandomSpec, SparseSpec
+from sfpsolve.inner import InnerOptions
 from sfpsolve.linops import (
+    check_count,
+    check_positive,
     inflated_op_norm,
     read_matrix,
     read_vector,
@@ -9,7 +18,8 @@ from sfpsolve.linops import (
     write_matrix,
     write_vector,
 )
-from sfpsolve.sets import Ball, Singleton
+from sfpsolve.minefuku import MfOptions
+from sfpsolve.sets import Ball, FullSpace, L1Ball, NonnegativeOrthant, Singleton
 
 
 def test_adjoint_identity_sampled():
@@ -112,3 +122,56 @@ def test_read_vector_length_mismatch(tmp_path):
     path.write_text("3\n1 2\n")
     with pytest.raises(ValueError):
         read_vector(path)
+
+
+def test_check_positive_keeps_each_range():
+    for value in (1e-300, 1, 2.5, np.float64(3.0)):
+        check_positive(value, "v")
+        check_positive(value, "v", zero=True)
+    check_positive(0.0, "v", zero=True)
+    for value, zero in [(0.0, False), (-0.0, False), (-1e-300, True), (math.nan, True),
+                        (math.inf, True), (-math.inf, True)]:
+        with pytest.raises(ValueError, match="^v must be "):
+            check_positive(value, "v", zero=zero)
+
+
+def test_check_count_takes_integers_only():
+    check_count(1, "k")
+    check_count(np.int64(4), "k", 4)
+    check_count(-7, "k", low=None)
+    for value, low in [(0, 1), (3, 4), (np.int32(0), 1), (2.0, 1), (2.5, None), (math.nan, None),
+                       (math.inf, 1), ("3", 1)]:
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            check_count(value, "k", low)
+
+
+# Every integer field of the options, specs and sets, with the arguments its
+# class needs besides it.
+_SPEC = {"seed": 0, "m": 4, "n": 8}
+INTEGER_FIELDS = [
+    (CqOptions, {}, "max_iter"),
+    (McqOptions, {"t": 1.0}, "max_iter"),
+    (McqOptions, {"t": 1.0}, "backtrack_cap"),
+    (FbOptions, {}, "max_iter"),
+    (MfOptions, {}, "golden_evals"),
+    (MfOptions, {}, "max_iter"),
+    (DcaOptions, {}, "max_outer"),
+    (InnerOptions, {}, "budget_base"),
+    (InnerOptions, {}, "budget_cap"),
+    (InnerOptions, {}, "outer_max"),
+    *[(RandomSpec, {**_SPEC, "trials": 1}, f) for f in ("seed", "m", "n", "trials")],
+    *[(SparseSpec, {**_SPEC, "sparsity": 2, "noise_variance": 0.0, "gamma": 0.5}, f)
+      for f in ("seed", "m", "n", "sparsity")],
+    (BenchConfig, {"kind": "sparse"}, "trials"),
+    (FullSpace, {}, "dim"),
+    (NonnegativeOrthant, {}, "dim"),
+    (L1Ball, {"radius": 1.0}, "dim"),
+]
+
+
+@pytest.mark.parametrize("cls, args, field", INTEGER_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, _, field in INTEGER_FIELDS])
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+def test_integer_fields_reject_non_integers_at_construction(cls, args, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        cls(**{**args, field: value})

@@ -465,7 +465,7 @@ def test_options_validation():
 @pytest.mark.parametrize(
     "field, message",
     [("mu_shift", "mu_shift"), ("lambda_max", "lambda_max"),
-     ("step_tol", "tolerances"), ("stationarity_tol", "tolerances")],
+     ("step_tol", "step_tol"), ("stationarity_tol", "stationarity_tol")],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_options_reject_nan_and_inf(field, message, value):
