@@ -76,6 +76,10 @@ def solve_fb(P: ProblemSpec, x0, opts: FbOptions | None = None) -> SolveResult:
     form here (a Douglas-Rachford composition would be needed; see
     :func:`sfpsolve.inner.solve_dr_in_fb` for that pattern).  Records the
     scaled objective ``l + r`` (the full objective divided by gamma).
+
+    Each record computes ``A @ x`` once; its columns and the next step's
+    gradient reuse it, so an iteration makes three products with ``A`` or
+    ``A.T``.
     """
     if opts is None:
         opts = FbOptions()
@@ -87,17 +91,20 @@ def solve_fb(P: ProblemSpec, x0, opts: FbOptions | None = None) -> SolveResult:
         )
     stepsize = opts.resolve_step(P)
     x, _ = start_point(P, x0, project=False)
+    image = None  # A @ x of the last recorded iterate, the next step's start
 
     def step(k, x):
-        grad = sfp_gradient(P.A, P.Q, x) / P.gamma
+        grad = sfp_gradient(P.A, P.Q, x, _Ax=image) / P.gamma
         x_next = prox_l1_minus_l2(x - stepsize * grad, stepsize)
         return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
+        nonlocal image
+        image = P.A @ x
         return {
-            "objective": sfp_residual_value(P, x) / P.gamma + l1_l2(x),
-            "grad_residual": stationarity_residual(P, x),
-            "sfp_residual": sfp_residual_value(P, x),
+            "objective": sfp_residual_value(P, x, _Ax=image) / P.gamma + l1_l2(x),
+            "grad_residual": stationarity_residual(P, x, _Ax=image),
+            "sfp_residual": sfp_residual_value(P, x, _Ax=image),
         }
 
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol)

@@ -324,7 +324,10 @@ def _solve_one(algo: str, inst: Instance, opts) -> SolveResult:
     solver = SOLVERS[algo]
     P = inst.problem
     if solver.full_space and not isinstance(P.C, FullSpace):
-        P = ProblemSpec(A=P.A, C=FullSpace(P.n), Q=P.Q, gamma=P.gamma)
+        full = ProblemSpec(A=P.A, C=FullSpace(P.n), Q=P.Q, gamma=P.gamma)
+        # The same A: share the instance's ||A||, so an instance costs one SVD.
+        object.__setattr__(full, "op_norm", P.op_norm)
+        P = full
     if solver.level:
         opts = replace(opts, t=inst.t_level)
     return solver.solve(P, inst.x0, opts)

@@ -66,14 +66,15 @@ def check_count(value, name: str, low: int | None = 1) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def sfp_gradient(A, Q, x) -> np.ndarray:
+def sfp_gradient(A, Q, x, *, _Ax=None) -> np.ndarray:
     """Gradient of ``0.5 * ||Ax - P_Q(Ax)||^2`` at ``x``.
 
     Equals ``A.T @ (Ax - P_Q(Ax))``.  ``Q`` is any object exposing a
     ``project`` method (see :mod:`sfpsolve.sets`).  The gradient is
-    ``||A||^2``-Lipschitz because ``I - P_Q`` is nonexpansive.
+    ``||A||^2``-Lipschitz because ``I - P_Q`` is nonexpansive.  ``_Ax``,
+    when given, is ``A @ x``, computed once by the caller.
     """
-    Ax = A @ x
+    Ax = A @ x if _Ax is None else _Ax
     return A.T @ (Ax - Q.project(Ax))
 
 

@@ -225,9 +225,12 @@ def iterate(
     return SolveResult(x=x, status=stop.status, trace=trace, message=message)
 
 
-def sfp_residual_value(P: ProblemSpec, x) -> float:
-    """The unregularized feasibility residual ``0.5*||Ax - P_Q(Ax)||^2``."""
-    Ax = P.A @ x
+def sfp_residual_value(P: ProblemSpec, x, *, _Ax=None) -> float:
+    """The unregularized feasibility residual ``0.5*||Ax - P_Q(Ax)||^2``.
+
+    ``_Ax``, when given, is ``P.A @ x``, computed once by the caller.
+    """
+    Ax = P.A @ x if _Ax is None else _Ax
     r = Ax - P.Q.project(Ax)
     np.square(r, out=r)
     return 0.5 * float(r.sum())
@@ -245,16 +248,16 @@ def has_exact_residual(C: ConvexSet) -> bool:
     return _finite_bounds(C) is not None
 
 
-def _smooth_gradient(P: ProblemSpec, x: np.ndarray) -> np.ndarray:
+def _smooth_gradient(P: ProblemSpec, x: np.ndarray, *, _Ax=None) -> np.ndarray:
     """Gradient of the smooth part, with the zero subgradient chosen at 0."""
-    g = sfp_gradient(P.A, P.Q, x)
+    g = sfp_gradient(P.A, P.Q, x, _Ax=_Ax)
     norm_x = norm(x)
     if norm_x > 0.0:
         g -= P.gamma * (x / norm_x)
     return g
 
 
-def stationarity_residual(P: ProblemSpec, x) -> float:
+def stationarity_residual(P: ProblemSpec, x, *, _Ax=None) -> float:
     """Distance of the first-order optimality inclusion from being satisfied.
 
     A point is stationary when ``-g(x)`` lies in ``gamma*d||x||_1 + N_C(x)``
@@ -271,12 +274,13 @@ def stationarity_residual(P: ProblemSpec, x) -> float:
 
     A coordinate counts as zero in the l1 subdifferential when
     ``|x_i| <= 1e-8 * (1 + max|x_i|)``, and a bound as active in ``N_C``
-    within ``1e-9``.
+    within ``1e-9``.  ``_Ax``, when given, is ``P.A @ x``, computed once by
+    the caller.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] != P.n:
         raise ValueError("dimension mismatch between x and problem")
-    return _stationarity_from_gradient(P, x, _smooth_gradient(P, x))
+    return _stationarity_from_gradient(P, x, _smooth_gradient(P, x, _Ax=_Ax))
 
 
 def _stationarity_from_gradient(

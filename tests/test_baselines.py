@@ -14,9 +14,17 @@ from sfpsolve.baselines import (
     solve_cq,
     solve_mcq,
 )
+from sfpsolve.fbsplit import FbOptions, solve_fb
 from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
-from sfpsolve.linops import sfp_gradient
-from sfpsolve.problem import ProblemSpec, Status, Stop, iterate, start_point
+from sfpsolve.linops import norm, sfp_gradient
+from sfpsolve.problem import (
+    ProblemSpec,
+    Status,
+    Stop,
+    iterate,
+    sfp_residual_value,
+    start_point,
+)
 from sfpsolve.sets import Ball, Box, FullSpace, L1Ball, NonnegativeOrthant, Singleton
 
 
@@ -249,8 +257,10 @@ def _reference_mcq(P, x0, opts):
         return x_next, float(np.linalg.norm(x_next - x)), None
 
     def monitor(k, x, move):
-        columns = baselines._residual_columns(P, k, x, move, alpha)
-        return {**columns, "l1_norm": float(np.sum(np.abs(x)))}
+        res = sfp_residual_value(P, x)
+        grad_residual = move / alpha if k else norm(sfp_gradient(P.A, P.Q, x))
+        return {"objective": res, "grad_residual": grad_residual, "sfp_residual": res,
+                "l1_norm": float(np.sum(np.abs(x)))}
 
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
 
@@ -551,7 +561,8 @@ class _CountingMatrix(np.ndarray):
 def test_level_set_bound_gives_up_where_the_l1_minimum_is_t(trial):
     # Noiseless exact recovery: min ||x||_1 over {Ax = b} is t = ||x_true||_1,
     # so no bound can exceed t.  The bound's own iteration reaches a fixed
-    # point after 173-214 steps; the run ran its 1,000 iterations before.
+    # point up to rounding after 174-199 steps; the run ran its 1,000
+    # iterations before.
     spec = replace(DESK, noise_variance=0.0)
     inst = gen_sparse_recovery(spec, trial)
     P = inst.problem
@@ -561,6 +572,56 @@ def test_level_set_bound_gives_up_where_the_l1_minimum_is_t(trial):
     assert inst.t_level - 1e-8 < bound <= inst.t_level
     # One product for AA', two per iteration.
     assert _CountingMatrix.products <= 1 + 2 * 250
+
+
+def _counting_problem(Q):
+    """A 6x10 problem whose ``A`` counts its products, ``||A||`` already computed."""
+    rng = np.random.default_rng(11)
+    P = ProblemSpec(A=rng.standard_normal((6, 10)), C=FullSpace(10), Q=Q(rng), gamma=0.6)
+    P.op_norm
+    object.__setattr__(P, "A", P.A.view(_CountingMatrix))
+    _CountingMatrix.products = 0
+    return P
+
+
+def test_fb_makes_three_products_per_iteration():
+    P = _counting_problem(lambda rng: Singleton(rng.standard_normal(6)))
+    r = solve_fb(P, np.zeros(10), FbOptions(max_iter=5, step_tol=1e-300))
+    assert (r.status, r.iterations) == (Status.MAX_ITERATIONS, 5)
+    # Start record: A x, and A' in its stationarity column.  Each iteration:
+    # A' in the gradient, which reuses the last record's A x; A x of the new
+    # record, and A' in its stationarity column.  4 + 6K before A x was reused.
+    assert _CountingMatrix.products == 2 + 3 * 5
+
+
+def test_cq_makes_two_products_per_iteration():
+    P = _counting_problem(lambda rng: Singleton(rng.standard_normal(6)))
+    r = solve_cq(P, np.zeros(10), CqOptions(max_iter=5, step_tol=0.0))
+    assert (r.status, r.iterations) == (Status.MAX_ITERATIONS, 5)
+    # Start record: A x, and A' in its gradient column.  Each iteration: A'
+    # in the gradient, which reuses the last record's A x; A x of the new
+    # record.  3 + 3K before A x was reused.
+    assert _CountingMatrix.products == 2 + 2 * 5
+
+
+def test_mcq_reuses_the_records_image_in_its_gradient(monkeypatch):
+    # A box Q: no level-set bound and no screen, so every product is the loop's own.
+    calls = []
+
+    def counting_projection(*args, **kwargs):
+        calls.append(None)
+        return project_level_set(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "project_level_set", counting_projection)
+    P = _counting_problem(lambda rng: Box(*np.add.outer([-0.1, 0.1], rng.standard_normal(6))))
+    r = solve_mcq(P, np.zeros(10), McqOptions(t=5.0, max_iter=5, step_tol=0.0))
+    assert (r.status, r.iterations) == (Status.MAX_ITERATIONS, 5)
+    trials = len(calls) - 5
+    assert trials > 5
+    # Start record: A x, and A' in its gradient column.  Each iteration: A'
+    # in g(x_k), which reuses the last record's A x; A and A' in g(x_bar) of
+    # each trial; A x of the new record.  3 + 3K + 2*trials before A x was reused.
+    assert _CountingMatrix.products == 2 + 2 * 5 + 2 * trials
 
 
 @pytest.mark.parametrize("trial", range(4))

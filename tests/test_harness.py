@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from sfpsolve import baselines, harness
+from sfpsolve import baselines, harness, problem
 from sfpsolve.baselines import solve_cq
 from sfpsolve.harness import (
     BenchConfig,
@@ -19,6 +19,7 @@ from sfpsolve.harness import (
     run_benchmark,
     write_atomic,
 )
+from sfpsolve.linops import inflated_op_norm
 from sfpsolve.problem import ProblemSpec
 from sfpsolve.sets import Ball, FullSpace, NonnegativeOrthant, Singleton
 
@@ -193,6 +194,23 @@ def test_bench_random_runs_fb_on_the_full_space(tmp_path):
     (row,) = run_benchmark(cfg)
     assert row["status"] in ("converged", "max_iterations"), row["message"]
     assert row["iterations"] > 0
+
+
+def test_bench_computes_one_operator_norm_per_instance(tmp_path, monkeypatch):
+    # The random instances constrain x to the orthant, so fb runs a copy of
+    # each with C = R^n; that copy shares the instance's ||A||.
+    calls = []
+
+    def counting_norm(A):
+        calls.append(None)
+        return inflated_op_norm(A)
+
+    monkeypatch.setattr(problem, "inflated_op_norm", counting_norm)
+    cfg = BenchConfig(kind="random", seed=2, m=6, n=10, trials=2, out_dir=str(tmp_path / "out"),
+                      max_iter=5)
+    rows = run_benchmark(cfg)
+    assert {row["algo"] for row in rows if row["status"] != "error"} == set(cfg.algos)
+    assert len(calls) == cfg.trials
 
 
 def small_config(out_dir, traces=False):

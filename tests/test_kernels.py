@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sfpsolve import inner, minefuku, prox
-from sfpsolve.linops import norm
+from sfpsolve.linops import norm, sfp_gradient
 from sfpsolve.problem import (
     ProblemSpec,
     _stationarity_from_gradient,
@@ -408,6 +408,24 @@ def test_columns_and_gradient_match_reference(C):
             assert columns.keys() == want_columns.keys()
             assert all(_same(columns[k], want_columns[k]) for k in columns)
             assert _same(g, want_g) and _same(Ax, want_Ax)
+
+
+@pytest.mark.parametrize(
+    "C", [*SEPARABLE, L1Ball(2.0, N), Ball(np.full(N, 0.1), 1.5)], ids=repr
+)
+def test_kernels_given_the_image_match_their_plain_calls(C):
+    # fb, cq and mcq compute A x once per record and hand it to these kernels.
+    rng = np.random.default_rng(9)
+    targets = (Singleton(rng.standard_normal(5)), Ball(np.full(5, 0.2), 0.5), FullSpace(5))
+    for Q in targets:
+        P = ProblemSpec(A=rng.standard_normal((5, N)), C=C, Q=Q, gamma=0.3)
+        for x, _ in _special_points(SEPARABLE[2], P.gamma, rng):
+            Ax = P.A @ x
+            assert _same(sfp_residual_value(P, x, _Ax=Ax), sfp_residual_value(P, x))
+            assert _same(sfp_gradient(P.A, Q, x, _Ax=Ax), sfp_gradient(P.A, Q, x))
+            assert _same(stationarity_residual(P, x, _Ax=Ax), stationarity_residual(P, x))
+            # The image is reused after each call, so no call may change it.
+            assert _same(Ax, P.A @ x)
 
 
 # -- mf line search ------------------------------------------------------
