@@ -75,8 +75,12 @@ class SubproblemSpec:
         )
 
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
-        Ax = self.base.A @ x
-        return self.base.A.T @ (Ax - self.base.Q.project(Ax)) + self.v
+        # A'(Ax - P_Q(Ax)) + v, with the residual and the sum formed in place.
+        r = self.base.A @ x
+        r -= self.base.Q.project(r)
+        g = self.base.A.T @ r
+        g += self.v
+        return g
 
     def _a_norm(self) -> float:
         # A bare dca_step or inner solve computes ||A|| itself instead of
@@ -214,7 +218,9 @@ def _constrained_l1_prox_dr(
     the driver sequence reaches a fixed point (change below
     ``fixed_point_tol``).  Returns ``(half_point, iterations_used)``.
     """
-    y = 2.0 * soft_threshold(anchor, thresh) - anchor
+    y = soft_threshold(anchor, thresh)
+    y *= 2.0
+    y -= anchor
     y_half = anchor
     used = 0
     for i in range(max(budget, 1)):
@@ -263,10 +269,17 @@ def solve_dr_in_fb(
     x, message = start_point(P, x0)
 
     def step(k, x):
-        x_prime = x - gstep * spec.smooth_gradient(x)
+        # x' = x - gstep*g and x_next = x + lam*(y_half - x) in place (the DR
+        # half point is its own array; lam = 1 skips an exact product).
+        x_prime = spec.smooth_gradient(x)
+        x_prime *= gstep
+        np.subtract(x, x_prime, out=x_prime)
         budget = 1 if exact else opts.budget(k - 1)
-        y_half, _ = _constrained_l1_prox_dr(x_prime, thresh, P.C, budget, opts.tau)
-        x_next = x + lam * (y_half - x)
+        x_next, _ = _constrained_l1_prox_dr(x_prime, thresh, P.C, budget, opts.tau)
+        x_next -= x
+        if lam != 1.0:
+            x_next *= lam
+        x_next += x
         move = norm(x_next - x)
         return x_next, move, Stop(Status.CONVERGED) if move / gstep <= opts.tol else None
 

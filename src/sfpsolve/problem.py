@@ -191,8 +191,11 @@ def iterate(
         """The record of ``x`` and the name of its first non-finite column, or ``""``."""
         elapsed_ms = (time.perf_counter() - t0) * 1e3 if k else 0.0
         columns = {"step_norm": move, **monitor(k, x, move)}
-        bad = next((name for name, value in columns.items() if not math.isfinite(value)), "")
-        return IterateRecord(k=k, elapsed_ms=elapsed_ms, **columns), bad
+        rec = IterateRecord(k=k, elapsed_ms=elapsed_ms, **columns)
+        for name, value in columns.items():
+            if not math.isfinite(value):
+                return rec, name
+        return rec, ""
 
     with np.errstate(over="ignore", invalid="ignore"):
         trace, stop, last_k, last_move = [], None, 0, 0.0
@@ -203,8 +206,11 @@ def iterate(
                 stop = Stop(Status.DIVERGED, f"non-finite {bad} at iteration 0")
         for k in range(1, max_iter + 1) if stop is None else ():
             x_next, move, stop = step(k, x)
-            if x_next is not None and not np.isfinite(x_next).all():
-                x_next, stop = None, Stop(Status.DIVERGED, f"non-finite iterate at iteration {k}")
+            # A NaN or infinite entry makes x.x NaN or inf, so only a finite
+            # x whose x.x overflows needs the entrywise test.
+            if x_next is not None and not math.isfinite(x_next.dot(x_next)):
+                if not np.isfinite(x_next).all():
+                    x_next, stop = None, Stop(Status.DIVERGED, f"non-finite iterate at iteration {k}")
             if x_next is not None and record_trace:
                 rec, bad = record(k, x_next, move)
                 if bad:
@@ -298,7 +304,7 @@ def _stationarity_from_gradient(
     lower, upper = bounds
     gamma = P.gamma
     mag = np.abs(x) if _mag is None else _mag
-    nonzero = mag > 1e-8 * (1.0 + float(mag.max()))
+    nonzero = mag > 1e-8 * (1.0 + float(np.maximum.reduce(mag)))
     # -g_i is measured against gamma*d|x_i|: the point gamma*sign(x_i), or
     # the interval [-gamma, gamma] at a zero coordinate.  w_i = g_i + that
     # point (g_i at zero) is positive when -g_i lies below it, negative above.

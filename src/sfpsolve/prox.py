@@ -41,8 +41,10 @@ def soft_threshold(x, lam: float) -> np.ndarray:
     if lam < 0:
         raise ValueError("soft-threshold parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
-    # An explicit out keeps a 0-d result an array, which the in-place tail needs.
-    out = np.abs(x, out=np.empty_like(x))
+    # The in-place tail reuses |x|.  np.abs returns a fresh array for input
+    # of rank 1 or more, but a scalar for a 0-d array, so there an explicit
+    # out keeps the result an array.
+    out = np.abs(x) if x.ndim else np.abs(x, out=np.empty_like(x))
     out -= lam
     np.maximum(out, 0.0, out=out)
     out *= np.sign(x)
@@ -69,7 +71,7 @@ def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
         raise ValueError("prox scale must be positive")
     y = np.asarray(y, dtype=float)
     mag = np.abs(y)
-    y_inf = float(mag.max()) if y.size else 0.0
+    y_inf = float(np.maximum.reduce(mag)) if y.size else 0.0
     if y_inf == 0.0:
         return np.zeros_like(y)
     if lam < y_inf:

@@ -9,7 +9,7 @@ exactly at a tolerance or at a bound included.
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -148,10 +148,22 @@ def _reference_constrained_l1_prox_dr(anchor, thresh, C, budget, tau, fixed_poin
 SIGNED = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1e-300, -1e-300, 3.25, -3.25])
 
 
+def _read_only(x):
+    x = np.array(x, dtype=float)
+    x.setflags(write=False)
+    return x
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 3.25, 7.0])
 def test_soft_threshold_matches_reference(lam):
     # |x| == lam and x = -0.0 give signed zeros; both forms must agree on them.
-    assert _same(prox.soft_threshold(SIGNED, lam), _reference_soft_threshold(SIGNED, lam))
+    for x in (SIGNED, _read_only(SIGNED)):
+        got = prox.soft_threshold(x, lam)
+        assert _same(got, _reference_soft_threshold(x, lam))
+        assert got.flags.writeable and not np.shares_memory(got, x)
+    # sign(x)*max(|x| - lam, 0) is +0.0 at a zero of either sign and keeps
+    # the sign of every other entry, -0.0 where a negative one shrinks to 0.
+    assert np.array_equal(np.signbit(got), SIGNED < 0)
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.standard_normal(40) * rng.choice([0.1, 1.0, 10.0])
@@ -159,8 +171,11 @@ def test_soft_threshold_matches_reference(lam):
 
 
 def test_soft_threshold_keeps_scalar_input():
-    assert _same(prox.soft_threshold(-3.0, 1.0), _reference_soft_threshold(-3.0, 1.0))
-    assert float(prox.soft_threshold(0.5, 1.0)) == 0.0
+    for x, lam in product([0.0, -0.0, 0.5, -0.5, -3.0], [0.0, 1.0]):
+        for arg in (x, np.float64(x), np.array(x), _read_only(x)):
+            got = prox.soft_threshold(arg, lam)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert _same(got, _reference_soft_threshold(x, lam))
 
 
 @pytest.mark.parametrize(
@@ -172,10 +187,19 @@ def test_soft_threshold_keeps_scalar_input():
         (np.array([-0.0, 0.0]), 1.0),
         (np.array([2.0, -2.0, 2.0]), 1.0),
         (np.array([2.0, -2.0, 2.0]), 2.0),
+        (_read_only(SIGNED), 0.5),
+        (_read_only(SIGNED), 3.25),
+        # 0-d input: the zero and soft-threshold regimes (the 1-sparse ones
+        # index an entry, which a 0-d array does not have).
+        (np.array(-0.0), 1.0),
+        (np.array(-3.0), 1.0),
+        (_read_only(2.5), 1.0),
     ],
 )
 def test_prox_l1_minus_l2_matches_reference(y, lam):
-    assert _same(prox.prox_l1_minus_l2(y, lam), _reference_prox_l1_minus_l2(y, lam))
+    got = prox.prox_l1_minus_l2(y, lam)
+    assert _same(got, _reference_prox_l1_minus_l2(y, lam))
+    assert got.shape == y.shape and not np.shares_memory(got, y)
 
 
 def test_prox_l1_minus_l2_and_l1_l2_match_reference_on_random_draws():

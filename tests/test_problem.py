@@ -256,6 +256,68 @@ def test_non_finite_start_record_ends_the_run_before_any_step():
     assert len(r.trace) == 1 and r.trace[0].grad_residual == np.inf
 
 
+def _finite_monitor(k, x, move):
+    return {"objective": 1.0, "grad_residual": 1.0, "sfp_residual": 1.0}
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+def test_finite_iterate_whose_square_overflows_is_recorded(record_trace):
+    # The driver tests x.x first; near 1e200 it overflows to inf while every
+    # entry is finite, so only the entrywise test may decide.
+    big = np.array([1e200, -3e200, 2e200])
+    with np.errstate(over="ignore"):
+        assert not math.isfinite(big.dot(big)) and np.isfinite(big).all()
+
+    def step(k, x):
+        return big * k, 1.0, None
+
+    r = iterate(np.zeros(3), step, _finite_monitor, 3, record_trace=record_trace)
+    assert r.status == Status.MAX_ITERATIONS and r.iterations == 3 and r.message == ""
+    assert np.array_equal(r.x, 3 * big)
+    # Without a trace the start and the last iterate are recorded.
+    assert len(r.trace) == (4 if record_trace else 2)
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_iterate_ends_the_run_as_diverged(bad, record_trace):
+    def step(k, x):
+        x_next = np.full(3, float(k))
+        if k == 3:
+            x_next[1] = bad
+        return x_next, 1.0, None
+
+    r = iterate(
+        np.zeros(3), step, _finite_monitor, 10, message="x0 moved", record_trace=record_trace
+    )
+    assert r.status == Status.DIVERGED and r.iterations == 2
+    assert r.message == "x0 moved; non-finite iterate at iteration 3"
+    assert np.array_equal(r.x, np.full(3, 2.0))
+    assert len(r.trace) == (3 if record_trace else 2) and r.trace[-1].k == 2
+
+
+@pytest.mark.parametrize(
+    "move, columns, first",
+    [
+        (1.0, {"objective": 1.0, "grad_residual": np.nan, "sfp_residual": np.inf}, "grad_residual"),
+        (1.0, {"objective": 1.0, "sfp_residual": -np.inf, "grad_residual": np.nan}, "sfp_residual"),
+        (np.inf, {"objective": np.nan, "grad_residual": 1.0, "sfp_residual": 1.0}, "step_norm"),
+    ],
+)
+def test_the_first_non_finite_column_in_column_order_is_reported(move, columns, first):
+    # Columns are tested in the record's order: step_norm, then the monitor's.
+    def step(k, x):
+        return x + 1.0, (move if k == 2 else 1.0), None
+
+    def monitor(k, x, move):
+        return columns if k == 2 else _finite_monitor(k, x, move)
+
+    r = iterate(np.zeros(3), step, monitor, 10)
+    assert r.status == Status.DIVERGED and r.iterations == 1
+    assert r.message == f"non-finite {first} at iteration 2"
+    assert np.array_equal(r.x, np.ones(3)) and len(r.trace) == 2
+
+
 @pytest.mark.parametrize(
     "scale, what", [(1e200, "1e\\+200 is too large"), (1e-170, "1e-170 is too small")]
 )
