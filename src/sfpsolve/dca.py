@@ -110,12 +110,14 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     """Run the outer loop from ``x0`` (projected onto ``C`` if needed).
 
     Stops when the step norm drops to ``step_tol`` (``CONVERGED``), when two
-    consecutive iterates are both zero (``ZERO_STATIONARY``: the origin is
-    already a fixed point of the scheme), or at ``max_outer`` iterations.
-    A step whose inner result the majorizer safeguard discards ends the run
-    as ``MAX_ITERATIONS`` at the last recorded iterate.  The message names
-    the steps whose inner solve ran out of ``outer_max`` and the discarded
-    step.
+    consecutive iterates are both zero and ``C`` contains the origin
+    (``ZERO_STATIONARY``: the origin is a fixed point of the scheme, and the
+    step moves to it, so the run records the origin it returns), or at
+    ``max_outer`` iterations.  A step whose inner result the majorizer
+    safeguard discards ends the run as ``MAX_ITERATIONS`` at the last
+    recorded iterate.  Status and iterate are :func:`problem.iterate`'s; the
+    message adds the steps whose inner solve ran out of ``outer_max`` and
+    the discarded step.
     """
     if opts is None:
         opts = DcaOptions()
@@ -136,16 +138,14 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
             discarded.append(k)
             return None, 0.0, Stop(Status.MAX_ITERATIONS)
         x_next = inner.x
-        both_zero = max(norm(x), norm(x_next)) <= zero_tol
-        stop = Stop(Status.ZERO_STATIONARY) if both_zero else None
-        return x_next, norm(x_next - x), stop
+        if max(norm(x), norm(x_next)) <= zero_tol and P.C.contains(np.zeros_like(x)):
+            return np.zeros_like(x), norm(x), Stop(Status.ZERO_STATIONARY)
+        return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
         return {**columns_and_gradient(P, x, P.C.contains(x))[0], "l1_norm": float(np.abs(x).sum())}
 
     result = iterate(x, step, monitor, opts.max_outer, opts.step_tol, message=message)
-    if result.status is Status.ZERO_STATIONARY:
-        result.x = np.zeros_like(result.x)
     notes = [
         f"{what} at steps {', '.join(map(str, steps))}"
         for what, steps in (("inner solve hit outer_max", capped), ("inner result discarded", discarded))

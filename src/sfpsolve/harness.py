@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -357,19 +356,18 @@ def _instances(cfg: BenchConfig) -> Callable[[int], Instance]:
 def write_atomic(path, content: str) -> None:
     """Write via a temporary file and rename, so readers never see a prefix.
 
-    The temporary file is unique, so concurrent writers into one directory
-    never touch each other's files, and it is removed if the write fails.
-    The result gets the permissions a plain ``open(path, "w")`` would give.
+    The temporary file has a random name and is opened with ``"x"``, which
+    fails rather than reuse an existing file, so concurrent writers into one
+    directory never touch each other's files; it is removed if the write
+    fails.  Its permissions, and so the result's, are those a plain
+    ``open(path, "w")`` gives.
     """
-    fd, tmp = tempfile.mkstemp(
-        prefix=f"{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
-    )
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # Opened before the try: a failed open created nothing this call may remove.
+    fh = open(tmp, "x", encoding="ascii")
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
+        with fh:
             fh.write(content)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -30,8 +30,6 @@ from .problem import (
     ConfigurationError,
     ProblemSpec,
     SolveResult,
-    Status,
-    Stop,
     _smooth_gradient,
     columns_and_gradient,
     iterate,
@@ -327,28 +325,27 @@ def mf_line_search(
 def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
     """Run the direction/line-search iteration from ``x0``.
 
-    Stops when the stationarity residual drops to ``stationarity_tol``, when
-    the step norm drops to ``step_tol``, or at ``max_iter``.  Iterates stay
-    in ``C`` (convex combinations of feasible points).  An iterate landing
-    exactly at the origin is handled with the zero subgradient of the l2 norm
-    and the iteration continues.
+    Stops as ``CONVERGED`` when a recorded iterate's stationarity residual
+    drops to ``stationarity_tol`` (the start included) or the step norm to
+    ``step_tol``, else at ``max_iter``; :func:`problem.iterate` makes both
+    tests and decides the status, and the result is returned as it gives it.
+    Iterates stay in ``C`` (convex combinations of feasible points).  An
+    iterate landing exactly at the origin is handled with the zero
+    subgradient of the l2 norm and the iteration continues.
     """
     if opts is None:
         opts = MfOptions()
     x, message = start_point(P, x0)
     mu = opts.resolve_mu(P)
-    stationarity_tol = opts.resolve_stationarity_tol(P)
-    # Stationarity residual, smooth gradient and image under A of the last
-    # recorded iterate, which is the next step's start.
-    residual, gradient, image = float("inf"), None, None
+    # Smooth gradient and image under A of the last recorded iterate, which
+    # is the next step's start.
+    gradient, image = None, None
     # Whether the last step stayed on the segment from x to x_tilde, whose
     # ends lie in C: then so does x_next, and its record needs no membership test.
     on_segment = False
 
     def step(k, x):
         nonlocal on_segment
-        if residual <= stationarity_tol:
-            return None, 0.0, Stop(Status.CONVERGED)
         x_tilde = direction_minimizer(gradient - mu * x, P.gamma, mu, P.C)
         lam = mf_line_search(P, x, x_tilde, opts, _Ax_k=image)
         on_segment = lam <= 1.0
@@ -356,15 +353,10 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
         return x_next, norm(x_next - x), None
 
     def monitor(k, x, move):
-        nonlocal residual, gradient, image
+        nonlocal gradient, image
         in_C = on_segment or P.C.contains(x)
         columns, gradient, image = columns_and_gradient(P, x, in_C)
-        residual = columns["grad_residual"]
         return columns
 
-    result = iterate(x, step, monitor, opts.max_iter, opts.step_tol, message=message)
-    # The stationarity stop is tested before each step, so an iterate that
-    # passes it at max_iter would otherwise be reported as MAX_ITERATIONS.
-    if result.status is Status.MAX_ITERATIONS and residual <= stationarity_tol:
-        result.status = Status.CONVERGED
-    return result
+    tol = opts.resolve_stationarity_tol(P)
+    return iterate(x, step, monitor, opts.max_iter, opts.step_tol, stationarity_tol=tol, message=message)

@@ -165,6 +165,7 @@ def iterate(
     max_iter: int,
     step_tol: float | None = None,
     *,
+    stationarity_tol: float | None = None,
     record_start: bool = True,
     record_trace: bool = True,
     message: str = "",
@@ -174,36 +175,39 @@ def iterate(
     ``step`` returns ``(x_next, move, stop)``.  ``x_next = None`` ends the run
     with ``stop`` and no record; otherwise ``x_next`` is recorded with the
     columns ``monitor(k, x_next, move)`` returns, and the run ends with
-    ``stop`` if given, else as ``CONVERGED`` once ``move <= step_tol``, else
-    as ``MAX_ITERATIONS``.  An ``x_next`` that is not finite, or whose
+    ``stop`` if given, else as ``CONVERGED`` once ``move <= step_tol`` or
+    the record's ``grad_residual <= stationarity_tol``, else as
+    ``MAX_ITERATIONS``.  An ``x_next`` that is not finite, or whose
     recorded step norm or columns are not, is not recorded: the run ends as
     ``DIVERGED`` with the last recorded iterate; numpy's overflow and
     invalid-value warnings are silenced for the run, since this test reports
     them.  The start is recorded as ``k = 0`` if ``record_start``, and its
-    columns are tested too: a non-finite one ends the run as ``DIVERGED``
-    at iteration 0, before any step, with that record as the trace.
-    Without ``record_trace`` only the last iterate is recorded.  A stop's
-    message is joined to ``message``.
+    record is tested too, before any step: a non-finite column ends the run
+    as ``DIVERGED`` and a stationary one as ``CONVERGED`` at iteration 0,
+    with that record as the trace.  Without ``record_trace`` only the last
+    iterate is recorded, and the stationarity test, which reads each record,
+    does not apply.  A stop's message is joined to ``message``.  The
+    returned status and iterate are final: solvers only add to the message.
     """
     t0 = time.perf_counter()
 
-    def record(k: int, x: np.ndarray, move: float) -> tuple[IterateRecord, str]:
-        """The record of ``x`` and the name of its first non-finite column, or ``""``."""
+    def record(k: int, x: np.ndarray, move: float) -> tuple[IterateRecord, Stop | None]:
+        """The record of ``x`` and the stop it calls for: a non-finite column first."""
         elapsed_ms = (time.perf_counter() - t0) * 1e3 if k else 0.0
         columns = {"step_norm": move, **monitor(k, x, move)}
         rec = IterateRecord(k=k, elapsed_ms=elapsed_ms, **columns)
         for name, value in columns.items():
             if not math.isfinite(value):
-                return rec, name
-        return rec, ""
+                return rec, Stop(Status.DIVERGED, f"non-finite {name} at iteration {k}")
+        if stationarity_tol is not None and rec.grad_residual <= stationarity_tol:
+            return rec, Stop(Status.CONVERGED)
+        return rec, None
 
     with np.errstate(over="ignore", invalid="ignore"):
         trace, stop, last_k, last_move = [], None, 0, 0.0
         if record_start:
-            rec, bad = record(0, x, 0.0)
+            rec, stop = record(0, x, 0.0)
             trace.append(rec)
-            if bad:
-                stop = Stop(Status.DIVERGED, f"non-finite {bad} at iteration 0")
         for k in range(1, max_iter + 1) if stop is None else ():
             x_next, move, stop = step(k, x)
             # A NaN or infinite entry makes x.x NaN or inf, so only a finite
@@ -212,11 +216,12 @@ def iterate(
                 if not np.isfinite(x_next).all():
                     x_next, stop = None, Stop(Status.DIVERGED, f"non-finite iterate at iteration {k}")
             if x_next is not None and record_trace:
-                rec, bad = record(k, x_next, move)
-                if bad:
-                    x_next, stop = None, Stop(Status.DIVERGED, f"non-finite {bad} at iteration {k}")
+                rec, verdict = record(k, x_next, move)
+                if verdict is not None and verdict.status is Status.DIVERGED:
+                    x_next, stop = None, verdict
                 else:
                     trace.append(rec)
+                    stop = stop or verdict
             if x_next is not None:
                 x, last_k, last_move = x_next, k, move
                 if stop is None and step_tol is not None and move <= step_tol:

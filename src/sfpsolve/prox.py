@@ -38,7 +38,7 @@ def soft_threshold(x, lam: float) -> np.ndarray:
     This is the prox of ``lam * ||.||_1``.  ``lam`` must be nonnegative;
     ``lam = 0`` is the identity.
     """
-    if lam < 0:
+    if not lam >= 0:  # also rejects NaN
         raise ValueError("soft-threshold parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
     # The in-place tail reuses |x|.  np.abs returns a fresh array for input
@@ -67,7 +67,7 @@ def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
     Ties at the max magnitude always resolve to the lowest index so repeated
     runs are bit-identical.
     """
-    if lam <= 0:
+    if not lam > 0:  # also rejects NaN
         raise ValueError("prox scale must be positive")
     y = np.asarray(y, dtype=float)
     mag = np.abs(y)
@@ -90,9 +90,10 @@ def prox_l1_minus_l2(y, lam: float) -> np.ndarray:
         return s
     # 1-sparse regimes: magnitude lam when lam == ||y||_inf, else ||y||_inf.
     magnitude = lam if lam == y_inf else y_inf
+    # .flat indexes a 0-d array as well as a vector.
     i = int(mag.argmax())
     out = np.zeros_like(y)
-    out[i] = magnitude * (1.0 if y[i] > 0 else -1.0)
+    out.flat[i] = magnitude * (1.0 if y.flat[i] > 0 else -1.0)
     return out
 
 

@@ -6,9 +6,9 @@ import pytest
 from sfpsolve.dca import DcaOptions, dca_step, solve_dca
 from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
 from sfpsolve.inner import InnerOptions, SubproblemSpec, solve_dr_in_fb
-from sfpsolve.problem import ProblemSpec, Status, stationarity_residual
+from sfpsolve.problem import ProblemSpec, Status, gamma_objective, stationarity_residual
 from sfpsolve.prox import soft_threshold
-from sfpsolve.sets import FullSpace, NonnegativeOrthant, Singleton
+from sfpsolve.sets import Box, FullSpace, NonnegativeOrthant, Singleton
 
 TIGHT = DcaOptions(inner=InnerOptions(tol=1e-8, outer_max=10000))
 
@@ -41,6 +41,28 @@ def test_zero_stationary_termination():
     r = solve_dca(P, np.zeros(2), DcaOptions())
     assert r.status == Status.ZERO_STATIONARY
     assert np.array_equal(r.x, np.zeros(2))
+
+
+def test_zero_stop_records_the_origin_it_returns():
+    # The first step lands 1.8e-13 from the origin, within zero_tol.
+    P = unit_problem([0.5 + 1e-13, 0.0], gamma=0.5)
+    r = solve_dca(P, np.zeros(2), DcaOptions())
+    assert r.status == Status.ZERO_STATIONARY
+    assert np.array_equal(r.x, np.zeros(2))
+    assert r.trace[-1].objective == gamma_objective(P, r.x)
+    assert r.trace[-1].grad_residual == stationarity_residual(P, r.x)
+    assert r.trace[-1].l1_norm == 0.0
+
+
+def test_zero_stop_needs_the_origin_in_C():
+    # Both iterates of step 2 are within zero_tol (1e-5 here) of the origin,
+    # which lies outside C: the step is an ordinary one and stays in C.
+    C = Box([1e-7, -1e7], [1.0, 1e7])
+    P = ProblemSpec(A=np.eye(2), C=C, Q=Singleton([0.0, 0.0]), gamma=0.5)
+    r = solve_dca(P, np.array([1e-7, 1e7]), DcaOptions())
+    assert r.status not in (Status.ZERO_STATIONARY, Status.DIVERGED)
+    assert C.contains(r.x)
+    assert r.trace[-1].objective == gamma_objective(P, r.x) < np.inf
 
 
 def test_unit_design_converges_with_certificate():

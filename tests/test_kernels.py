@@ -54,7 +54,7 @@ def _reference_prox_l1_minus_l2(y, lam):
     magnitude = lam if lam == y_inf else y_inf
     i = int(np.argmax(np.abs(y)))
     out = np.zeros_like(y)
-    out[i] = magnitude * (1.0 if y[i] > 0 else -1.0)
+    out.flat[i] = magnitude * (1.0 if y.flat[i] > 0 else -1.0)
     return out
 
 
@@ -189,11 +189,12 @@ def test_soft_threshold_keeps_scalar_input():
         (np.array([2.0, -2.0, 2.0]), 2.0),
         (_read_only(SIGNED), 0.5),
         (_read_only(SIGNED), 3.25),
-        # 0-d input: the zero and soft-threshold regimes (the 1-sparse ones
-        # index an entry, which a 0-d array does not have).
+        # 0-d input, in each regime.
         (np.array(-0.0), 1.0),
         (np.array(-3.0), 1.0),
         (_read_only(2.5), 1.0),
+        (np.array(2.0), 2.0),  # lam == |y|
+        (np.array(-2.0), 3.0),  # lam > |y|
     ],
 )
 def test_prox_l1_minus_l2_matches_reference(y, lam):

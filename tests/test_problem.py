@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sfpsolve.baselines import CqOptions, solve_cq
+from sfpsolve.baselines import CqOptions, McqOptions, solve_cq, solve_mcq
 from sfpsolve.dca import solve_dca
 from sfpsolve.fbsplit import FbOptions, solve_fb
 from sfpsolve.minefuku import MfOptions, solve_mf
@@ -241,6 +241,90 @@ def test_trace_columns_equal_the_standalone_functions(solver):
         assert rec.objective == gamma_objective(P, x), rec.k
         assert rec.grad_residual == stationarity_residual(P, x), rec.k
         assert rec.sfp_residual == sfp_residual_value(P, x), rec.k
+
+
+def _zero_stop_instance():
+    # The first DCA step from 0 lands 1.8e-13 from the origin: both iterates
+    # are within zero_tol, and the origin lies in C.
+    return unit_problem([0.5 + 1e-13, 0.0]), np.zeros(2)
+
+
+def _box_without_origin_instance():
+    # The second DCA step starts and ends within zero_tol of the origin,
+    # which C does not contain.
+    C = Box([1e-7, -1e7], [1.0, 1e7])
+    return unit_problem([0.0, 0.0], C=C), np.array([1e-7, 1e7])
+
+
+def _small_sparse():
+    inst = small_sparse_instance()
+    return inst.problem, inst.x0
+
+
+def _fb_objective(P, x):
+    return sfp_residual_value(P, x) / P.gamma + l1_l2(x)
+
+
+@pytest.mark.parametrize(
+    "instance, solve, opts, objective",
+    [
+        (_small_sparse, solve_dca, None, gamma_objective),
+        (_small_sparse, solve_mf, None, gamma_objective),
+        (_small_sparse, solve_fb, None, _fb_objective),
+        (_small_sparse, solve_cq, None, sfp_residual_value),
+        (_small_sparse, solve_mcq, McqOptions(t=6.0), sfp_residual_value),
+        (_zero_stop_instance, solve_dca, None, gamma_objective),
+        (_box_without_origin_instance, solve_dca, None, gamma_objective),
+    ],
+    ids=["dca", "mf", "fb", "cq", "mcq", "dca-zero-stop", "dca-box-without-origin"],
+)
+def test_last_record_describes_the_returned_point(instance, solve, opts, objective):
+    P, x0 = instance()
+    r = solve(P, x0, opts)
+    assert r.converged and r.iterations > 0
+    last = r.trace[-1]
+    assert last.objective.hex() == objective(P, r.x).hex()
+    assert last.sfp_residual.hex() == sfp_residual_value(P, r.x).hex()
+    if last.l1_norm is not None:
+        assert last.l1_norm.hex() == float(np.abs(r.x).sum()).hex()
+
+
+def _never_step(k, x):
+    raise AssertionError("no step after the start record stops the run")
+
+
+def test_stationary_start_ends_the_run_at_iteration_zero():
+    r = iterate(np.zeros(2), _never_step, _finite_monitor, 10, stationarity_tol=1.0)
+    assert r.status == Status.CONVERGED and r.iterations == 0 and len(r.trace) == 1
+    assert r.message == ""
+
+
+def test_stationary_record_at_max_iter_is_converged():
+    def monitor(k, x, move):
+        return {"objective": 1.0, "grad_residual": 1.0 if k == 3 else 2.0}
+
+    def step(k, x):
+        return x + 1.0, 1.0, None
+
+    r = iterate(np.zeros(2), step, monitor, 3, step_tol=0.5, stationarity_tol=1.0)
+    assert r.status == Status.CONVERGED and r.iterations == 3 and len(r.trace) == 4
+    r = iterate(np.zeros(2), step, monitor, 2, step_tol=0.5, stationarity_tol=1.0)
+    assert r.status == Status.MAX_ITERATIONS and r.iterations == 2
+
+
+@pytest.mark.parametrize("k_bad", [0, 2])
+def test_non_finite_column_ends_the_run_before_the_stationarity_test(k_bad):
+    # grad_residual passes the test, but a non-finite objective is divergence.
+    def monitor(k, x, move):
+        return {"objective": np.inf if k == k_bad else 1.0, "grad_residual": 0.0 if k == k_bad else 2.0}
+
+    def step(k, x):
+        return x + 1.0, 1.0, None
+
+    r = iterate(np.zeros(2), step if k_bad else _never_step, monitor, 10, stationarity_tol=1.0)
+    assert r.status == Status.DIVERGED
+    assert r.message == f"non-finite objective at iteration {k_bad}"
+    assert r.iterations == max(k_bad - 1, 0)
 
 
 def test_non_finite_start_record_ends_the_run_before_any_step():

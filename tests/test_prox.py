@@ -24,6 +24,11 @@ def test_soft_threshold_rejects_negative_lambda():
         soft_threshold([1.0], -0.1)
 
 
+def test_soft_threshold_rejects_nan_lambda():
+    with pytest.raises(ValueError):
+        soft_threshold(np.array([1.0, -3.0]), float("nan"))
+
+
 def test_soft_threshold_against_1d_grid():
     # argmin of |v| + (v-1)^2/1.4 over a fine grid sits at the shrunk value.
     grid = np.arange(-2.0, 2.0, 1e-4)
@@ -78,6 +83,11 @@ def test_prox_rejects_nonpositive_lambda():
         prox_l1_minus_l2([1.0], 0.0)
     with pytest.raises(ValueError):
         prox_l1_minus_l2([1.0], -1.0)
+
+
+def test_prox_rejects_nan_lambda():
+    with pytest.raises(ValueError):
+        prox_l1_minus_l2(np.array([1.0, -3.0]), float("nan"))
 
 
 def test_prox_tie_resolves_to_lowest_index():
