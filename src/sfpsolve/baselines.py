@@ -193,7 +193,7 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     that no ``x`` has ``Ax in Q`` and ``||x||_1 <= t``, within
     ``opts.max_iter`` iterations of its own.  If it does, the run ends at
     iteration 0 as ``Status.INFEASIBLE``, with the start point, its record
-    and a message that quotes the bound.  ``AA'`` is formed once for both.
+    and a message that quotes the bound; ``AA'`` is formed only for the screen.
 
     ``P.gamma`` is the l1 weight of that FISTA run and is read nowhere else:
     it decides whether the run proves an empty level set within
@@ -210,8 +210,7 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
                              initial=float(opts.sigma)))
     screen = infeasible = None
     if isinstance(P.Q, Ball):
-        M = _gram(P.A)
-        bound = level_set_bound(P, opts.t, opts.max_iter, _M=M)
+        bound = level_set_bound(P, opts.t, opts.max_iter)
         if bound > opts.t:
             # The bound to 6 significant digits, or to more where that is not in (t, bound].
             shown = next(s for s in (f"{bound:.{d}g}" for d in range(6, 18))
@@ -220,7 +219,7 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
             message = f"min ||x||_1 over {{Ax in Q}} >= {shown} > t = {t_shown}"
             infeasible = Stop(Status.INFEASIBLE, message)
         else:
-            screen = _trial_screen(P, opts, ladder, M)
+            screen = _trial_screen(P, opts, ladder, _gram(P.A))
 
     def step(k, x):
         nonlocal alpha
@@ -248,7 +247,7 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
 
 
-def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> float:
+def level_set_bound(P: ProblemSpec, t: float, max_iter: int) -> float:
     """A lower bound on ``min{||x||_1 : Ax in Q}`` for a ball ``Q``, safe against rounding.
 
     For ``Q = Ball(c, R)`` (a singleton has ``R = 0``), weak duality gives,
@@ -258,7 +257,7 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> floa
 
     The points ``y`` come from FISTA (Beck & Teboulle, 2009) with gradient
     restart (O'Donoghue & Candes, 2015), run from 0 with step
-    ``1/lambda_max(AA')`` on the l1 problem
+    ``1/||A||^2`` (``||A|| = P.op_norm``, cached per problem) on the l1 problem
     ``F(z) = 0.5*dist(Az, Q)^2 + gamma*||z||_1`` with ``gamma = P.gamma``.
     At each extrapolated point ``z``, with ``r = Az - P_Q(Az)`` and
     ``g = A'r`` (the gradient the step needs anyway), the point
@@ -307,20 +306,17 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int, *, _M=None) -> floa
     iterations; the relative stop ends that run at iteration 198.
 
     Returns the largest bound over the iterates, or ``-inf`` when none is
-    finite: any non-finite value, such as an entry of ``AA'`` that
-    overflows, means no certificate.  ``_M``, when given, is
-    :func:`_gram` of ``A``.  Raises ValueError unless ``Q`` is a ball.
+    finite: any non-finite value, such as an ``||A||^2`` that overflows (or
+    one that underflows to 0), means no certificate.  Raises ValueError
+    unless ``Q`` is a ball.
     """
     if not isinstance(P.Q, Ball):
         raise ValueError("level_set_bound needs Q to be a ball")
     A, gamma, c, R = P.A, P.gamma, P.Q.center, P.Q.radius
     eta = _eta(A)
     best = -math.inf
+    lam = P.op_norm * P.op_norm  # not **2, which raises: inf and 0 are refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _gram(A) if _M is None else _M
-        if not np.isfinite(M).all():
-            return best
-        lam = float(np.linalg.eigvalsh(M)[-1])
         fro, c_norm = float(np.linalg.norm(A)), norm(c)
         if not (0.0 < lam < math.inf and fro < math.inf):
             return best
@@ -391,7 +387,7 @@ def _eta(A: np.ndarray) -> float:
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
-    """``AA'``, formed once per :func:`solve_mcq`; an entry that overflows is inf, silently."""
+    """``AA'``, formed only for :func:`_trial_screen`; an entry that overflows is inf, silently."""
     with np.errstate(over="ignore", invalid="ignore"):
         return A @ A.T
 

@@ -29,7 +29,7 @@ from .harness import (
     write_atomic,
 )
 from .inner import INNER_SOLVERS, InnerOptions
-from .linops import read_matrix, read_vector
+from .linops import check_positive, read_matrix, read_vector
 from .oracles import prox_check
 from .problem import ConfigurationError, ProblemSpec
 from .sets import FullSpace, parse_set
@@ -167,6 +167,7 @@ def _run_bench(args, kind: str) -> int:
 
 
 def _run_prox_check(args) -> int:
+    check_positive(args.tol, "tol", zero=True)
     gap = prox_check(count=args.samples, seed=args.seed, step=args.grid_step)
     print(f"max_gap={gap:.6g}")
     return EXIT_OK if gap <= args.tol else EXIT_NOT_CONVERGED

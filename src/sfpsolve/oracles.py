@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linops import as_vector
+from .linops import as_vector, check_count, check_positive
 from .sets import Ball, Box, ConvexSet, FullSpace, L1Ball, NonnegativeOrthant
 
 __all__ = [
@@ -141,11 +141,13 @@ def prox_check(count: int = 500, seed: int = 0, step: float = 1e-3):
     below zero (the grid only approximates the true minimum from above), so
     the absolute gap stays within the grid resolution.  The 3-D inputs use a
     smaller amplitude so the exhaustive grid stays affordable at the default
-    step.
+    step.  The generator is keyed with ``seed`` modulo 2**64.
     """
     from .prox import prox_l1_l2_objective, prox_l1_minus_l2
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    check_count(count, "count")
+    check_positive(step, "step")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
     worst = 0.0
     for i in range(count):
         three_d = i % 5 == 4

@@ -570,8 +570,43 @@ def test_level_set_bound_gives_up_where_the_l1_minimum_is_t(trial):
     _CountingMatrix.products = 0
     bound = baselines.level_set_bound(P, inst.t_level, 1000)
     assert inst.t_level - 1e-8 < bound <= inst.t_level
-    # One product for AA', two per iteration.
-    assert _CountingMatrix.products <= 1 + 2 * 250
+    # Two per iteration.  The step comes from P.op_norm, whose SVD makes no
+    # product on this view, and no AA' is formed.
+    assert _CountingMatrix.products <= 2 * 250
+
+
+def _count_gram_and_eigvalsh(monkeypatch):
+    """Count the calls of ``baselines._gram`` and ``np.linalg.eigvalsh``."""
+    calls = {"gram": 0, "eigvalsh": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(baselines, "_gram", counting("gram", baselines._gram))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    return calls
+
+
+def test_mcq_certificate_forms_no_aat(monkeypatch):
+    # The certificate steps with the cached ||A||: no AA' and no eigendecomposition.
+    calls = _count_gram_and_eigvalsh(monkeypatch)
+    inst = gen_sparse_recovery(DESK, 0)
+    r = solve_mcq(inst.problem, inst.x0, McqOptions(t=inst.t_level))
+    assert r.status == Status.INFEASIBLE
+    assert calls == {"gram": 0, "eigvalsh": 0}
+
+
+def test_mcq_forms_aat_once_for_the_screen(monkeypatch):
+    # The noise ball holds A x_true: the bound fails and the screen needs AA'.
+    calls = _count_gram_and_eigvalsh(monkeypatch)
+    inst = gen_sparse_recovery(DESK, 0)
+    P = replace(inst.problem, Q=Ball(inst.problem.Q.center, float(np.sqrt(DESK.m * 1e-4))))
+    r = solve_mcq(P, inst.x0, McqOptions(t=inst.t_level, max_iter=5))
+    assert r.status != Status.INFEASIBLE and r.iterations > 0
+    assert calls == {"gram": 1, "eigvalsh": 0}
 
 
 def _counting_problem(Q):

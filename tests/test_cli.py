@@ -92,6 +92,31 @@ def test_prox_check_subcommand(capsys):
     assert "max_gap=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid-step", "0", "step must be positive and finite"),
+        ("--grid-step", "-1", "step must be positive and finite"),
+        ("--grid-step", "inf", "step must be positive and finite"),
+        ("--samples", "0", "count must be an integer >= 1"),
+        ("--samples", "-3", "count must be an integer >= 1"),
+        ("--tol", "nan", "tol must be nonnegative and finite"),
+    ],
+)
+def test_prox_check_bad_argument_is_config_error(flag, value, message, capsys):
+    code = main(["prox-check", "--samples", "3", flag, value])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}, got ")
+
+
+def test_prox_check_negative_seed_keys_its_value_modulo_2_64(capsys):
+    assert main(["prox-check", "--samples", "3", "--seed", "-1"]) == 0
+    negative = capsys.readouterr().out
+    assert main(["prox-check", "--samples", "3", "--seed", str(2**64 - 1)]) == 0
+    assert negative.startswith("max_gap=") and capsys.readouterr().out == negative
+
+
 def test_bench_sparse_subcommand(tmp_path, capsys):
     out_dir = tmp_path / "bench"
     cfg = tmp_path / "cfg.txt"

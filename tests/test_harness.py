@@ -198,19 +198,27 @@ def test_bench_random_runs_fb_on_the_full_space(tmp_path):
 
 def test_bench_computes_one_operator_norm_per_instance(tmp_path, monkeypatch):
     # The random instances constrain x to the orthant, so fb runs a copy of
-    # each with C = R^n; that copy shares the instance's ||A||.
-    calls = []
+    # each with C = R^n; that copy shares the instance's ||A||.  mcq's
+    # level-set bound steps with the same norm: no eigendecomposition.
+    calls, eigvalsh_calls = [], []
+    eigvalsh = np.linalg.eigvalsh
 
     def counting_norm(A):
         calls.append(None)
         return inflated_op_norm(A)
 
+    def counting_eigvalsh(M):
+        eigvalsh_calls.append(None)
+        return eigvalsh(M)
+
     monkeypatch.setattr(problem, "inflated_op_norm", counting_norm)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     cfg = BenchConfig(kind="random", seed=2, m=6, n=10, trials=2, out_dir=str(tmp_path / "out"),
                       max_iter=5)
     rows = run_benchmark(cfg)
     assert {row["algo"] for row in rows if row["status"] != "error"} == set(cfg.algos)
     assert len(calls) == cfg.trials
+    assert eigvalsh_calls == []
 
 
 def small_config(out_dir, traces=False):
