@@ -83,7 +83,7 @@ def solve_cq(P: ProblemSpec, x0, opts: CqOptions | None = None) -> SolveResult:
 
     def monitor(k, x, move):
         nonlocal image
-        image = P.A @ x
+        image = P.A.dot(x)
         return _residual_columns(P, k, x, move, stepsize, image)
 
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
@@ -122,10 +122,10 @@ def project_level_set(x_k, t: float, y, *, _xi=None, _l1_norm=None) -> np.ndarra
     y = np.asarray(y, dtype=float)
     xi = select_subgradient(x_k) if _xi is None else _xi
     l1_norm = np.abs(x_k).sum() if _l1_norm is None else _l1_norm
-    violation = float(l1_norm - t + xi @ (y - x_k))
+    violation = float(l1_norm - t + xi.dot(y - x_k))
     if violation <= 0.0:
         return y.copy()
-    xi_sq = float(xi @ xi)
+    xi_sq = float(xi.dot(xi))
     if xi_sq == 0.0:
         raise ValueError("empty half-space relaxation: zero subgradient with c(x_k) > 0")
     return y - (violation / xi_sq) * xi
@@ -241,7 +241,7 @@ def solve_mcq(P: ProblemSpec, x0, opts: McqOptions) -> SolveResult:
 
     def monitor(k, x, move):
         nonlocal l1_norm, image
-        l1_norm, image = float(np.abs(x).sum()), P.A @ x
+        l1_norm, image = float(np.abs(x).sum()), P.A.dot(x)
         return {**_residual_columns(P, k, x, move, alpha, image), "l1_norm": l1_norm}
 
     return iterate(x, step, monitor, opts.max_iter, opts.step_tol)
@@ -336,7 +336,7 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int) -> float:
                 s = max(1.0 - R / r_norm, 0.0) if r_norm > 0.0 else 0.0
                 r *= s
                 r_norm *= s
-            g = A.T @ r
+            g = A.T.dot(r)
             g_max = float(np.abs(g).max())
             if not g_max < math.inf:
                 break
@@ -357,7 +357,7 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int) -> float:
             # step turns against the last move.
             w = z - step * g
             x_next = w - np.minimum(np.maximum(w, -shrink), shrink)
-            Ax_next = A @ x_next
+            Ax_next = A.dot(x_next)
             move = x_next - x
             turn = (z - x_next).dot(move)
             # A move within a rounding unit of ||x_next||: a fixed point up to
@@ -493,10 +493,10 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float], M: np.n
         base_over_alpha = 2.0 * eta * mu * nx
         if radius:
             # U' has rows A x - c, A g, A xi; the Grams of U and V from it.
-            Ut = np.array([x, g, xi]) @ A.T
+            Ut = np.array([x, g, xi]).dot(A.T)
             Ut[0] -= center
-            (u00, u01, u02), (_, u11, u12), (_, _, u22) = (Ut @ Ut.T).tolist()
-            (v00, v01, v02), (_, v11, v12), (_, _, v22) = ((Ut @ M) @ Ut.T).tolist()
+            (u00, u01, u02), (_, u11, u12), (_, _, u22) = Ut.dot(Ut.T).tolist()
+            (v00, v01, v02), (_, v11, v12), (_, _, v22) = Ut.dot(M).dot(Ut.T).tolist()
             nu0 = math.sqrt(u00)
             s0, ds0 = _residual_scale(nu0, eta * (nu0 + fro * nx + c_norm), radius)
             z_err = eta * (2.0 * fro * nx + c_norm)
@@ -506,9 +506,9 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float], M: np.n
             w0, vb0 = root_eta * nv0 + err0, nv0 + err0
         else:
             # Radius 0: s = s0 = 1, so A x - c has weight 0 and U' has rows A g, A xi.
-            Ut = np.array([g, xi]) @ A.T
-            (u11, _), (_, u22) = (Ut @ Ut.T).tolist()
-            (v11, v12), (_, v22) = ((Ut @ M) @ Ut.T).tolist()
+            Ut = np.array([g, xi]).dot(A.T)
+            (u11, _), (_, u22) = Ut.dot(Ut.T).tolist()
+            (v11, v12), (_, v22) = Ut.dot(M).dot(Ut.T).tolist()
         nu1, nu2 = math.sqrt(u11), math.sqrt(u22)
         nv1, err1 = math.sqrt(max(v11, 0.0)), root_eta * fro * nu1
         nv2, err2 = math.sqrt(max(v22, 0.0)), root_eta * fro * nu2

@@ -100,7 +100,7 @@ def solve_fb(P: ProblemSpec, x0, opts: FbOptions | None = None) -> SolveResult:
 
     def monitor(k, x, move):
         nonlocal image
-        image = P.A @ x
+        image = P.A.dot(x)
         return {
             "objective": sfp_residual_value(P, x, _Ax=image) / P.gamma + l1_l2(x),
             "grad_residual": stationarity_residual(P, x, _Ax=image),

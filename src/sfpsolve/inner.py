@@ -70,15 +70,15 @@ class SubproblemSpec:
             return float("inf")
         return (
             sfp_residual_value(self.base, x)
-            + float(self.v @ x)
+            + float(self.v.dot(x))
             + self.base.gamma * float(np.abs(x).sum())
         )
 
     def smooth_gradient(self, x: np.ndarray) -> np.ndarray:
         # A'(Ax - P_Q(Ax)) + v, with the residual and the sum formed in place.
-        r = self.base.A @ x
+        r = self.base.A.dot(x)
         r -= self.base.Q.project(r)
-        g = self.base.A.T @ r
+        g = self.base.A.T.dot(r)
         g += self.v
         return g
 

@@ -5,7 +5,8 @@ Matrices are plain 2-D float64 ``numpy`` arrays (row-major), vectors are
 entries where data enters the program, as :func:`check_positive` and
 :func:`check_count` reject bad scalar fields of the options, specs and
 sets; kernels called inside iterations, such as :func:`sfp_gradient`,
-check no entries.
+check no entries.  Products with ``A`` are written ``A.dot(x)`` and
+``A.T.dot(r)``: the same gemv, and bits, as ``@`` without its matmul dispatch.
 """
 
 from __future__ import annotations
@@ -69,13 +70,14 @@ def check_count(value, name: str, low: int | None = 1) -> None:
 def sfp_gradient(A, Q, x, *, _Ax=None) -> np.ndarray:
     """Gradient of ``0.5 * ||Ax - P_Q(Ax)||^2`` at ``x``.
 
-    Equals ``A.T @ (Ax - P_Q(Ax))``.  ``Q`` is any object exposing a
+    Equals ``A.T @ (Ax - P_Q(Ax))``, computed through ``ndarray.dot`` (the
+    same bits, less dispatch).  ``Q`` is any object exposing a
     ``project`` method (see :mod:`sfpsolve.sets`).  The gradient is
     ``||A||^2``-Lipschitz because ``I - P_Q`` is nonexpansive.  ``_Ax``,
     when given, is ``A @ x``, computed once by the caller.
     """
-    Ax = A @ x if _Ax is None else _Ax
-    return A.T @ (Ax - Q.project(Ax))
+    Ax = A.dot(x) if _Ax is None else _Ax
+    return A.T.dot(Ax - Q.project(Ax))
 
 
 def norm(v: np.ndarray) -> float:

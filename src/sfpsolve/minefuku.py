@@ -123,7 +123,7 @@ def _ball_direction(w, gamma: float, mu: float, C: Ball) -> np.ndarray:
         z = lam * c - w
         kept = np.abs(z) > gamma
         q = np.where(kept, w + gamma * np.sign(z) + mu * c, 0.0)
-        return kept, q, float(q @ q), float(c[~kept] @ c[~kept])
+        return kept, q, float(q.dot(q)), float(c[~kept].dot(c[~kept]))
 
     def in_ball(lam):
         _, _, S, T = piece(lam)
@@ -208,10 +208,10 @@ def _squared_norm_along(u, v):
     norm, so the form keeps its relative accuracy where the line passes
     close to the origin (the expanded quadratic cancels there).
     """
-    c = float(v @ v)
-    lam0 = -float(u @ v) / c if c > 0.0 else 0.0
+    c = float(v.dot(v))
+    lam0 = -float(u.dot(v)) / c if c > 0.0 else 0.0
     nearest = u + lam0 * v
-    return float(nearest @ nearest), c, lam0
+    return float(nearest.dot(nearest)), c, lam0
 
 
 def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
@@ -238,11 +238,11 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
     moving = d != 0.0
     x_m, d_m = x_k[moving], d[moving]
     beta = -x_m / d_m
-    order = np.argsort(beta)
+    order = beta.argsort()
     breakpoints = beta[order].tolist()
-    # np.cumsum adds in order, so W[j] and V[j] are the sequential sums.
-    W = [0.0, *np.cumsum(np.abs(d_m)[order]).tolist()]
-    V = [0.0, *np.cumsum((-np.sign(d_m) * x_m)[order]).tolist()]
+    # cumsum adds in order, so W[j] and V[j] are the sequential sums.
+    W = [0.0, *np.abs(d_m)[order].cumsum().tolist()]
+    V = [0.0, *(-np.sign(d_m) * x_m)[order].cumsum().tolist()]
     W_n, V_n = W[-1], V[-1]
     c0 = float(np.abs(x_k[~moving]).sum())
 
@@ -285,7 +285,7 @@ def _segment_objective(P: ProblemSpec, x_k, d, Ax_k, Ad):
             # No closed-form distance to a box, orthant or l1 ball: project.
             Ax = Ax_k + lam * Ad
             r = Ax - Q.project(Ax)
-            res = 0.5 * float(r @ r)
+            res = 0.5 * float(r.dot(r))
         return res + gamma * (l1 - math.sqrt(e + c * (lam - lam0) ** 2))
 
     return phi
@@ -314,8 +314,8 @@ def mf_line_search(
     d = np.asarray(x_tilde, dtype=float) - x_k
     if norm(d) == 0.0:
         return 0.0
-    Ax_k = P.A @ x_k if _Ax_k is None else _Ax_k
-    phi = _segment_objective(P, x_k, d, Ax_k, P.A @ d)
+    Ax_k = P.A.dot(x_k) if _Ax_k is None else _Ax_k
+    phi = _segment_objective(P, x_k, d, Ax_k, P.A.dot(d))
     gs_x, gs_f = _golden_section(phi, 0.0, opts.lambda_max, opts.golden_evals)
     candidates = [(0.0, phi(0.0)), (1.0, phi(1.0)), (opts.lambda_max, phi(opts.lambda_max)), (gs_x, gs_f)]
     best_lam, _ = min(candidates, key=lambda item: item[1])

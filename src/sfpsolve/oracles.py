@@ -51,8 +51,9 @@ def prox_l1_l2_grid_min(y, lam: float, step: float = 1e-3):
     of ``y``; coordinates with ``y_i == 0`` stay zero (any other value can
     only raise the objective).  The grid is evaluated in slabs along the
     first axis to bound memory.  Grids beyond 1e9 points are refused; use a
-    coarser step or smaller inputs.
+    coarser step or smaller inputs.  ``step`` must be positive and finite.
     """
+    check_positive(step, "step")
     y = as_vector(y, "y")
     lam = float(lam)
     mags = np.abs(y)
@@ -119,7 +120,9 @@ def grid_minimize(objective, C: ConvexSet, lows, highs, step: float):
 
     ``objective`` must accept a ``(n, N)`` array of column points and return
     ``N`` values.  Returns ``(point, value)`` for the best feasible point.
+    ``step`` must be positive and finite.
     """
+    check_positive(step, "step")
     lows = as_vector(lows, "lows")
     highs = as_vector(highs, "highs")
     V = _grid_values(lows, highs, step)
@@ -146,7 +149,6 @@ def prox_check(count: int = 500, seed: int = 0, step: float = 1e-3):
     from .prox import prox_l1_l2_objective, prox_l1_minus_l2
 
     check_count(count, "count")
-    check_positive(step, "step")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
     worst = 0.0
     for i in range(count):

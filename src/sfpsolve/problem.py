@@ -241,7 +241,7 @@ def sfp_residual_value(P: ProblemSpec, x, *, _Ax=None) -> float:
 
     ``_Ax``, when given, is ``P.A @ x``, computed once by the caller.
     """
-    Ax = P.A @ x if _Ax is None else _Ax
+    Ax = P.A.dot(x) if _Ax is None else _Ax
     r = Ax - P.Q.project(Ax)
     np.square(r, out=r)
     return 0.5 * float(r.sum())
@@ -345,10 +345,10 @@ def columns_and_gradient(
     :func:`gamma_objective`, :func:`stationarity_residual` and
     :func:`sfp_residual_value`, so it is the float those return at ``x``.
     """
-    Ax = P.A @ x
+    Ax = P.A.dot(x)
     r = Ax - P.Q.project(Ax)
     sfp = 0.5 * float((r**2).sum())
-    g = P.A.T @ r
+    g = P.A.T.dot(r)
     mag = np.abs(x)
     norm_x = norm(x)
     if norm_x > 0.0:

@@ -548,13 +548,25 @@ def test_mcq_certifies_the_desk_instances(trial):
 
 
 class _CountingMatrix(np.ndarray):
-    """A view of ``A`` that counts its products (``A.T`` is a counting view too)."""
+    """A view of ``A`` that counts its products (``A.T`` is a counting view too).
 
-    products = 0
+    ``products`` counts ``dot``, the form of every product on a solver path;
+    ``matmuls`` counts ``@``, which none of them takes.
+    """
+
+    products = matmuls = 0
+
+    def dot(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self).dot(other)
 
     def __matmul__(self, other):
-        _CountingMatrix.products += 1
+        _CountingMatrix.matmuls += 1
         return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        _CountingMatrix.matmuls += 1
+        return other @ np.asarray(self)
 
 
 @pytest.mark.parametrize("trial", range(3))
@@ -567,12 +579,13 @@ def test_level_set_bound_gives_up_where_the_l1_minimum_is_t(trial):
     inst = gen_sparse_recovery(spec, trial)
     P = inst.problem
     object.__setattr__(P, "A", P.A.view(_CountingMatrix))
-    _CountingMatrix.products = 0
+    _CountingMatrix.products = _CountingMatrix.matmuls = 0
     bound = baselines.level_set_bound(P, inst.t_level, 1000)
     assert inst.t_level - 1e-8 < bound <= inst.t_level
     # Two per iteration.  The step comes from P.op_norm, whose SVD makes no
     # product on this view, and no AA' is formed.
-    assert _CountingMatrix.products <= 2 * 250
+    assert 0 < _CountingMatrix.products <= 2 * 250
+    assert _CountingMatrix.matmuls == 0
 
 
 def _count_gram_and_eigvalsh(monkeypatch):
@@ -615,7 +628,7 @@ def _counting_problem(Q):
     P = ProblemSpec(A=rng.standard_normal((6, 10)), C=FullSpace(10), Q=Q(rng), gamma=0.6)
     P.op_norm
     object.__setattr__(P, "A", P.A.view(_CountingMatrix))
-    _CountingMatrix.products = 0
+    _CountingMatrix.products = _CountingMatrix.matmuls = 0
     return P
 
 
@@ -626,7 +639,7 @@ def test_fb_makes_three_products_per_iteration():
     # Start record: A x, and A' in its stationarity column.  Each iteration:
     # A' in the gradient, which reuses the last record's A x; A x of the new
     # record, and A' in its stationarity column.  4 + 6K before A x was reused.
-    assert _CountingMatrix.products == 2 + 3 * 5
+    assert (_CountingMatrix.products, _CountingMatrix.matmuls) == (2 + 3 * 5, 0)
 
 
 def test_cq_makes_two_products_per_iteration():
@@ -636,7 +649,7 @@ def test_cq_makes_two_products_per_iteration():
     # Start record: A x, and A' in its gradient column.  Each iteration: A'
     # in the gradient, which reuses the last record's A x; A x of the new
     # record.  3 + 3K before A x was reused.
-    assert _CountingMatrix.products == 2 + 2 * 5
+    assert (_CountingMatrix.products, _CountingMatrix.matmuls) == (2 + 2 * 5, 0)
 
 
 def test_mcq_reuses_the_records_image_in_its_gradient(monkeypatch):
@@ -656,7 +669,7 @@ def test_mcq_reuses_the_records_image_in_its_gradient(monkeypatch):
     # Start record: A x, and A' in its gradient column.  Each iteration: A'
     # in g(x_k), which reuses the last record's A x; A and A' in g(x_bar) of
     # each trial; A x of the new record.  3 + 3K + 2*trials before A x was reused.
-    assert _CountingMatrix.products == 2 + 2 * 5 + 2 * trials
+    assert (_CountingMatrix.products, _CountingMatrix.matmuls) == (2 + 2 * 5 + 2 * trials, 0)
 
 
 @pytest.mark.parametrize("trial", range(4))

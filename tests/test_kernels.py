@@ -240,6 +240,39 @@ def test_norm_rescales_where_the_squared_norm_overflows():
     with np.errstate(invalid="ignore"):
         assert np.isnan(norm(np.array([np.nan, 1e200])))
 
+
+# -- products with A --------------------------------------------------------
+
+
+def _normal_at_offset(shape, offset, rng):
+    """Standard normal draws in an array that starts ``offset`` bytes past a 64-byte boundary."""
+    nbytes = 8 * math.prod(shape)
+    buf = np.empty(nbytes + 64, dtype=np.uint8)
+    start = (offset - buf.ctypes.data) % 64
+    arr = buf[start : start + nbytes].view(float).reshape(shape)
+    arr[...] = rng.standard_normal(shape)
+    return arr
+
+
+@pytest.mark.parametrize("offset", [0, 16, 32, 48])
+@pytest.mark.parametrize("shape", [(100, 256), (40, 100), (120, 512)], ids=str)
+def test_dot_products_are_the_matmul_floats(shape, offset):
+    # The solvers write their products as A.dot(x) and A.T.dot(r), and mcq's
+    # screen its U and Gram products through dot; the references in this
+    # file and the benchmark digests use @.  Both must reach the same BLAS
+    # call wherever A lands on the heap.
+    rng = np.random.default_rng(offset)
+    A = _normal_at_offset(shape, offset, rng)
+    assert A.ctypes.data % 64 == offset
+    for _ in range(20):
+        x, r = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+        assert _same(A.dot(x), A @ x)
+        assert _same(A.T.dot(r), A.T @ r)
+    rows, M = rng.standard_normal((3, shape[1])), A @ A.T
+    Ut = rows.dot(A.T)
+    assert _same(Ut, rows @ A.T)
+    assert _same(Ut.dot(Ut.T), Ut @ Ut.T)
+    assert _same(Ut.dot(M).dot(Ut.T), (Ut @ M) @ Ut.T)
 # -- problem ---------------------------------------------------------------
 
 

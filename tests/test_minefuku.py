@@ -513,13 +513,25 @@ def _sparse_problems(seed):
 
 
 class Counting(np.ndarray):
-    """A view of ``A`` that counts its products (``A.T`` is a counting view too)."""
+    """A view of ``A`` that counts its products (``A.T`` is a counting view too).
 
-    products = 0
+    ``products`` counts ``dot``, the form of every product on a solver path;
+    ``matmuls`` counts ``@``, which none of them takes.
+    """
+
+    products = matmuls = 0
+
+    def dot(self, other):
+        Counting.products += 1
+        return np.asarray(self).dot(other)
 
     def __matmul__(self, other):
-        Counting.products += 1
+        Counting.matmuls += 1
         return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        Counting.matmuls += 1
+        return other @ np.asarray(self)
 
 
 @pytest.mark.parametrize("case", ["fullspace", "l1ball"])
@@ -532,10 +544,11 @@ def test_products_with_A_per_iteration(case):
     inst, problems = _sparse_problems(0)
     P = problems[case]
     object.__setattr__(P, "A", P.A.view(Counting))
-    Counting.products = 0
+    Counting.products = Counting.matmuls = 0
     r = solve_mf(P, inst.x0)
     assert r.status == Status.CONVERGED and r.iterations > 10
-    assert Counting.products <= 3 * r.iterations + 2
+    assert Counting.products == 3 * r.iterations + 2
+    assert Counting.matmuls == 0
 
 
 def test_line_search_tests_membership_beyond_the_full_step():

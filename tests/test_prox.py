@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sfpsolve.oracles import prox_l1_l2_grid_min
+from sfpsolve.oracles import grid_minimize, prox_l1_l2_grid_min
 from sfpsolve.prox import (
     l1_l2,
     prox_l1_l2_objective,
     prox_l1_minus_l2,
     soft_threshold,
 )
+from sfpsolve.sets import Box
 
 
 def test_soft_threshold_componentwise():
@@ -112,6 +113,18 @@ def test_prox_objective_meets_grid_oracle(y, lam):
     grid = prox_l1_l2_grid_min(y, lam, step=1e-3)
     assert obj <= grid + 5e-3
     assert obj >= grid - 5e-3
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+def test_grid_oracles_refuse_a_bad_step(step):
+    # Before the check: OverflowError at 0, IndexError at -1, a ValueError
+    # about converting NaN to an integer, and at inf an empty grid for
+    # grid_minimize and an inf minimum for prox_l1_l2_grid_min.
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        prox_l1_l2_grid_min([0.8, -0.3], 0.5, step=step)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        grid_minimize(lambda V: (V**2).sum(axis=0), Box([-1.0, -1.0], [1.0, 1.0]),
+                      [-1.0, -1.0], [1.0, 1.0], step)
 
 
 def test_prox_invariants_sampled():
