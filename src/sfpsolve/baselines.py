@@ -40,7 +40,6 @@ __all__ = [
     "select_subgradient",
     "project_level_set",
     "solve_mcq",
-    "level_set_bound",
 ]
 
 

@@ -41,11 +41,6 @@ __all__ = [
     "BenchConfig",
     "parse_bench_config",
     "run_benchmark",
-    "Solver",
-    "SOLVERS",
-    "ALGORITHMS",
-    "trace_csv",
-    "write_atomic",
 ]
 
 
@@ -127,6 +122,7 @@ class RecoveryMetrics:
 
 
 def _rng(seed: int, trial: int) -> np.random.Generator:
+    check_count(trial, "trial", 0)
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -233,7 +229,7 @@ class BenchConfig:
     gamma: float = 0.6
     sparsity: int = 10
     noise_variance: float = 1e-4
-    algos: tuple[str, ...] = ("dca", "fb", "mf", "cq", "mcq")
+    algos: tuple[str, ...] = ALGORITHMS
     out_dir: str = "bench_out"
     max_iter: int = 1000
     step_tol: float = 1e-5
@@ -247,6 +243,10 @@ class BenchConfig:
         unknown = [a for a in self.algos if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
+        if not self.algos or len(set(self.algos)) < len(self.algos):
+            raise ValueError(
+                f"algos must name at least one algorithm, each once; got {list(self.algos)}"
+            )
 
 
 _FLAGS = {"1": True, "true": True, "yes": True, "on": True,

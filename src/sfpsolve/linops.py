@@ -19,8 +19,6 @@ import numpy as np
 _TINY = float(np.finfo(float).tiny)
 
 __all__ = [
-    "as_matrix",
-    "as_vector",
     "sfp_gradient",
     "inflated_op_norm",
     "read_matrix",

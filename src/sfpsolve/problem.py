@@ -30,13 +30,9 @@ __all__ = [
     "Status",
     "IterateRecord",
     "SolveResult",
-    "Stop",
-    "start_point",
-    "iterate",
     "gamma_objective",
     "sfp_residual_value",
     "stationarity_residual",
-    "columns_and_gradient",
     "has_exact_residual",
 ]
 

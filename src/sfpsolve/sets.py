@@ -21,7 +21,6 @@ __all__ = [
     "Ball",
     "Box",
     "L1Ball",
-    "projected_shrink_is_prox",
     "parse_set",
 ]
 

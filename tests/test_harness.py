@@ -56,6 +56,26 @@ def test_random_problem_trial_out_of_range():
         gen_random_problem(spec, 2)
 
 
+_SMALL_RANDOM = RandomSpec(seed=0, m=2, n=2, trials=4)
+_SMALL_SPARSE = SparseSpec(seed=0, m=2, n=2, sparsity=1, noise_variance=0.0, gamma=0.6)
+
+
+@pytest.mark.parametrize(
+    "generate, spec, trial",
+    [
+        (gen_random_problem, _SMALL_RANDOM, 2.5),
+        (gen_sparse_recovery, _SMALL_SPARSE, 2.5),
+        (gen_sparse_recovery, _SMALL_SPARSE, -1),
+    ],
+    ids=["random-2.5", "sparse-2.5", "sparse-minus-1"],
+)
+def test_generators_reject_a_trial_that_is_not_a_count(generate, spec, trial):
+    # Philox was keyed with np.uint64(trial): 2.5 gave trial 2's instance and
+    # -1 an OverflowError.
+    with pytest.raises(ValueError, match=f"trial must be an integer >= 0, got {trial}"):
+        generate(spec, trial)
+
+
 def test_sparse_recovery_structure():
     spec = SparseSpec(seed=9, m=20, n=50, sparsity=5, noise_variance=1e-4, gamma=0.6)
     inst = gen_sparse_recovery(spec, 0)
@@ -401,6 +421,10 @@ def test_run_benchmark_reports_divergence_with_its_trace(tmp_path, monkeypatch):
         ("sparse", "m=0", "m"),
         ("sparse", "k=25", "sparsity"),
         ("sparse", "noise_variance=-1", "noise_variance"),
+        # A repeated name ran and counted each trial twice; an empty list
+        # wrote a header-only report.
+        ("sparse", "algos=cq,cq", "algos"),
+        ("sparse", "algos=", "algos"),
     ],
 )
 def test_bad_problem_config_exits_before_out_dir_exists(tmp_path, capsys, kind, line, field):
