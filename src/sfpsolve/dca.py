@@ -66,7 +66,7 @@ class DcaOptions:
 
 def _resolved_inner(opts: DcaOptions) -> InnerOptions:
     tol = min(opts.inner.tol, opts.step_tol / 10.0)
-    return replace(opts.inner, tol=tol, record_trace=False)
+    return replace(opts.inner, tol=tol)
 
 
 def dca_step(

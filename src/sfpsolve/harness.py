@@ -123,6 +123,8 @@ class RecoveryMetrics:
 
 def _rng(seed: int, trial: int) -> np.random.Generator:
     check_count(trial, "trial", 0)
+    if trial > 0xFFFFFFFFFFFFFFFF:
+        raise ValueError(f"trial must be below 2**64, got {trial!r}")
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -278,7 +280,7 @@ _CONFIG_TYPES = {
 
 
 def parse_bench_config(path, kind: str) -> BenchConfig:
-    """Read a flat ``key=value`` config file (``#`` starts a comment)."""
+    """Read a flat ``key=value`` config file (``#`` starts a comment; a key may appear once)."""
     values = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -291,6 +293,8 @@ def parse_bench_config(path, kind: str) -> BenchConfig:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             try:
                 values[key] = _CONFIG_TYPES[key](val)
             except ValueError as exc:

@@ -26,15 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linops import as_vector, check_count, check_positive, inflated_op_norm, norm, squared_op_norm
-from .problem import (
-    ProblemSpec,
-    SolveResult,
-    Status,
-    Stop,
-    iterate,
-    sfp_residual_value,
-    start_point,
-)
+from .problem import ProblemSpec, SolveResult, iterate, sfp_residual_value, start_point
 from .prox import soft_threshold
 from .sets import projected_shrink_is_prox
 
@@ -107,7 +99,7 @@ class InnerOptions:
     step scale (the gradient step for the forward-backward outer loop, the
     DR scale for the other), which makes it a first-order-error quantity:
     stopping at ``tol`` leaves a subproblem optimality residual of that
-    order regardless of ``||A||``.
+    order regardless of ``||A||``.  Each solve records only its last iterate.
     """
 
     kappa: float | None = None
@@ -118,7 +110,6 @@ class InnerOptions:
     budget_cap: int = 50
     outer_max: int = 2000
     tol: float = 1e-6
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.kappa is not None:
@@ -178,13 +169,13 @@ def solve_fb_in_dr(
         y_next = y + opts.tau * (soft_threshold(2.0 * x_in - y, thresh) - x_in)
         move = norm(y_next - y)
         y = y_next
-        return x_in, move, Stop(Status.CONVERGED) if move / kappa <= opts.tol else None
+        return x_in, move, None
 
     return _run_inner(spec, y_half, step, kappa, opts, message)
 
 
 def _run_inner(spec, x, step, scale, opts, message) -> SolveResult:
-    """Drive an inner solver; its residual column is the move divided by ``scale``."""
+    """Drive an inner solver to ``move <= opts.tol * scale``; its residual column is ``move / scale``."""
 
     def monitor(k, x, move):
         return {
@@ -193,15 +184,7 @@ def _run_inner(spec, x, step, scale, opts, message) -> SolveResult:
             "sfp_residual": sfp_residual_value(spec.base, x),
         }
 
-    return iterate(
-        x,
-        step,
-        monitor,
-        opts.outer_max,
-        record_start=False,
-        record_trace=opts.record_trace,
-        message=message,
-    )
+    return iterate(x, step, monitor, opts.outer_max, opts.tol * scale, record_trace=False, message=message)
 
 
 def _constrained_l1_prox_dr(
@@ -280,8 +263,7 @@ def solve_dr_in_fb(
         if lam != 1.0:
             x_next *= lam
         x_next += x
-        move = norm(x_next - x)
-        return x_next, move, Stop(Status.CONVERGED) if move / gstep <= opts.tol else None
+        return x_next, norm(x_next - x), None
 
     return _run_inner(spec, x, step, gstep, opts, message)
 

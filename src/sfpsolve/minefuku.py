@@ -58,7 +58,8 @@ class MfOptions:
     direction points, vanishing line-search steps and no termination within
     realistic budgets).  ``mu_shift=0`` is only valid for bounded constraint
     sets (ball, box, l1 ball), where the un-shifted direction subproblem
-    still has minimizers.
+    still has minimizers; :func:`solve_mf` rejects it on any other set
+    before its first record.
 
     ``stationarity_tol=None`` resolves to ``step_tol * max(1, mu)``: the
     residual left by a step-norm stop scales with ``mu``, so the certificate
@@ -139,6 +140,15 @@ def _ball_direction(w, gamma: float, mu: float, C: Ball) -> np.ndarray:
     return np.where(kept, c - scale * q, 0.0)
 
 
+def _check_zero_shift(C) -> None:
+    """Raise ConfigurationError unless ``C`` is bounded, as ``mu_shift = 0`` requires."""
+    if not isinstance(C, (Ball, Box, L1Ball)):
+        raise ConfigurationError(
+            "mu_shift = 0 requires a bounded constraint set; the direction "
+            "subproblem is unbounded below on unbounded sets"
+        )
+
+
 def direction_minimizer(w, gamma: float, mu: float, C) -> np.ndarray:
     """Minimize ``<w, x> + gamma*||x||_1 + mu*||x||^2/2`` over ``C``, in closed form.
 
@@ -155,19 +165,16 @@ def direction_minimizer(w, gamma: float, mu: float, C) -> np.ndarray:
         return _ball_direction(w, gamma, mu, C)
     if mu > 0.0:
         return C.project(soft_threshold(-w / mu, gamma / mu))
+    _check_zero_shift(C)
     if isinstance(C, Box):
         candidates = np.stack([C.lower, C.upper, np.clip(0.0, C.lower, C.upper)])
         choice = np.argmin(w * candidates + gamma * np.abs(candidates), axis=0)
         return candidates[choice, np.arange(w.shape[0])]
-    if isinstance(C, L1Ball):
-        i = int(np.abs(w).argmax())
-        x = np.zeros_like(w)
-        x[i] = -C.radius * np.sign(w[i]) if abs(w[i]) > gamma else 0.0
-        return x
-    raise ConfigurationError(
-        "mu_shift = 0 requires a bounded constraint set; the direction "
-        "subproblem is unbounded below on unbounded sets"
-    )
+    # C is an l1 ball.
+    i = int(np.abs(w).argmax())
+    x = np.zeros_like(w)
+    x[i] = -C.radius * np.sign(w[i]) if abs(w[i]) > gamma else 0.0
+    return x
 
 
 def mf_direction(P: ProblemSpec, x_k, opts: MfOptions | None = None) -> np.ndarray:
@@ -337,6 +344,8 @@ def solve_mf(P: ProblemSpec, x0, opts: MfOptions | None = None) -> SolveResult:
         opts = MfOptions()
     x, message = start_point(P, x0)
     mu = opts.resolve_mu(P)
+    if mu == 0.0:
+        _check_zero_shift(P.C)
     # Smooth gradient and image under A of the last recorded iterate, which
     # is the next step's start.
     gradient, image = None, None

@@ -133,7 +133,11 @@ class SolveResult:
 
 
 class Stop(NamedTuple):
-    """A stop that a solver's step decides itself (see :func:`iterate`)."""
+    """A stop that a solver's step decides itself (see :func:`iterate`).
+
+    Only for what the driver cannot see: ``INFEASIBLE``, the backtracking cap,
+    a discarded DCA step and ``ZERO_STATIONARY``.
+    """
 
     status: Status
     message: str = ""
@@ -162,7 +166,6 @@ def iterate(
     step_tol: float | None = None,
     *,
     stationarity_tol: float | None = None,
-    record_start: bool = True,
     record_trace: bool = True,
     message: str = "",
 ) -> SolveResult:
@@ -177,13 +180,15 @@ def iterate(
     recorded step norm or columns are not, is not recorded: the run ends as
     ``DIVERGED`` with the last recorded iterate; numpy's overflow and
     invalid-value warnings are silenced for the run, since this test reports
-    them.  The start is recorded as ``k = 0`` if ``record_start``, and its
+    them.  With ``record_trace`` the start is recorded as ``k = 0``, and its
     record is tested too, before any step: a non-finite column ends the run
     as ``DIVERGED`` and a stationary one as ``CONVERGED`` at iteration 0,
-    with that record as the trace.  Without ``record_trace`` only the last
-    iterate is recorded, and the stationarity test, which reads each record,
-    does not apply.  A stop's message is joined to ``message``.  The
-    returned status and iterate are final: solvers only add to the message.
+    with that record as the trace.  Without it only the last iterate is
+    recorded, so the stationarity test, which reads each record, does not
+    apply; that record is kept as the run's only one, and a non-finite
+    column in it still ends the run as ``DIVERGED``.  A stop's message is
+    joined to ``message``.  The returned status and iterate are final:
+    solvers only add to the message.
     """
     t0 = time.perf_counter()
 
@@ -201,7 +206,7 @@ def iterate(
 
     with np.errstate(over="ignore", invalid="ignore"):
         trace, stop, last_k, last_move = [], None, 0, 0.0
-        if record_start:
+        if record_trace:
             rec, stop = record(0, x, 0.0)
             trace.append(rec)
         for k in range(1, max_iter + 1) if stop is None else ():
@@ -225,7 +230,10 @@ def iterate(
             if stop is not None:
                 break
         if not record_trace:
-            trace.append(record(last_k, x, last_move)[0])
+            rec, verdict = record(last_k, x, last_move)
+            trace.append(rec)
+            if verdict is not None and verdict.status is Status.DIVERGED:
+                stop = verdict
     if stop is None:
         stop = Stop(Status.MAX_ITERATIONS)
     message = "; ".join(m for m in (message, stop.message) if m)

@@ -155,10 +155,11 @@ def test_bench_random_subcommand(tmp_path, capsys):
 def test_bench_rejects_an_out_of_range_config_before_any_trial(tmp_path, capsys, line, field):
     out_dir = tmp_path / "bench"
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(
-        "seed=5\nm=12\nn=24\nk=2\ntrials=2\ngamma=0.6\nnoise_variance=0.0001\n"
-        f"algos=fb,cq\nout_dir={out_dir}\nmax_iter=150\n{line}\n"
-    )
+    # The bad line takes the place of its key's good one: a key may appear once.
+    good = ["seed=5", "m=12", "n=24", "k=2", "trials=2", "gamma=0.6", "noise_variance=0.0001",
+            "algos=fb,cq", f"out_dir={out_dir}", "max_iter=150"]
+    key = line.partition("=")[0]
+    cfg.write_text("".join(f"{entry}\n" for entry in good if entry.partition("=")[0] != key) + f"{line}\n")
     code = main(["bench-sparse", "--config", str(cfg)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must be ")
@@ -239,6 +240,17 @@ def test_solve_rejects_flags_the_solver_has_no_option_for(instance_files, capsys
     for extra in (["--algo", "dca"], ["--algo", "fb"], ["--algo", "mf"], ["--algo", "cq"],
                   ["--algo", "mcq", "--t", "3"]):
         assert main(args + extra) in (0, 1)
+
+
+@pytest.mark.parametrize("b", [[0.05, 0.0, -0.02], [2.0, 0.0, 1.0]], ids=["stationary-start", "moving-start"])
+def test_solve_mf_without_shift_on_the_full_space_is_config_error(tmp_path, capsys, b):
+    write_matrix(tmp_path / "a.mat", np.eye(3))
+    write_vector(tmp_path / "b.vec", np.array(b))
+    code = main(["solve", "--algo", "mf", "--A", str(tmp_path / "a.mat"), "--Q",
+                 f"singleton:{tmp_path / 'b.vec'}", "--C", "fullspace:3", "--gamma", "0.1", "--mu", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: mu_shift = 0 requires a bounded")
 
 
 def test_solve_divergence_exits_not_converged(instance_files, capsys):

@@ -76,6 +76,17 @@ def test_generators_reject_a_trial_that_is_not_a_count(generate, spec, trial):
         generate(spec, trial)
 
 
+def test_generators_reject_a_trial_beyond_the_philox_key():
+    # Philox is keyed with the trial as one 64-bit word: 2**64 raised an
+    # OverflowError, and masking it would give trial 0's instance.
+    with pytest.raises(ValueError, match=r"trial must be below 2\*\*64, got 18446744073709551616"):
+        gen_sparse_recovery(_SMALL_SPARSE, 2**64)
+    # The largest trial keeps its instance: A is the first draw of Philox keyed (seed, trial).
+    top = 2**64 - 1
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, top], dtype=np.uint64)))
+    assert np.array_equal(gen_sparse_recovery(_SMALL_SPARSE, top).problem.A, rng.standard_normal((2, 2)))
+
+
 def test_sparse_recovery_structure():
     spec = SparseSpec(seed=9, m=20, n=50, sparsity=5, noise_variance=1e-4, gamma=0.6)
     inst = gen_sparse_recovery(spec, 0)
@@ -433,10 +444,28 @@ def test_bad_problem_config_exits_before_out_dir_exists(tmp_path, capsys, kind, 
 
     out_dir = tmp_path / "bench"
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(
-        "seed=5\nm=12\nn=24\nk=2\ntrials=2\ngamma=0.6\nnoise_variance=0.0001\n"
-        f"algos=cq\nout_dir={out_dir}\nmax_iter=50\n{line}\n"
-    )
+    # The bad line takes the place of its key's good one: a key may appear once.
+    good = ["seed=5", "m=12", "n=24", "k=2", "trials=2", "gamma=0.6", "noise_variance=0.0001",
+            "algos=cq", f"out_dir={out_dir}", "max_iter=50"]
+    key = line.partition("=")[0]
+    cfg.write_text("".join(f"{entry}\n" for entry in good if entry.partition("=")[0] != key) + f"{line}\n")
     assert main([f"bench-{kind}", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} must ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, lineno, key",
+    [(["seed=1", "seed=2"], 3, "seed"), (["k=5", "m=12", "k=7"], 4, "k")],
+    ids=["seed", "k"],
+)
+def test_bench_config_repeated_key_exits_2_with_its_line(tmp_path, capsys, lines, lineno, key):
+    # The later value silently won: seed 2, sparsity 7.
+    from sfpsolve.cli import main
+
+    out_dir = tmp_path / "bench"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{line}\n" for line in [f"out_dir={out_dir}", *lines]))
+    assert main(["bench-sparse", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{lineno}: repeated key '{key}'")
     assert not out_dir.exists()

@@ -170,15 +170,27 @@ def test_status_reports_budget_exhaustion(name):
 
 
 def test_fb_in_dr_without_trace_records_only_the_last_iterate():
+    # An inner solve keeps one record: that of the point it returns, at the
+    # number of steps it took.
     spec = unit_subproblem([1.0, -0.4, 0.05, 2.0], gamma=0.3, v=[0.1, 0.0, -0.2, 0.0])
     x0 = np.array([0.5, 0.5, -0.5, 0.0])
-    full = solve_fb_in_dr(spec, x0, InnerOptions(record_trace=True))
-    last = solve_fb_in_dr(spec, x0, InnerOptions(record_trace=False))
-    assert len(full.trace) > 1 and len(last.trace) == 1
-    assert last.trace[0].k == full.trace[-1].k
-    assert last.trace[0].objective == full.trace[-1].objective
-    assert last.status == full.status
-    assert np.array_equal(last.x, full.x)
+    r = solve_fb_in_dr(spec, x0, InnerOptions())
+    assert r.status is Status.CONVERGED and len(r.trace) == 1 and r.iterations > 1
+    assert r.trace[0].k == r.iterations
+    assert r.trace[0].objective == spec.objective(r.x)
+    short = solve_fb_in_dr(spec, x0, InnerOptions(outer_max=r.iterations - 1))
+    assert short.status is Status.MAX_ITERATIONS and len(short.trace) == 1
+    assert short.trace[0].k == r.iterations - 1
+
+
+def test_dr_in_fb_whose_only_record_is_not_finite_ends_diverged():
+    # Every iterate is finite, but ||Ax||^2 overflows: the one record is
+    # kept, and it ends the run as diverged.
+    P = ProblemSpec(A=[[1e100]], C=FullSpace(1), Q=Singleton([0.0]), gamma=1.0)
+    r = solve_dr_in_fb(SubproblemSpec(base=P, v=[0.0]), [1e60], InnerOptions(outer_max=10))
+    assert r.status is Status.DIVERGED and r.message == "non-finite objective at iteration 10"
+    assert len(r.trace) == 1 and r.trace[0].objective == math.inf
+    assert np.isfinite(r.x).all()
 
 
 def sparse_subproblem(C, seed=3, gamma=0.2):

@@ -292,6 +292,15 @@ def test_direction_unshifted_requires_bounded_set():
         mf_direction(P, np.array([1.0, 0.0]), MfOptions(mu_shift=0.0))
 
 
+@pytest.mark.parametrize("b", [[0.05, 0.0, -0.02], [2.0, 0.0, 1.0]], ids=["stationary-start", "moving-start"])
+def test_unshifted_mf_on_an_unbounded_set_is_rejected_before_any_record(b):
+    # From the stationary start the run returned converged at iteration 0;
+    # from the other it raised in its first step, after the k = 0 record.
+    P = unit_problem(b, gamma=0.1)
+    with pytest.raises(ConfigurationError, match="bounded"):
+        solve_mf(P, np.zeros(3), MfOptions(mu_shift=0.0))
+
+
 def test_direction_unshifted_box_candidates():
     # mu = 0 on a box: the per-coordinate piecewise-linear minimum sits at a
     # bound or at zero.

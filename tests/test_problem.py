@@ -13,6 +13,7 @@ from sfpsolve.linops import read_vector
 from sfpsolve.problem import (
     ProblemSpec,
     Status,
+    Stop,
     gamma_objective,
     iterate,
     has_exact_residual,
@@ -358,8 +359,8 @@ def test_finite_iterate_whose_square_overflows_is_recorded(record_trace):
     r = iterate(np.zeros(3), step, _finite_monitor, 3, record_trace=record_trace)
     assert r.status == Status.MAX_ITERATIONS and r.iterations == 3 and r.message == ""
     assert np.array_equal(r.x, 3 * big)
-    # Without a trace the start and the last iterate are recorded.
-    assert len(r.trace) == (4 if record_trace else 2)
+    # Without a trace only the last iterate is recorded.
+    assert len(r.trace) == (4 if record_trace else 1)
 
 
 @pytest.mark.parametrize("record_trace", [True, False])
@@ -377,7 +378,22 @@ def test_non_finite_iterate_ends_the_run_as_diverged(bad, record_trace):
     assert r.status == Status.DIVERGED and r.iterations == 2
     assert r.message == "x0 moved; non-finite iterate at iteration 3"
     assert np.array_equal(r.x, np.full(3, 2.0))
-    assert len(r.trace) == (3 if record_trace else 2) and r.trace[-1].k == 2
+    assert len(r.trace) == (3 if record_trace else 1) and r.trace[-1].k == 2
+
+
+@pytest.mark.parametrize("stop", [None, Stop(Status.ZERO_STATIONARY)], ids=["no-stop", "step-stop"])
+def test_only_record_that_is_not_finite_is_kept_and_ends_the_run_as_diverged(stop):
+    def step(k, x):
+        return x + 1.0, 1.0, stop if k == 2 else None
+
+    def monitor(k, x, move):
+        return {"objective": 1.0, "grad_residual": 1.0, "sfp_residual": np.inf if k == 2 else 1.0}
+
+    r = iterate(np.zeros(3), step, monitor, 2, message="x0 moved", record_trace=False)
+    assert r.status == Status.DIVERGED and r.iterations == 2
+    assert r.message == "x0 moved; non-finite sfp_residual at iteration 2"
+    assert np.array_equal(r.x, np.full(3, 2.0))
+    assert len(r.trace) == 1 and r.trace[0].sfp_residual == np.inf
 
 
 @pytest.mark.parametrize(
