@@ -29,6 +29,7 @@ from .problem import (
     sfp_residual_value,
     start_point,
 )
+from .prox import fista_momentum
 from .sets import Ball
 
 _EPS = float(np.finfo(float).eps)
@@ -364,15 +365,12 @@ def level_set_bound(P: ProblemSpec, t: float, max_iter: int) -> float:
             idle = idle + 1 if norm(move) <= _EPS * norm(x_next) else 0
             if idle == 2:
                 break
-            if turn > 0.0:
-                theta = 1.0
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            beta = (theta - 1.0) / theta_next
+            theta, beta = fista_momentum(theta, turn)
             z, Az = x_next, Ax_next
             if beta:
                 z = x_next + beta * move
                 Az = Ax_next + beta * (Ax_next - Ax)
-            x, Ax, theta = x_next, Ax_next, theta_next
+            x, Ax = x_next, Ax_next
     return best
 
 

@@ -73,9 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
     solver_flag("--inner-tau", type=float, help="inner DR relaxation in (0,2)")
     solver_flag(
         "--inner-lambda", dest="inner_lambda_relax", type=float,
-        help="inner FB relaxation in (0,1]",
+        help="fb-in-dr FB relaxation in (0,1]",
     )
-    solver_flag("--inner-step-fraction", type=float)
+    solver_flag(
+        "--inner-step-fraction", type=float,
+        help="inner step as a fraction in (0,1) of 1/||A||^2 (dr-in-fb) "
+        "or of 2/(kappa*||A||^2) (fb-in-dr)",
+    )
     solver_flag("--inner-budget-base", type=int)
     solver_flag("--inner-budget-cap", type=int)
     solver_flag("--zero-tol", type=float, help="dca zero-iterate threshold")

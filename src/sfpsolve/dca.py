@@ -115,9 +115,11 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     step moves to it, so the run records the origin it returns), or at
     ``max_outer`` iterations.  A step whose inner result the majorizer
     safeguard discards ends the run as ``MAX_ITERATIONS`` at the last
-    recorded iterate.  Status and iterate are :func:`problem.iterate`'s; the
-    message adds the steps whose inner solve ran out of ``outer_max`` and
-    the discarded step.
+    recorded iterate, unless the inner solve converged at its first
+    iteration: then ``x_k`` is a fixed point to the inner tolerance, the
+    step moves 0 and the run ends ``CONVERGED`` at ``x_k``.  Status and
+    iterate are :func:`problem.iterate`'s; the message adds the steps whose
+    inner solve ran out of ``outer_max`` and the discarded step.
     """
     if opts is None:
         opts = DcaOptions()
@@ -133,6 +135,11 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
         if inner.status is Status.MAX_ITERATIONS:
             capped.append(k)
         if _DISCARDED in inner.message:
+            if inner.status is Status.CONVERGED and inner.iterations == 1:
+                # x's own first inner step moved within the inner tolerance,
+                # so x is a DCA fixed point to it and rounding made the
+                # refusal: the run converges at x.
+                return inner.x, 0.0, None
             # The step returned x unchanged, and a retry from x would repeat
             # the same inner solve: the run has stalled, not converged.
             discarded.append(k)

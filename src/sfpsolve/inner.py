@@ -11,9 +11,11 @@ constraint with one operator and the l1 term with the other:
 * ``solve_fb_in_dr`` runs Douglas-Rachford outer iterations whose backward
   step on the smooth-plus-constraint block is approximated by a short inner
   loop of forward-backward iterations.
-* ``solve_dr_in_fb`` runs forward-backward outer iterations whose prox of the
-  constrained l1 term is computed by a short inner Douglas-Rachford loop,
-  exact after one iteration on every set but an off-centre ball.
+* ``solve_dr_in_fb`` runs accelerated forward-backward outer iterations
+  (FISTA with gradient restart, step ``1/||A||^2`` scaled by
+  ``step_fraction``) whose prox of the constrained l1 term is computed by a
+  short inner Douglas-Rachford loop, exact after one iteration on every set
+  but an off-centre ball.  It is the default for :mod:`sfpsolve.dca`.
 
 Both converge to the same minimizer of the convex subproblem; they serve as
 mutual cross-checks in the test suite.
@@ -27,7 +29,7 @@ import numpy as np
 
 from .linops import as_vector, check_count, check_positive, inflated_op_norm, norm, squared_op_norm
 from .problem import ProblemSpec, SolveResult, iterate, sfp_residual_value, start_point
-from .prox import soft_threshold
+from .prox import fista_momentum, soft_threshold
 from .sets import projected_shrink_is_prox
 
 __all__ = [
@@ -87,13 +89,16 @@ class InnerOptions:
 
     ``kappa`` is the Douglas-Rachford scale of :func:`solve_fb_in_dr` and
     defaults to the subproblem's l1 weight.  ``tau`` is the DR relaxation in
-    (0, 2), ``lambda_relax`` the forward-backward relaxation in (0, 1], and
-    ``step_fraction`` the fraction of the admissible step-size upper bound
-    actually used.  The inner budget per outer step grows as
-    ``min(budget_base + k, budget_cap)``.  :func:`solve_dr_in_fb` ignores
-    ``kappa``; its prox is exact after one DR iteration unless ``C`` is a
-    ball of positive radius with a nonzero centre, so ``tau`` and the budget
-    ramp matter there only on such a ball.
+    (0, 2) and ``lambda_relax`` the relaxation in (0, 1] of
+    :func:`solve_fb_in_dr`'s inner forward-backward steps.
+    ``step_fraction`` is the fraction of the step bound actually used:
+    ``1/||A||^2`` for :func:`solve_dr_in_fb`'s accelerated steps and
+    ``2/(kappa*||A||^2)`` for :func:`solve_fb_in_dr`'s inner steps.  The
+    inner budget per outer step grows as ``min(budget_base + k,
+    budget_cap)``.  :func:`solve_dr_in_fb` reads neither ``kappa`` nor
+    ``lambda_relax``; its prox is exact after one DR iteration unless ``C``
+    is a ball of positive radius with a nonzero centre, so ``tau`` and the
+    budget ramp matter there only on such a ball.
 
     ``tol`` is measured on the iterate displacement divided by the solver's
     step scale (the gradient step for the forward-backward outer loop, the
@@ -230,40 +235,42 @@ def _constrained_l1_prox_dr(
 def solve_dr_in_fb(
     spec: SubproblemSpec, x0, opts: InnerOptions | None = None
 ) -> SolveResult:
-    """Forward-backward outer loop with Douglas-Rachford inner iterations.
+    """Accelerated forward-backward outer loop with Douglas-Rachford inner iterations.
 
-    The outer loop takes gradient steps on the smooth fidelity-plus-linear
-    block (step below ``2/||A||^2``); the prox of the constrained l1 block is
-    approximated by up to ``M_k`` Douglas-Rachford iterations with an early
-    exit at its fixed point.  The first DR half point is
-    ``P_C(soft_threshold(a, thresh))``, which is the exact prox unless ``C``
-    is a ball of positive radius with a nonzero centre (see
-    :func:`~sfpsolve.sets.projected_shrink_is_prox`); on every other set
-    ``M_k = 1``.  Iterates stay in ``C``.
+    Each outer step is a prox-gradient step of size
+    ``opts.step_fraction/||A||^2`` on the smooth fidelity-plus-linear block,
+    taken at the extrapolated point ``y = x_k + beta_k*(x_k - x_{k-1})``
+    of FISTA with gradient restart (see :func:`~sfpsolve.prox.fista_momentum`).
+    The prox of the constrained l1 block is approximated by up to ``M_k``
+    Douglas-Rachford iterations with an early exit at its fixed point.  The
+    first DR half point is ``P_C(soft_threshold(a, thresh))``, which is the
+    exact prox unless ``C`` is a ball of positive radius with a nonzero
+    centre (see :func:`~sfpsolve.sets.projected_shrink_is_prox`); on every
+    other set ``M_k = 1``.  The iterates ``x_k`` stay in ``C``; ``y`` need
+    not.  Ignores ``kappa`` and ``lambda_relax``.
     """
     if opts is None:
         opts = InnerOptions()
     P = spec.base
-    gstep = opts.step_fraction * (2.0 / squared_op_norm(spec._a_norm()))
-    lam = opts.lambda_relax
+    gstep = opts.step_fraction / squared_op_norm(spec._a_norm())
     thresh = gstep * P.gamma
     exact = projected_shrink_is_prox(P.C)
 
     x, message = start_point(P, x0)
+    y, theta = x, 1.0
 
     def step(k, x):
-        # x' = x - gstep*g and x_next = x + lam*(y_half - x) in place (the DR
-        # half point is its own array; lam = 1 skips an exact product).
-        x_prime = spec.smooth_gradient(x)
-        x_prime *= gstep
-        np.subtract(x, x_prime, out=x_prime)
+        nonlocal y, theta
+        # w = y - gstep*g in place, then the prox of the l1 block at w.
+        w = spec.smooth_gradient(y)
+        w *= gstep
+        np.subtract(y, w, out=w)
         budget = 1 if exact else opts.budget(k - 1)
-        x_next, _ = _constrained_l1_prox_dr(x_prime, thresh, P.C, budget, opts.tau)
-        x_next -= x
-        if lam != 1.0:
-            x_next *= lam
-        x_next += x
-        return x_next, norm(x_next - x), None
+        x_next, _ = _constrained_l1_prox_dr(w, thresh, P.C, budget, opts.tau)
+        move = x_next - x
+        theta, beta = fista_momentum(theta, (y - x_next).dot(move))
+        y = x_next + beta * move if beta else x_next
+        return x_next, norm(move), None
 
     return _run_inner(spec, x, step, gstep, opts, message)
 

@@ -8,6 +8,9 @@ sparsity more aggressively than the l1 norm alone.  Its scaled prox
 
 has a closed form that splits into three regimes according to how ``lam``
 compares with ``||y||_inf``.
+
+:func:`fista_momentum` is the momentum rule of the accelerated
+proximal-gradient loops built on these operators.
 """
 
 from __future__ import annotations
@@ -102,3 +105,19 @@ def prox_l1_l2_objective(y, lam: float, v) -> float:
     y = as_vector(y, "y")
     v = as_vector(v, "v")
     return lam * l1_l2(v) + 0.5 * float(np.sum((v - y) ** 2))
+
+
+def fista_momentum(theta: float, turn: float) -> tuple[float, float]:
+    """FISTA's next ``theta`` and extrapolation weight ``beta``, with gradient restart.
+
+    ``turn = (y - x_next).(x_next - x)``, where ``y`` is the point the
+    prox-gradient step from ``x`` to ``x_next`` was taken at.  A positive
+    ``turn`` means the step runs against the last move, and ``theta``
+    restarts at 1 (O'Donoghue & Candes, Found. Comput. Math. 15, 2015).
+    The next step is taken at ``x_next + beta*(x_next - x)`` (Beck &
+    Teboulle, SIAM J. Imaging Sci. 2, 2009); ``beta`` is 0 after a restart.
+    """
+    if turn > 0.0:
+        theta = 1.0
+    theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+    return theta_next, (theta - 1.0) / theta_next

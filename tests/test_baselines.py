@@ -25,6 +25,7 @@ from sfpsolve.problem import (
     sfp_residual_value,
     start_point,
 )
+from sfpsolve.prox import fista_momentum
 from sfpsolve.sets import Ball, Box, FullSpace, L1Ball, NonnegativeOrthant, Singleton
 
 
@@ -678,6 +679,24 @@ def test_level_set_bound_does_not_certify_the_noise_ball(trial):
     inst = gen_sparse_recovery(DESK, trial)
     P = replace(inst.problem, Q=Ball(inst.problem.Q.center, float(np.sqrt(DESK.m * 1e-4))))
     assert baselines.level_set_bound(P, inst.t_level, 1000) <= inst.t_level
+
+
+def test_level_set_bound_keeps_its_value_on_the_shared_momentum_rule(monkeypatch):
+    # The bound of the inline momentum loop, stored from one BLAS thread;
+    # the comparison allows for another BLAS's summation order.  The run
+    # stops on its gap after 108 iterations, three of them restarts.
+    inst = gen_sparse_recovery(DESK, 0)
+    P = replace(inst.problem, Q=Ball(inst.problem.Q.center, float(np.sqrt(DESK.m * 1e-4))))
+    calls = []
+
+    def counting(theta, turn):
+        calls.append(turn > 0.0)
+        return fista_momentum(theta, turn)
+
+    monkeypatch.setattr(baselines, "fista_momentum", counting)
+    bound = baselines.level_set_bound(P, inst.t_level, 1000)
+    assert bound == pytest.approx(9.978499769356112, rel=1e-12)
+    assert len(calls) > 50 and sum(calls) > 0
 
 
 def test_level_set_bound_does_not_certify_a_consistent_3x4_instance():

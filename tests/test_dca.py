@@ -5,8 +5,15 @@ import pytest
 
 from sfpsolve.dca import DcaOptions, dca_step, solve_dca
 from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
-from sfpsolve.inner import InnerOptions, SubproblemSpec, solve_dr_in_fb
-from sfpsolve.problem import ProblemSpec, Status, gamma_objective, stationarity_residual
+from sfpsolve.inner import INNER_SOLVERS, InnerOptions, SubproblemSpec, solve_dr_in_fb
+from sfpsolve.problem import (
+    IterateRecord,
+    ProblemSpec,
+    SolveResult,
+    Status,
+    gamma_objective,
+    stationarity_residual,
+)
 from sfpsolve.prox import soft_threshold
 from sfpsolve.sets import Box, FullSpace, NonnegativeOrthant, Singleton
 
@@ -176,6 +183,54 @@ def test_discarded_step_ends_the_run_well_before_the_limit():
     assert r.status == Status.MAX_ITERATIONS and not r.converged
     assert r.iterations == 2
     assert r.message.endswith("inner result discarded at steps 3")
+
+
+def test_first_step_on_a_random_orthant_instance_solves_its_subproblem():
+    # Plain forward-backward ran this subproblem into the 2,000-iteration
+    # cap ("inner solve hit outer_max at steps 1, ..., 14" for the run).
+    inst = gen_random_problem(RandomSpec(seed=0, m=40, n=100, trials=8), 0, gamma=0.6)
+    step = dca_step(inst.problem, inst.x0)
+    assert step.status is Status.CONVERGED
+    assert step.iterations < InnerOptions().outer_max
+
+
+@pytest.mark.parametrize(
+    "status, iterations, expected",
+    [
+        (Status.CONVERGED, 1, Status.CONVERGED),
+        (Status.CONVERGED, 2, Status.MAX_ITERATIONS),
+        (Status.MAX_ITERATIONS, 1, Status.MAX_ITERATIONS),
+    ],
+    ids=["converged-in-1", "converged-in-2", "capped-at-1"],
+)
+def test_discard_after_a_one_iteration_converged_solve_ends_converged(
+    status, iterations, expected, monkeypatch
+):
+    # The stub's result lies a few ulps above the majorizer's value at x_k, so
+    # the safeguard refuses it.  After a one-iteration converged solve x_k is
+    # a fixed point to the inner tolerance; otherwise the run has stalled.
+    P = unit_problem([1.0, -2.0, 0.5])
+    x_k = np.array([0.3, -1.2, 0.0])
+
+    def stub(spec, x0, opts):
+        x = x0.copy()
+        while spec.objective(x) <= spec.objective(x0):
+            x[0] = np.nextafter(x[0], np.inf)
+        assert spec.objective(x) - spec.objective(x0) <= 4 * np.spacing(spec.objective(x0))
+        record = IterateRecord(
+            k=iterations, objective=spec.objective(x), step_norm=0.0, grad_residual=0.0,
+            elapsed_ms=0.0,
+        )
+        return SolveResult(x=x, status=status, trace=[record])
+
+    monkeypatch.setitem(INNER_SOLVERS, "dr-in-fb", stub)
+    r = solve_dca(P, x_k)
+    assert r.status is expected
+    assert np.array_equal(r.x, x_k)
+    if expected is Status.CONVERGED:
+        assert r.iterations == 1 and r.trace[-1].step_norm == 0.0 and r.message == ""
+    else:
+        assert r.iterations == 0 and r.message.endswith("inner result discarded at steps 1")
 
 
 def _count_op_norms(monkeypatch):

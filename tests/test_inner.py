@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sfpsolve import inner
+from sfpsolve.harness import RandomSpec, gen_random_problem
 from sfpsolve.inner import (
     INNER_SOLVERS,
     InnerOptions,
@@ -83,6 +84,17 @@ def test_solvers_agree_on_random_instances():
         oa = sub.objective(solve_fb_in_dr(sub, np.zeros(20), opts).x)
         ob = sub.objective(solve_dr_in_fb(sub, np.zeros(20), opts).x)
         assert abs(oa - ob) <= 1e-5
+
+
+def test_solvers_agree_on_the_first_dca_subproblem_of_a_random_orthant_instance():
+    # The subproblem plain forward-backward left capped at 2,000 iterations.
+    inst = gen_random_problem(RandomSpec(seed=0, m=40, n=100, trials=8), 0, gamma=0.6)
+    sub = SubproblemSpec(base=inst.problem, v=np.zeros(inst.problem.n))
+    opts = InnerOptions(tol=1e-8, outer_max=30000)
+    ra = solve_fb_in_dr(sub, inst.x0, opts)
+    rb = solve_dr_in_fb(sub, inst.x0, opts)
+    assert ra.status is rb.status is Status.CONVERGED
+    assert abs(sub.objective(ra.x) - sub.objective(rb.x)) <= 1e-5
 
 
 @pytest.mark.parametrize("name", sorted(INNER_SOLVERS))
@@ -187,7 +199,7 @@ def test_dr_in_fb_whose_only_record_is_not_finite_ends_diverged():
     # Every iterate is finite, but ||Ax||^2 overflows: the one record is
     # kept, and it ends the run as diverged.
     P = ProblemSpec(A=[[1e100]], C=FullSpace(1), Q=Singleton([0.0]), gamma=1.0)
-    r = solve_dr_in_fb(SubproblemSpec(base=P, v=[0.0]), [1e60], InnerOptions(outer_max=10))
+    r = solve_dr_in_fb(SubproblemSpec(base=P, v=[0.0]), [1e100], InnerOptions(outer_max=10))
     assert r.status is Status.DIVERGED and r.message == "non-finite objective at iteration 10"
     assert len(r.trace) == 1 and r.trace[0].objective == math.inf
     assert np.isfinite(r.x).all()

@@ -3,12 +3,24 @@ import pytest
 
 from sfpsolve.oracles import grid_minimize, prox_l1_l2_grid_min
 from sfpsolve.prox import (
+    fista_momentum,
     l1_l2,
     prox_l1_l2_objective,
     prox_l1_minus_l2,
     soft_threshold,
 )
 from sfpsolve.sets import Box
+
+
+def test_fista_momentum_follows_beck_teboulle_and_restarts_on_a_turn():
+    golden = (1.0 + 5.0**0.5) / 2.0
+    # theta = 1 gives no momentum; each next theta solves t'^2 - t' = t^2.
+    assert fista_momentum(1.0, -1.0) == (golden, 0.0)
+    theta, beta = fista_momentum(golden, 0.0)
+    assert theta * theta - theta == pytest.approx(golden * golden)
+    assert beta == (golden - 1.0) / theta
+    # A step that turns against the last move restarts at theta = 1.
+    assert fista_momentum(50.0, 1e-300) == fista_momentum(1.0, -1.0)
 
 
 def test_soft_threshold_componentwise():
