@@ -5,11 +5,11 @@ import pytest
 
 from sfpsolve.fbsplit import FbOptions, solve_fb
 from sfpsolve.harness import SparseSpec, gen_sparse_recovery
-from sfpsolve.linops import inflated_op_norm
+from sfpsolve.linops import inflated_op_norm, sfp_gradient
 from sfpsolve.oracles import grid_minimize
-from sfpsolve.problem import ConfigurationError, ProblemSpec, Status
-from sfpsolve.prox import l1_l2, prox_l1_minus_l2
-from sfpsolve.sets import Ball, FullSpace, NonnegativeOrthant, Singleton
+from sfpsolve.problem import ConfigurationError, ProblemSpec, Status, sfp_residual_value
+from sfpsolve.prox import fista_momentum, l1_l2, prox_l1_minus_l2
+from sfpsolve.sets import Ball, Box, FullSpace, NonnegativeOrthant, Singleton
 
 
 def test_origin_is_fixed_point_inside_target_ball():
@@ -92,6 +92,66 @@ def test_oversized_step_breaks_descent_somewhere():
     assert violations > 0
 
 
+def test_desk_instance_converges_fast_with_monotone_objective():
+    # Trial 0 of the sparse-fullspace benchmark workload: 729 iterations
+    # without momentum.
+    spec = SparseSpec(seed=0, m=100, n=256, sparsity=10, noise_variance=1e-4, gamma=0.6)
+    inst = gen_sparse_recovery(spec, 0)
+    r = solve_fb(inst.problem, inst.x0, FbOptions())
+    assert r.status == Status.CONVERGED
+    assert r.iterations <= 250
+    assert np.all(np.diff(r.objectives()) <= 1e-10)
+
+
+def test_safeguard_steps_from_x_k_where_the_extrapolated_point_is_worse():
+    # Runs are deterministic, so a rerun capped at k iterations ends at x_k.
+    spec = SparseSpec(seed=5, m=30, n=64, sparsity=5, noise_variance=1e-4, gamma=0.6)
+    inst = gen_sparse_recovery(spec, 0)
+    P = inst.problem
+    opts = FbOptions()
+    full = solve_fb(P, inst.x0, opts)
+    K = full.iterations
+    xs = [inst.x0] + [solve_fb(P, inst.x0, FbOptions(max_iter=k)).x for k in range(1, K + 1)]
+    step = opts.resolve_step(P)
+
+    def prox_step(z):
+        return prox_l1_minus_l2(z - step * sfp_gradient(P.A, P.Q, z) / P.gamma, step)
+
+    theta, beta, refusals = 1.0, 0.0, 0
+    for k in range(K):
+        x, y = xs[k], xs[k]
+        if beta:
+            y_try = x + beta * (x - xs[k - 1])
+            if sfp_residual_value(P, y_try) / P.gamma + l1_l2(y_try) <= full.trace[k].objective:
+                y = y_try
+            elif np.linalg.norm(prox_step(y_try) - xs[k + 1]) > 1e-6:
+                refusals += 1  # the step from y_try would have landed elsewhere
+        np.testing.assert_allclose(xs[k + 1], prox_step(y), rtol=0, atol=1e-9)
+        theta, beta = fista_momentum(theta, (y - xs[k + 1]).dot(xs[k + 1] - x))
+    assert refusals > 0
+
+
+def test_box_target_tests_extrapolation_by_projection(monkeypatch):
+    spec = SparseSpec(seed=5, m=30, n=64, sparsity=5, noise_variance=1e-4, gamma=0.6)
+    inst = gen_sparse_recovery(spec, 0)
+    b = inst.problem.Q.point
+    P = ProblemSpec(A=inst.problem.A, C=FullSpace(64), Q=Box(b - 0.01, b + 0.01), gamma=0.6)
+    calls = []
+    project = Box.project
+    monkeypatch.setattr(Box, "project", lambda self, x: calls.append(1) or project(self, x))
+    opts = FbOptions(step_tol=1e-7, max_iter=20000)
+    r = solve_fb(P, inst.x0, opts)
+    assert r.status == Status.CONVERGED
+    assert np.all(np.diff(r.objectives()) <= 1e-10)
+    # Each record projects three times (two residual values and the
+    # stationarity gradient) and each step once (its gradient); the rest are
+    # objective tests at extrapolated points.
+    assert len(calls) > 3 * (r.iterations + 1) + r.iterations
+    step = opts.resolve_step(P)
+    mapped = prox_l1_minus_l2(r.x - step * sfp_gradient(P.A, P.Q, r.x) / P.gamma, step)
+    assert np.linalg.norm(r.x - mapped) <= 10 * opts.step_tol
+
+
 def test_termination_point_is_fixed_point():
     spec = SparseSpec(seed=5, m=30, n=64, sparsity=5, noise_variance=0.0, gamma=0.6)
     inst = gen_sparse_recovery(spec, 0)
@@ -100,8 +160,6 @@ def test_termination_point_is_fixed_point():
     r = solve_fb(P, inst.x0, opts)
     assert r.status == Status.CONVERGED
     step = opts.resolve_step(P)
-    from sfpsolve.linops import sfp_gradient
-
     mapped = prox_l1_minus_l2(r.x - step * sfp_gradient(P.A, P.Q, r.x) / P.gamma, step)
     assert np.linalg.norm(r.x - mapped) <= 10 * opts.step_tol
 
@@ -119,7 +177,6 @@ def test_prox_step_consistency_along_iterates():
     # Spot-check a few updates: the prox output must match the grid oracle's
     # objective for its own input, i.e. each backward step really minimizes
     # the prox objective.
-    from sfpsolve.linops import sfp_gradient
     from sfpsolve.oracles import prox_l1_l2_grid_min
     from sfpsolve.prox import prox_l1_l2_objective
 
