@@ -25,6 +25,7 @@ from .problem import (
     iterate,
     start_point,
 )
+from .sets import FullSpace, NonnegativeOrthant
 
 __all__ = ["DcaOptions", "dca_step", "solve_dca"]
 
@@ -69,6 +70,46 @@ def _resolved_inner(opts: DcaOptions) -> InnerOptions:
     return replace(opts.inner, tol=tol)
 
 
+def _working_set_solve(spec: SubproblemSpec, x_k: np.ndarray, solve, opts: InnerOptions):
+    """Solve ``spec`` in rounds on working sets of columns, as :func:`dca_step` describes.
+
+    Returns None where the step solves on all columns instead.  ``opts`` is
+    the resolved inner options, whose ``tol`` the column test adds to gamma.
+    """
+    P = spec.base
+    free = isinstance(P.C, FullSpace)
+    if not (free or isinstance(P.C, NonnegativeOrthant)):
+        return None
+    W = np.flatnonzero(x_k)
+    if 2 * W.size >= P.m:
+        return None
+    threshold = P.gamma + opts.tol
+    x, rounds = x_k, []
+    while True:
+        g = spec.smooth_gradient(x)
+        excess = np.abs(g) if free else -g
+        excess -= threshold
+        excess[W] = 0.0
+        violators = np.flatnonzero(excess > 0.0)
+        if rounds and not violators.size:
+            break
+        worst = violators[np.argsort(-excess[violators], kind="stable")[: max(10, W.size)]]
+        W = np.union1d(W, worst)
+        block = P.A[:, W]
+        if not W.size or 2 * W.size >= P.m or not block.any():
+            return None
+        C_W = (FullSpace if free else NonnegativeOrthant)(W.size)
+        restricted = SubproblemSpec(base=ProblemSpec(block, C_W, P.Q, P.gamma), v=spec.v[W])
+        rounds.append(solve(restricted, x[W], opts))
+        x = np.zeros_like(x_k)
+        x[W] = rounds[-1].x
+    statuses = {r.status for r in rounds}
+    status = next((s for s in (Status.DIVERGED, Status.MAX_ITERATIONS) if s in statuses), rounds[-1].status)
+    record = replace(rounds[-1].trace[-1], k=sum(r.iterations for r in rounds))
+    message = "; ".join(dict.fromkeys(r.message for r in rounds if r.message))
+    return SolveResult(x=x, status=status, trace=[record], message=message)
+
+
 def dca_step(
     P: ProblemSpec,
     x_k,
@@ -81,8 +122,23 @@ def dca_step(
 
     Builds the subproblem with linear term ``v = -gamma * x_k / ||x_k||_2``
     (``v = 0`` when ``||x_k|| <= zero_tol``) and solves it warm-started at
-    ``x_k``.  If the inexact inner solve fails to improve the majorizer, the
-    step returns ``x_k`` unchanged, which keeps the outer objective sequence
+    ``x_k``.  On C = R^n and the orthant the subproblem is solved on a
+    working set of columns: ``supp(x_k)`` plus the worst violators of the
+    per-column optimality test ``|g_j| <= gamma + tol`` (``g_j >= -(gamma +
+    tol)`` on the orthant), where ``g = A'(Ax - P_Q(Ax)) + v`` and ``tol =
+    min(inner.tol, step_tol/10)``.  Each round runs the inner solver on
+    ``A[:, W]`` with a step from the exact ``||A[:, W]||``, then tests every
+    column outside ``W`` at the embedded point and adds the worst violators,
+    until none is left.  The returned iterations sum over the rounds, and the
+    status is ``MAX_ITERATIONS`` if any round ran out of ``outer_max``.  The
+    subproblem is solved on all columns instead, as one solve from ``x_k``,
+    when ``C`` is another set (a ball or an l1 ball has no per-column test),
+    when ``W`` is empty or its columns are all zero, or when ``W`` reaches
+    ``m/2`` columns (tested on ``supp(x_k)`` before any other work): with
+    supports near ``m`` columns the rounds cost more than one full solve.
+
+    If the inexact inner solve fails to improve the majorizer, the step
+    returns ``x_k`` unchanged, which keeps the outer objective sequence
     non-increasing unconditionally.
     """
     if opts is None:
@@ -96,7 +152,10 @@ def dca_step(
     else:
         v = -P.gamma * (x_k / norm_x)
     spec = SubproblemSpec(base=P, v=v, _op_norm=_op_norm)
-    inner = INNER_SOLVERS[opts.inner_solver](spec, x_k, _resolved_inner(opts))
+    solve, inner_opts = INNER_SOLVERS[opts.inner_solver], _resolved_inner(opts)
+    inner = _working_set_solve(spec, x_k, solve, inner_opts)
+    if inner is None:
+        inner = solve(spec, x_k, inner_opts)
     # Majorizer safeguard: the subproblem objective dominates the true
     # objective and touches it at x_k, so refusing a non-improving inner
     # result preserves monotone descent.
@@ -109,6 +168,16 @@ def dca_step(
 def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult:
     """Run the outer loop from ``x0`` (projected onto ``C`` if needed).
 
+    Each step is a :func:`dca_step`.  On C = R^n and the orthant it solves
+    its subproblem in rounds on a working set of columns: ``supp(x_k)`` plus
+    the worst violators of ``|g_j| <= gamma + tol`` (``g_j >= -(gamma +
+    tol)`` on the orthant), each round with the step of the exact norm of
+    its m x |W| block, until no column outside the set violates the test.
+    It solves on all columns instead on any other ``C``, when the set is
+    empty or its columns are all zero, and when the set reaches ``m/2``
+    columns.  ``||A||`` is read once, from the problem's cache, for the
+    full-size solves.
+
     Stops when the step norm drops to ``step_tol`` (``CONVERGED``), when two
     consecutive iterates are both zero and ``C`` contains the origin
     (``ZERO_STATIONARY``: the origin is a fixed point of the scheme, and the
@@ -119,7 +188,8 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     iteration: then ``x_k`` is a fixed point to the inner tolerance, the
     step moves 0 and the run ends ``CONVERGED`` at ``x_k``.  Status and
     iterate are :func:`problem.iterate`'s; the message adds the steps whose
-    inner solve ran out of ``outer_max`` and the discarded step.
+    inner solve (any of its rounds) ran out of ``outer_max`` and the
+    discarded step.  A step's inner iterations sum over its rounds.
     """
     if opts is None:
         opts = DcaOptions()

@@ -15,9 +15,11 @@ from sfpsolve.problem import (
     stationarity_residual,
 )
 from sfpsolve.prox import soft_threshold
-from sfpsolve.sets import Box, FullSpace, NonnegativeOrthant, Singleton
+from sfpsolve.sets import Box, FullSpace, L1Ball, NonnegativeOrthant, Singleton
 
 TIGHT = DcaOptions(inner=InnerOptions(tol=1e-8, outer_max=10000))
+# The sparse-fullspace benchmark instances: 100x256, k = 10.
+DESK = SparseSpec(seed=0, m=100, n=256, sparsity=10, noise_variance=1e-4, gamma=0.6)
 
 
 def unit_problem(b, gamma=0.7):
@@ -235,13 +237,14 @@ def test_discard_after_a_one_iteration_converged_solve_ends_converged(
 
 def _count_op_norms(monkeypatch):
     # solve_dca reads ProblemSpec.op_norm, whose first use calls the norm
-    # bound in sfpsolve.problem; a bare step's inner solve calls inner's.
+    # bound in sfpsolve.problem; each inner solve without a handed-down norm
+    # calls inner's.  Returns the shape of each matrix whose norm was taken.
     from sfpsolve import inner, linops, problem
 
     calls = []
 
     def counting(A):
-        calls.append(1)
+        calls.append(A.shape)
         return linops.inflated_op_norm(A)
 
     for module in (inner, problem):
@@ -249,24 +252,151 @@ def _count_op_norms(monkeypatch):
     return calls
 
 
+def _record_inner_solves(monkeypatch, inner_solver="dr-in-fb"):
+    """Wrap one ``INNER_SOLVERS`` entry; returns the ``(A, result)`` of each of its calls."""
+    solves = []
+    solve = INNER_SOLVERS[inner_solver]
+
+    def recording(spec, x0, opts):
+        result = solve(spec, x0, opts)
+        solves.append((spec.base.A, result))
+        return result
+
+    monkeypatch.setitem(INNER_SOLVERS, inner_solver, recording)
+    return solves
+
+
 @pytest.mark.parametrize("inner_solver", ["dr-in-fb", "fb-in-dr"])
 def test_op_norm_once_per_solve_and_per_bare_step(inner_solver, monkeypatch):
+    # A solve takes the norm of the full A once, from the problem's cache,
+    # and one more for each working-set round, of that round's m x |W| block
+    # with |W| < m/2.  A bare step takes one norm per inner solve: of the
+    # full A for a full-size solve, of the block for a round.
     inst = gen_sparse_recovery(
         SparseSpec(seed=0, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
     )
+    P = inst.problem
     opts = DcaOptions(inner_solver=inner_solver)
     calls = _count_op_norms(monkeypatch)
-    r = solve_dca(inst.problem, inst.x0, opts)
-    assert r.iterations >= 3 and len(calls) == 1
-    calls.clear()
-    step = dca_step(inst.problem, inst.x0, opts)
-    assert len(calls) == 1
-    # Handing ||A|| down changes no step.
-    calls.clear()
-    given = dca_step(
-        inst.problem, inst.x0, opts, _op_norm=float(np.linalg.norm(inst.problem.A, 2))
-    )
-    assert len(calls) == 0 and given.x.tobytes() == step.x.tobytes()
+    solves = _record_inner_solves(monkeypatch, inner_solver)
+    r = solve_dca(P, inst.x0, opts)
+    rounds = [A.shape for A, _ in solves if A.shape != P.A.shape]
+    assert r.iterations >= 3 and calls == [P.A.shape] + rounds
+    assert all(m == P.m and 2 * size < P.m for m, size in rounds)
+    if inner_solver == "dr-in-fb":
+        # fb-in-dr's half points are dense, so its steps never take one.
+        assert rounds
+    # From the origin the first set holds m/2 violators: one full-size solve.
+    # From dr-in-fb's sparse solution the step solves on working sets.
+    for x_k in (inst.x0, r.x):
+        calls.clear()
+        solves.clear()
+        step = dca_step(P, x_k, opts)
+        assert calls == [A.shape for A, _ in solves]
+        # Handing ||A|| down saves the full A's norm and changes no step.
+        calls.clear()
+        given = dca_step(P, x_k, opts, _op_norm=float(np.linalg.norm(P.A, 2)))
+        assert P.A.shape not in calls
+        assert given.x.tobytes() == step.x.tobytes()
+
+
+def test_desk_dca_solves_its_subproblems_on_working_sets(monkeypatch):
+    # Solving each subproblem on all 256 columns took 222 inner iterations
+    # in 3 solves; the working sets take 96 in 4 rounds, to the same
+    # objective.
+    inst = gen_sparse_recovery(DESK, 0)
+    solves = _record_inner_solves(monkeypatch)
+    r = solve_dca(inst.problem, inst.x0, DcaOptions(max_outer=1000, step_tol=1e-5))
+    assert r.status is Status.CONVERGED
+    assert sum(result.iterations for _, result in solves) <= 150
+    assert r.trace[-1].objective == pytest.approx(4.100865395968498, rel=1e-12)
+
+
+def _desk_problem(C_name):
+    """The trial-0 desk matrix; on the orthant, measuring ``|x_true|`` so that the solution is sparse."""
+    inst = gen_sparse_recovery(DESK, 0)
+    P = inst.problem
+    if C_name == "full-space":
+        return P, inst.x0
+    b = P.A @ np.abs(inst.x_true)
+    return ProblemSpec(A=P.A, C=NonnegativeOrthant(P.n), Q=Singleton(b), gamma=P.gamma), inst.x0
+
+
+@pytest.mark.parametrize("start", ["origin", "first-step"])
+@pytest.mark.parametrize("inner_solver", ["dr-in-fb", "fb-in-dr"])
+@pytest.mark.parametrize("C_name", ["full-space", "orthant"])
+def test_working_set_step_passes_the_column_test_at_the_full_objective(
+    C_name, inner_solver, start, monkeypatch
+):
+    P, x_k = _desk_problem(C_name)
+    if start == "first-step":
+        x_k = dca_step(P, x_k).x
+    opts = DcaOptions(inner_solver=inner_solver)
+    tol = min(opts.inner.tol, opts.step_tol / 10.0)
+    solve = INNER_SOLVERS[inner_solver]
+    solves = _record_inner_solves(monkeypatch, inner_solver)
+    step = dca_step(P, x_k, opts)
+    assert solves and all(2 * A.shape[1] < P.m for A, _ in solves)
+    column = {P.A[:, j].tobytes(): j for j in range(P.n)}
+    W = [column[a.tobytes()] for a in solves[-1][0].T]
+    outside = np.setdiff1d(np.arange(P.n), W)
+    v = -P.gamma * (x_k / np.linalg.norm(x_k)) if x_k.any() else np.zeros(P.n)
+    spec = SubproblemSpec(base=P, v=v)
+    g = spec.smooth_gradient(step.x)[outside]
+    assert not step.x[outside].any()
+    assert np.max(-g if C_name == "orthant" else np.abs(g)) <= P.gamma + tol
+    # A plain full solve: dr-in-fb's reaches the subproblem's minimum, and
+    # fb-in-dr's, dense, stops up to 1e-5 relative above it.
+    full = spec.objective(solve(spec, x_k, InnerOptions(tol=tol)).x)
+    assert spec.objective(step.x) <= full + 1e-10 * abs(full)
+    if inner_solver == "dr-in-fb":
+        assert spec.objective(step.x) == pytest.approx(full, rel=1e-10)
+
+
+def test_a_column_missing_from_the_first_set_takes_another_round(monkeypatch):
+    P, x0 = _desk_problem("full-space")
+    solves = _record_inner_solves(monkeypatch)
+    step = dca_step(P, x0)
+    assert len(solves) >= 2 and step.iterations == sum(r.iterations for _, r in solves)
+    first = {a.tobytes() for a in solves[0][0].T}
+    assert any(P.A[:, j].tobytes() not in first for j in np.flatnonzero(step.x))
+
+
+def _l1_ball_case():
+    inst = gen_sparse_recovery(DESK, 0)
+    P = inst.problem
+    return ProblemSpec(A=P.A, C=L1Ball(inst.t_level, P.n), Q=P.Q, gamma=P.gamma), inst.x0
+
+
+def _half_support_case():
+    P, _ = _desk_problem("full-space")
+    x_k = np.zeros(P.n)
+    x_k[: P.m // 2] = 0.1
+    return P, x_k
+
+
+def _empty_set_case():
+    # Q = {0}: the origin solves the subproblem and no column violates.
+    A = np.random.default_rng(0).standard_normal((6, 8))
+    return ProblemSpec(A=A, C=FullSpace(8), Q=Singleton(np.zeros(6)), gamma=0.5), np.zeros(8)
+
+
+def _zero_block_case():
+    # W = supp(x_k) = {0}, a zero column; the other column does not violate.
+    A = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
+    return ProblemSpec(A=A, C=FullSpace(2), Q=Singleton(np.zeros(3)), gamma=0.5), np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_l1_ball_case, _half_support_case, _empty_set_case, _zero_block_case],
+    ids=["l1-ball", "support-of-m/2", "empty-set", "zero-block"],
+)
+def test_step_without_a_working_set_makes_one_full_size_solve(case, monkeypatch):
+    P, x_k = case()
+    solves = _record_inner_solves(monkeypatch)
+    dca_step(P, x_k)
+    assert [A.shape for A, _ in solves] == [P.A.shape]
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.5])
