@@ -66,10 +66,18 @@ def _build_parser() -> argparse.ArgumentParser:
     solver_flag("--max-iter", type=int)
     solver_flag("--step-tol", type=float)
     solver_flag("--step", type=float, help="fb/cq step size")
-    solver_flag("--inner-solver", choices=sorted(INNER_SOLVERS))
+    solver_flag(
+        "--inner-solver", choices=sorted(INNER_SOLVERS),
+        help="dca subproblem solver, used on every problem; unset, dca solves exactly "
+        "(feature-sign search) on C = R^n with a point Q, where of the --inner-* flags "
+        "only --inner-tol and --inner-max apply, and uses dr-in-fb elsewhere",
+    )
     solver_flag("--kappa", dest="inner_kappa", type=float, help="fb-in-dr DR scale")
-    solver_flag("--inner-tol", type=float)
-    solver_flag("--inner-max", dest="inner_outer_max", type=int)
+    solver_flag("--inner-tol", type=float, help="inner tolerance (the exact solve's column-test slack)")
+    solver_flag(
+        "--inner-max", dest="inner_outer_max", type=int,
+        help="inner iteration cap (the exact solve's pivot cap)",
+    )
     solver_flag("--inner-tau", type=float, help="inner DR relaxation in (0,2)")
     solver_flag(
         "--inner-lambda", dest="inner_lambda_relax", type=float,

@@ -379,7 +379,7 @@ def write_atomic(path, content: str) -> None:
         raise
 
 
-# The float columns of summary.csv, between ``iterations`` and ``wall_ms``.
+# The float columns of summary.csv, between ``iterations`` and ``message``.
 _SUMMARY_COLUMNS = (
     "objective", "sfp_residual", "rel_l2_error", "support_precision", "support_recall", "l1_norm"
 )
@@ -496,11 +496,15 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
                     os.path.join(cfg.out_dir, f"trace_{algo}_{trial}.csv"),
                     trace_csv(result),
                 )
-    lines = [",".join(("trial", "algo", "status", "iterations", *_SUMMARY_COLUMNS, "wall_ms"))]
+    header = ("trial", "algo", "status", "iterations", *_SUMMARY_COLUMNS, "message", "wall_ms")
+    lines = [",".join(header)]
     for r in rows:
         floats = ",".join(_fmt(r[name]) for name in _SUMMARY_COLUMNS)
+        # A message holds commas ("at steps 1, 2"): quoted as one CSV field.
+        message = '"' + r["message"].replace('"', '""') + '"' if r["message"] else ""
         lines.append(
-            f"{r['trial']},{r['algo']},{r['status']},{r['iterations']},{floats},{r['wall_ms']:.3f}"
+            f"{r['trial']},{r['algo']},{r['status']},{r['iterations']},{floats},{message},"
+            f"{r['wall_ms']:.3f}"
         )
     write_atomic(os.path.join(cfg.out_dir, "summary.csv"), "\n".join(lines) + "\n")
     if cfg.quantiles:

@@ -15,10 +15,17 @@ constraint with one operator and the l1 term with the other:
   (FISTA with gradient restart, step ``1/||A||^2`` scaled by
   ``step_fraction``) whose prox of the constrained l1 term is computed by a
   short inner Douglas-Rachford loop, exact after one iteration on every set
-  but an off-centre ball.  It is the default for :mod:`sfpsolve.dca`.
+  but an off-centre ball.  :mod:`sfpsolve.dca` uses it by default wherever
+  the exact solve below does not apply.
 
 Both converge to the same minimizer of the convex subproblem; they serve as
 mutual cross-checks in the test suite.
+
+With ``C = R^n`` and a point target ``Q = {b}`` (a ball of radius 0) the
+subproblem is a Lasso with a linear term, and :func:`_solve_point_lasso`
+solves it exactly by feature-sign search, an active-set method.
+:mod:`sfpsolve.dca` uses it by default there.  It is not an
+``INNER_SOLVERS`` entry: a named inner solver runs on every problem.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linops import as_vector, check_count, check_positive, inflated_op_norm, norm, squared_op_norm
-from .problem import ProblemSpec, SolveResult, iterate, sfp_residual_value, start_point
+from .problem import ProblemSpec, SolveResult, Status, Stop, iterate, sfp_residual_value, start_point
 from .prox import fista_momentum, soft_threshold
 from .sets import projected_shrink_is_prox
+
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "SubproblemSpec",
@@ -105,6 +114,10 @@ class InnerOptions:
     DR scale for the other), which makes it a first-order-error quantity:
     stopping at ``tol`` leaves a subproblem optimality residual of that
     order regardless of ``||A||``.  Each solve records only its last iterate.
+
+    Only ``outer_max``, as its pivot cap, and ``tol``, as the slack of its
+    column test ``|g_j| <= gamma + tol``, reach the exact solve
+    :func:`_solve_point_lasso`.
     """
 
     kappa: float | None = None
@@ -273,6 +286,167 @@ def solve_dr_in_fb(
         return x_next, norm(move), None
 
     return _run_inner(spec, x, step, gstep, opts, message)
+
+
+def _factor_face(A_S: np.ndarray):
+    """``(Q, R^{-1})`` of the reduced QR factorization ``A_S = QR``.
+
+    Where ``A_S`` has no full column rank (a diagonal entry of ``R`` is
+    negligible, or ``A_S`` has more columns than rows) returns ``(None, d)``
+    instead, with ``A_S d = 0`` to rounding: ``d`` writes the first such
+    column in terms of the columns before it.
+    """
+    m, s = A_S.shape
+    Q, R = np.linalg.qr(A_S)
+    diag = np.abs(np.diagonal(R))
+    small = np.flatnonzero(diag <= max(m, s) * _EPS * diag.max())
+    i = small[0] if small.size else min(m, s)
+    if i < s:
+        d = np.zeros(s)
+        if i:
+            d[:i] = np.linalg.solve(R[:i, :i], R[:i, i])
+        d[i] = -1.0
+        return None, d
+    return Q, np.linalg.inv(R)
+
+
+def _grow_face(Q: np.ndarray, R_inv: np.ndarray, a: np.ndarray):
+    """:func:`_factor_face` of ``[A_S, a]`` from that of ``A_S``, by Gram-Schmidt run twice.
+
+    Bordering ``R^{-1}`` costs ``O(s^2)``, against ``O(m*s^2)`` for a new
+    factorization.  Where ``a`` lies in the span of ``Q`` the null
+    direction is ``[R^{-1} Q'a, -1]``.
+    """
+    m, s = Q.shape
+    r = Q.T.dot(a)
+    w = a - Q.dot(r)
+    r2 = Q.T.dot(w)
+    w -= Q.dot(r2)
+    r += r2
+    rho = norm(w)
+    if rho <= max(m, s + 1) * _EPS * norm(a):
+        return None, np.append(R_inv.dot(r), -1.0)
+    grown = np.zeros((s + 1, s + 1))
+    grown[:s, :s] = R_inv
+    grown[:s, s] = R_inv.dot(r)
+    grown[:s, s] /= -rho
+    grown[s, s] = 1.0 / rho
+    return np.column_stack((Q, w / rho)), grown
+
+
+def _solve_point_lasso(
+    spec: SubproblemSpec, x0, opts: InnerOptions | None = None
+) -> SolveResult:
+    """Exact solve of the subproblem on ``C = R^n`` with a point target ``Q = {b}``.
+
+    The subproblem is the Lasso ``0.5*||Ax - b||^2 + <v, x> + gamma*||x||_1``,
+    solved by feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006) from
+    ``x0``: the support ``S = supp(x0)`` and the signs ``theta = sign(x0)``
+    fix a face, on which one iteration (a pivot) solves
+    ``A_S'A_S x_S = A_S'b - v_S - gamma*theta_S`` as
+    ``x_S = R^{-1}(Q'b - R^{-T}(v_S + gamma*theta_S))`` from a QR
+    factorization ``A_S = QR``, never forming ``A_S'A_S``.  The
+    factorization is kept while ``S`` only grows (:func:`_grow_face`) and
+    made again after a coordinate leaves ``S``.  If a sign breaks, the pivot
+    moves to the point of lowest objective among the zero crossings of the
+    segment and the face solution, and drops the coordinates that reach
+    zero.  Where ``A_S`` has no full column rank, the objective is linear
+    along a null direction of ``A_S``, and the pivot steps along it,
+    downhill, until a coordinate reaches zero.  Once the face is solved with
+    its signs held, the pivot tests every column outside ``S`` against
+    ``|g_j| <= gamma + opts.tol``, with ``g = A'(Ax - b) + v``, and adds the
+    worst violator with the sign ``-sign(g_j)``; with none left the solve
+    ends ``CONVERGED``.  The record's ``grad_residual`` is the largest
+    violation of the optimality conditions there.  Reads ``opts.outer_max``
+    (the pivot cap, ending ``MAX_ITERATIONS``) and ``opts.tol`` only; needs
+    no ``||A||``.  A non-finite face solve ends it ``DIVERGED``, as does a
+    null direction along which no coordinate reaches zero: the objective is
+    unbounded below there, which ``|v_j| <= gamma`` (so every DCA step's
+    ``v``) rules out but for rounding.
+    """
+    if opts is None:
+        opts = InnerOptions()
+    P = spec.base
+    A, b, v, gamma = P.A, P.Q.center, spec.v, P.gamma
+    x, message = start_point(P, x0)
+    S = np.flatnonzero(x)
+    theta = np.sign(x[S])
+    # _factor_face of A[:, S]: (Q, R^{-1}), or (None, d) with d a null
+    # direction of A_S; None until the next pivot factors A[:, S] anew.
+    face = None
+    violation = 0.0
+
+    def face_step(x_S, Q, R_inv):
+        """The pivot's move on the face ``(S, theta)``: the new ``x_S``, and whether the signs held."""
+        c = v[S] + gamma * theta
+        if Q is None:
+            d, A_S = R_inv, A[:, S]
+            slope = (A_S.T.dot(A_S.dot(x_S) - b) + c).dot(d)
+            if slope > 0.0 or (slope == 0.0 and not np.any(theta * d < 0.0)):
+                d = -d
+            hits = np.flatnonzero(theta * d < 0.0)
+            if not hits.size:
+                return None, False
+            t = -x_S[hits] / d[hits]
+            x_S = x_S + t.min() * d
+            x_S[hits[t == t.min()]] = 0.0
+            return x_S, False
+        y = R_inv.dot(Q.T.dot(b) - R_inv.T.dot(c))
+        broken = np.flatnonzero(theta * y < 0.0)
+        if not broken.size:
+            return y, True
+        crossings = x_S[broken] / (x_S[broken] - y[broken])
+        ts = np.append(np.unique(crossings), 1.0)
+        points = x_S + ts[:, None] * (y - x_S)
+        residuals = points.dot(A[:, S].T)
+        residuals -= b
+        values = 0.5 * np.square(residuals).sum(1) + points.dot(v[S]) + gamma * np.abs(points).sum(1)
+        best = int(np.argmin(values))
+        x_S = points[best]
+        x_S[broken[crossings == ts[best]]] = 0.0
+        return x_S, False
+
+    def step(k, x):
+        nonlocal S, theta, face, violation
+        x_next = x.copy()
+        held = True
+        if S.size:
+            if face is None:
+                face = _factor_face(A[:, S])
+            x_S, held = face_step(x[S], *face)
+            if x_S is None:
+                return None, 0.0, Stop(Status.DIVERGED, "no coordinate of a null direction reaches zero")
+            x_next[S] = x_S
+            if not held:
+                kept = x_S != 0.0
+                if not kept.all():
+                    S, face = S[kept], None
+                theta = np.sign(x_S[kept])
+        move = norm(x_next - x)
+        if not held:
+            return x_next, move, None
+        g = spec.smooth_gradient(x_next)
+        excess = np.abs(g)
+        excess -= gamma
+        excess[S] = -np.inf
+        j = int(np.argmax(excess))
+        violation = max(float(excess[j]), float(np.max(np.abs(g[S] + gamma * theta), initial=0.0)), 0.0)
+        if excess[j] <= opts.tol:
+            return x_next, move, Stop(Status.CONVERGED)
+        if face is not None:
+            face = _grow_face(*face, A[:, j])
+        S = np.append(S, j)
+        theta = np.append(theta, -np.sign(g[j]))
+        return x_next, move, None
+
+    def monitor(k, x, move):
+        return {
+            "objective": spec.objective(x),
+            "grad_residual": violation,
+            "sfp_residual": sfp_residual_value(P, x),
+        }
+
+    return iterate(x, step, monitor, opts.outer_max, record_trace=False, message=message)
 
 
 INNER_SOLVERS = {

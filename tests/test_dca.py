@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sfpsolve import dca
 from sfpsolve.dca import DcaOptions, dca_step, solve_dca
 from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
 from sfpsolve.inner import INNER_SOLVERS, InnerOptions, SubproblemSpec, solve_dr_in_fb
@@ -226,13 +227,64 @@ def test_discard_after_a_one_iteration_converged_solve_ends_converged(
         return SolveResult(x=x, status=status, trace=[record])
 
     monkeypatch.setitem(INNER_SOLVERS, "dr-in-fb", stub)
-    r = solve_dca(P, x_k)
+    r = solve_dca(P, x_k, DcaOptions(inner_solver="dr-in-fb"))
     assert r.status is expected
     assert np.array_equal(r.x, x_k)
     if expected is Status.CONVERGED:
         assert r.iterations == 1 and r.trace[-1].step_norm == 0.0 and r.message == ""
     else:
         assert r.iterations == 0 and r.message.endswith("inner result discarded at steps 1")
+
+
+def test_a_refused_exact_result_ends_the_run_converged(monkeypatch):
+    # The exact solve's result passes the optimality test, so a refusal by
+    # the majorizer safeguard is rounding at a fixed point, whatever the
+    # number of pivots: the run converges at x_k.
+    P = unit_problem([1.0, -2.0, 0.5])
+    x_k = np.array([0.3, -1.2, 0.0])
+
+    def stub(spec, x0, opts):
+        x = x0.copy()
+        while spec.objective(x) <= spec.objective(x0):
+            x[0] = np.nextafter(x[0], np.inf)
+        assert spec.objective(x) - spec.objective(x0) <= 4 * np.spacing(spec.objective(x0))
+        record = IterateRecord(
+            k=3, objective=spec.objective(x), step_norm=0.0, grad_residual=0.0, elapsed_ms=0.0,
+        )
+        return SolveResult(x=x, status=Status.CONVERGED, trace=[record])
+
+    monkeypatch.setattr(dca, "_solve_point_lasso", stub)
+    r = solve_dca(P, x_k)
+    assert r.status is Status.CONVERGED
+    assert np.array_equal(r.x, x_k)
+    assert r.iterations == 1 and r.trace[-1].step_norm == 0.0 and r.message == ""
+
+
+def test_exact_solve_at_its_pivot_cap_falls_back_to_dr_in_fb():
+    # The first subproblem, from the origin, takes more than one pivot.
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=0, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
+    )
+    P = inst.problem
+    inner = InnerOptions(outer_max=1)
+    step = dca_step(P, inst.x0, DcaOptions(inner=inner))
+    assert step.message.startswith("exact inner solve fell back to dr-in-fb: pivots reached outer_max")
+    named = dca_step(P, inst.x0, DcaOptions(inner_solver="dr-in-fb", inner=inner))
+    assert step.x.tobytes() == named.x.tobytes() and step.status is named.status
+    r = solve_dca(P, inst.x0, DcaOptions(inner=inner, max_outer=3))
+    assert r.message.startswith("exact inner solve fell back at steps 1")
+
+
+def test_default_dca_on_a_point_target_in_r_n_calls_no_inner_solver(monkeypatch):
+    inst = gen_sparse_recovery(DESK, 0)
+    solves = {name: _record_inner_solves(monkeypatch, name) for name in INNER_SOLVERS}
+    r = solve_dca(inst.problem, inst.x0, DcaOptions(max_outer=1000, step_tol=1e-5))
+    assert r.status is Status.CONVERGED and r.message == ""
+    assert not any(solves.values())
+    assert r.trace[-1].objective == pytest.approx(4.100865395968498, rel=1e-12)
+    # A named solver still runs everywhere.
+    solve_dca(inst.problem, inst.x0, DcaOptions(inner_solver="dr-in-fb", max_outer=2))
+    assert solves["dr-in-fb"]
 
 
 def _count_op_norms(monkeypatch):
@@ -350,7 +402,7 @@ def test_working_set_step_passes_the_column_test_at_the_full_objective(
 ):
     P, x_k = _desk_problem(C_name)
     if start == "first-step":
-        x_k = dca_step(P, x_k).x
+        x_k = dca_step(P, x_k, DcaOptions(inner_solver="dr-in-fb")).x
     opts = DcaOptions(inner_solver=inner_solver)
     tol = min(opts.inner.tol, opts.step_tol / 10.0)
     solve = INNER_SOLVERS[inner_solver]
@@ -384,7 +436,7 @@ def test_working_set_step_passes_the_column_test_at_the_full_objective(
 def test_a_column_missing_from_the_first_set_takes_another_round(monkeypatch):
     P, x0 = _desk_problem("full-space")
     solves = _record_inner_solves(monkeypatch)
-    step = dca_step(P, x0)
+    step = dca_step(P, x0, DcaOptions(inner_solver="dr-in-fb"))
     assert len(solves) >= 2 and step.iterations == sum(r.iterations for _, r in solves)
     first = {a.tobytes() for a in solves[0][0].T}
     assert any(P.A[:, j].tobytes() not in first for j in np.flatnonzero(step.x))
@@ -422,7 +474,7 @@ def _zero_block_case():
 def test_step_without_a_working_set_makes_one_full_size_solve(case, monkeypatch):
     P, x_k = case()
     solves = _record_inner_solves(monkeypatch)
-    dca_step(P, x_k)
+    dca_step(P, x_k, DcaOptions(inner_solver="dr-in-fb"))
     assert [A.shape for A, _ in solves] == [P.A.shape]
 
 

@@ -425,6 +425,21 @@ def test_run_benchmark_reports_divergence_with_its_trace(tmp_path, monkeypatch):
         assert len(fh.readlines()) == 1 + rows[0]["iterations"] + 1  # header, k = 0..iterations
 
 
+def test_summary_keeps_each_message_as_one_field(tmp_path, monkeypatch):
+    def noted(P, x0, opts):
+        result = solve_cq(P, x0, opts)
+        result.message = 'at steps 1, 2; a "quoted" word'
+        return result
+
+    cfg = small_config(tmp_path / "out")
+    monkeypatch.setitem(harness.SOLVERS, "cq", harness.SOLVERS["cq"]._replace(solve=noted))
+    run_benchmark(cfg)
+    with open(os.path.join(cfg.out_dir, "summary.csv")) as fh:
+        summary = list(csv.DictReader(fh))
+    assert {r["message"] for r in summary if r["algo"] == "cq"} == {'at steps 1, 2; a "quoted" word'}
+    assert all(float(r["wall_ms"]) >= 0.0 for r in summary)
+
+
 @pytest.mark.parametrize(
     "kind, line, field",
     [

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from sfpsolve import inner
-from sfpsolve.harness import RandomSpec, gen_random_problem
+from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
 from sfpsolve.inner import (
     INNER_SOLVERS,
     InnerOptions,
     SubproblemSpec,
     _constrained_l1_prox_dr,
+    _solve_point_lasso,
     solve_dr_in_fb,
     solve_fb_in_dr,
 )
@@ -297,3 +298,78 @@ def test_solvers_agree_where_one_dr_iteration_is_the_prox(C):
     oa = sub.objective(solve_fb_in_dr(sub, np.zeros(20), opts).x)
     ob = sub.objective(solve_dr_in_fb(sub, np.zeros(20), opts).x)
     assert abs(oa - ob) <= 1e-5
+
+
+def _kkt_violation(sub, x):
+    """The largest violation of the subproblem's optimality conditions on C = R^n at ``x``."""
+    g = sub.smooth_gradient(x)
+    gamma = sub.base.gamma
+    support = x != 0.0
+    on = np.abs(g[support] + gamma * np.sign(x[support]))
+    off = np.abs(g[~support]) - gamma
+    return max(np.max(on, initial=0.0), np.max(off, initial=0.0))
+
+
+def test_exact_solve_passes_the_kkt_test_on_the_first_desk_subproblem():
+    # The first dca subproblem of sparse-fullspace trial 0, from the origin:
+    # a plain Lasso on 100 x 256 columns.
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=0, m=100, n=256, sparsity=10, noise_variance=1e-4, gamma=0.6), 0
+    )
+    P = inst.problem
+    sub = SubproblemSpec(base=P, v=np.zeros(P.n))
+    r = _solve_point_lasso(sub, inst.x0, InnerOptions(tol=1e-6))
+    assert r.status is Status.CONVERGED
+    assert _kkt_violation(sub, r.x) <= 1e-10 * P.gamma
+    assert r.trace[-1].grad_residual == pytest.approx(_kkt_violation(sub, r.x), abs=1e-15)
+    tight = sub.objective(solve_dr_in_fb(sub, inst.x0, InnerOptions(tol=1e-12, outer_max=100000)).x)
+    assert sub.objective(r.x) <= tight + 1e-12 * abs(tight)
+
+
+@pytest.mark.parametrize("n, seed, step", [(2, 1, 2e-3), (3, 0, 2.5e-2)], ids=["2-D", "3-D"])
+def test_exact_solve_matches_the_grid(n, seed, step):
+    # A DCA-shaped linear term, v = -gamma*x_k/||x_k||, on an (n+1) x n design.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n + 1, n))
+    b = rng.standard_normal(n + 1)
+    x_k = rng.standard_normal(n)
+    gamma = 0.4
+    P = ProblemSpec(A=A, C=FullSpace(n), Q=Singleton(b), gamma=gamma)
+    sub = SubproblemSpec(base=P, v=-gamma * x_k / np.linalg.norm(x_k))
+
+    def objective_batch(V):
+        fit = 0.5 * np.sum((A @ V - b[:, None]) ** 2, axis=0)
+        return fit + sub.v @ V + gamma * np.sum(np.abs(V), axis=0)
+
+    grid_x, grid_val = grid_minimize(objective_batch, P.C, [-1.0] * n, [1.0] * n, step)
+    for x0 in (np.zeros(n), x_k):
+        r = _solve_point_lasso(sub, x0, InnerOptions(tol=1e-10))
+        assert r.status is Status.CONVERGED
+        assert sub.objective(r.x) <= grid_val + 1e-12
+        assert np.max(np.abs(r.x - grid_x)) <= step
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_solve_from_a_support_wider_than_m_steps_along_null_directions(seed, monkeypatch):
+    # Started at a full support of 5 columns in R^3, the first faces are
+    # singular: the solve steps along their null directions, where the
+    # objective is linear, instead of failing.
+    nulls = []
+    for name in ("_factor_face", "_grow_face"):
+
+        def recording(*args, factor=getattr(inner, name)):
+            Q, F = factor(*args)
+            nulls.append(Q is None)
+            return Q, F
+
+        monkeypatch.setattr(inner, name, recording)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((3, 5))
+    x0 = rng.standard_normal(5)
+    P = ProblemSpec(A=A, C=FullSpace(5), Q=Singleton(rng.standard_normal(3)), gamma=0.3)
+    sub = SubproblemSpec(base=P, v=-0.3 * x0 / np.linalg.norm(x0))
+    r = _solve_point_lasso(sub, x0, InnerOptions(tol=1e-7))
+    assert r.status is Status.CONVERGED and r.message == ""
+    assert sum(nulls) >= 2
+    tight = sub.objective(solve_dr_in_fb(sub, x0, InnerOptions(tol=1e-12, outer_max=100000)).x)
+    assert sub.objective(r.x) == pytest.approx(tight, rel=1e-10)

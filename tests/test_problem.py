@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sfpsolve.baselines import CqOptions, McqOptions, solve_cq, solve_mcq
-from sfpsolve.dca import solve_dca
+from sfpsolve.dca import DcaOptions, solve_dca
 from sfpsolve.fbsplit import FbOptions, solve_fb
 from sfpsolve.minefuku import MfOptions, solve_mf
 from sfpsolve.inner import SubproblemSpec
@@ -464,7 +464,17 @@ def test_dca_inner_step_bound_names_an_op_norm_whose_square_overflows():
     A = 1e200 * np.eye(2)
     P = ProblemSpec(A=A, C=FullSpace(2), Q=Singleton(A @ np.ones(2)), gamma=0.5)
     with pytest.raises(ValueError, match=r"\|\|A\|\|\^2 overflows"):
-        solve_dca(P, np.ones(2))
+        solve_dca(P, np.ones(2), DcaOptions(inner_solver="dr-in-fb"))
+
+
+def test_dca_exact_step_needs_no_op_norm_where_its_square_overflows():
+    # dca's default solve on C = R^n with a point target takes no step from
+    # ||A||, so the same problem ends converged at a finite point.
+    A = 1e200 * np.eye(2)
+    P = ProblemSpec(A=A, C=FullSpace(2), Q=Singleton(A @ np.ones(2)), gamma=0.5)
+    r = solve_dca(P, np.ones(2))
+    assert r.status is Status.CONVERGED
+    assert np.isfinite(r.x).all() and np.isfinite(r.trace[-1].objective)
 
 
 @pytest.mark.parametrize("solve", [solve_dca, solve_mf])
