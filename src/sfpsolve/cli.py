@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inner-max", dest="inner_outer_max", type=int,
         help="inner iteration cap (the exact solve's pivot cap)",
     )
-    solver_flag("--inner-tau", type=float, help="inner DR relaxation in (0,2)")
+    solver_flag("--inner-tau", type=float, help="fb-in-dr DR relaxation in (0,2)")
     solver_flag(
         "--inner-lambda", dest="inner_lambda_relax", type=float,
         help="fb-in-dr FB relaxation in (0,1]",
@@ -88,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inner step as a fraction in (0,1) of 1/||A||^2 (dr-in-fb) "
         "or of 2/(kappa*||A||^2) (fb-in-dr)",
     )
-    solver_flag("--inner-budget-base", type=int)
-    solver_flag("--inner-budget-cap", type=int)
+    solver_flag("--inner-budget-base", type=int, help="fb-in-dr inner steps at its first outer step")
+    solver_flag("--inner-budget-cap", type=int, help="fb-in-dr cap on inner steps per outer step")
     solver_flag("--zero-tol", type=float, help="dca zero-iterate threshold")
     solver_flag("--mu", dest="mu_shift", type=float, help="mf quadratic shift")
     solver_flag("--lambda-max", type=float, help="mf line-search bracket")

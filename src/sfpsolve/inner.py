@@ -13,10 +13,10 @@ constraint with one operator and the l1 term with the other:
   loop of forward-backward iterations.
 * ``solve_dr_in_fb`` runs accelerated forward-backward outer iterations
   (FISTA with gradient restart, step ``1/||A||^2`` scaled by
-  ``step_fraction``) whose prox of the constrained l1 term is computed by a
-  short inner Douglas-Rachford loop, exact after one iteration on every set
-  but an off-centre ball.  :mod:`sfpsolve.dca` uses it by default wherever
-  the exact solve below does not apply.
+  ``step_fraction``) whose prox of the constrained l1 term is exact on
+  every set: a closed form on a ball, one Douglas-Rachford half point
+  elsewhere.  :mod:`sfpsolve.dca` uses it by default wherever the exact
+  solve below does not apply.
 
 Both converge to the same minimizer of the convex subproblem; they serve as
 mutual cross-checks in the test suite.
@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linops import as_vector, check_count, check_positive, inflated_op_norm, norm, squared_op_norm
+from .minefuku import direction_minimizer
 from .problem import ProblemSpec, SolveResult, Status, Stop, iterate, sfp_residual_value, start_point
 from .prox import fista_momentum, soft_threshold
-from .sets import projected_shrink_is_prox
+from .sets import Ball
 
 _EPS = float(np.finfo(float).eps)
 
@@ -94,20 +95,18 @@ class SubproblemSpec:
 
 @dataclass
 class InnerOptions:
-    """Parameters shared by both subproblem solvers.
+    """Parameters of the subproblem solvers.
 
-    ``kappa`` is the Douglas-Rachford scale of :func:`solve_fb_in_dr` and
-    defaults to the subproblem's l1 weight.  ``tau`` is the DR relaxation in
-    (0, 2) and ``lambda_relax`` the relaxation in (0, 1] of
-    :func:`solve_fb_in_dr`'s inner forward-backward steps.
+    :func:`solve_fb_in_dr` reads all eight fields.  ``kappa`` is its
+    Douglas-Rachford scale and defaults to the subproblem's l1 weight;
+    ``tau`` is its DR relaxation in (0, 2) and ``lambda_relax`` the
+    relaxation in (0, 1] of its inner forward-backward steps, whose number
+    per outer step grows as ``min(budget_base + k, budget_cap)``.
     ``step_fraction`` is the fraction of the step bound actually used:
-    ``1/||A||^2`` for :func:`solve_dr_in_fb`'s accelerated steps and
-    ``2/(kappa*||A||^2)`` for :func:`solve_fb_in_dr`'s inner steps.  The
-    inner budget per outer step grows as ``min(budget_base + k,
-    budget_cap)``.  :func:`solve_dr_in_fb` reads neither ``kappa`` nor
-    ``lambda_relax``; its prox is exact after one DR iteration unless ``C``
-    is a ball of positive radius with a nonzero centre, so ``tau`` and the
-    budget ramp matter there only on such a ball.
+    ``2/(kappa*||A||^2)`` for :func:`solve_fb_in_dr`'s inner steps and
+    ``1/||A||^2`` for :func:`solve_dr_in_fb`'s accelerated steps.
+    :func:`solve_dr_in_fb` takes an exact prox on every set and reads only
+    ``step_fraction``, ``outer_max`` and ``tol``.
 
     ``tol`` is measured on the iterate displacement divided by the solver's
     step scale (the gradient step for the forward-backward outer loop, the
@@ -205,69 +204,52 @@ def _run_inner(spec, x, step, scale, opts, message) -> SolveResult:
     return iterate(x, step, monitor, opts.outer_max, opts.tol * scale, record_trace=False, message=message)
 
 
-def _constrained_l1_prox_dr(
-    anchor: np.ndarray,
-    thresh: float,
-    C,
-    budget: int,
-    tau: float,
-    fixed_point_tol: float = 1e-12,
-):
-    """Approximate ``argmin_{x in C} thresh*||x||_1 + 0.5*||x - anchor||^2``.
+def _constrained_l1_prox_dr(anchor: np.ndarray, thresh: float, C) -> np.ndarray:
+    """``argmin_{x in C} thresh*||x||_1 + 0.5*||x - anchor||^2`` on a set that is not a ball.
 
-    Runs at most ``budget`` Douglas-Rachford iterations, exiting early when
-    the driver sequence reaches a fixed point (change below
-    ``fixed_point_tol``).  Returns ``(half_point, iterations_used)``.
+    Returns the half point of one Douglas-Rachford iteration,
+    ``P_C(soft_threshold(anchor, thresh))`` up to rounding, which is the
+    exact prox on the full space, the orthant, a box and an l1 ball (Yu,
+    "On decomposing the proximal map", 2013).
     """
+    # ROADMAP item 1 replaces this body with direction_minimizer: nothing
+    # reads the second soft_threshold below (a FOUND line in CHANGES.md),
+    # but perfbench pins its call in dca_step's count (2 * O).
     y = soft_threshold(anchor, thresh)
     y *= 2.0
     y -= anchor
-    y_half = anchor
-    used = 0
-    for i in range(max(budget, 1)):
-        # y_next = y + tau*(soft_threshold(2*y_half - y) - y_half), with
-        # y_half = P_C((y + anchor)/2); tau = 1 skips an exact product.
-        z = y + anchor
-        z *= 0.5
-        y_half = C.project(z)
-        z = 2.0 * y_half
-        z -= y
-        delta = soft_threshold(z, thresh)
-        delta -= y_half
-        if tau != 1.0:
-            delta *= tau
-        y_next = y + delta
-        np.subtract(y_next, y, out=delta)
-        used = i + 1
-        y = y_next
-        if norm(delta) <= fixed_point_tol:
-            break
-    return y_half, used
+    z = y + anchor
+    z *= 0.5
+    y_half = C.project(z)
+    z = 2.0 * y_half
+    z -= y
+    soft_threshold(z, thresh)
+    return y_half
 
 
 def solve_dr_in_fb(
     spec: SubproblemSpec, x0, opts: InnerOptions | None = None
 ) -> SolveResult:
-    """Accelerated forward-backward outer loop with Douglas-Rachford inner iterations.
+    """Accelerated forward-backward outer loop with an exact prox of the constrained l1 block.
 
     Each outer step is a prox-gradient step of size
     ``opts.step_fraction/||A||^2`` on the smooth fidelity-plus-linear block,
     taken at the extrapolated point ``y = x_k + beta_k*(x_k - x_{k-1})``
     of FISTA with gradient restart (see :func:`~sfpsolve.prox.fista_momentum`).
-    The prox of the constrained l1 block is approximated by up to ``M_k``
-    Douglas-Rachford iterations with an early exit at its fixed point.  The
-    first DR half point is ``P_C(soft_threshold(a, thresh))``, which is the
-    exact prox unless ``C`` is a ball of positive radius with a nonzero
-    centre (see :func:`~sfpsolve.sets.projected_shrink_is_prox`); on every
-    other set ``M_k = 1``.  The iterates ``x_k`` stay in ``C``; ``y`` need
-    not.  Ignores ``kappa`` and ``lambda_relax``.
+    The prox of the constrained l1 block is exact on every set: on a ball
+    (a singleton too, any centre and radius) it is
+    :func:`~sfpsolve.minefuku.direction_minimizer`'s closed form, on every
+    other set the half point of one Douglas-Rachford iteration,
+    ``P_C(soft_threshold(a, thresh))``.  The iterates ``x_k`` stay in
+    ``C``; ``y`` need not.  Reads ``step_fraction``, ``outer_max`` and
+    ``tol`` only.
     """
     if opts is None:
         opts = InnerOptions()
     P = spec.base
     gstep = opts.step_fraction / squared_op_norm(spec._a_norm())
     thresh = gstep * P.gamma
-    exact = projected_shrink_is_prox(P.C)
+    on_ball = isinstance(P.C, Ball)
 
     x, message = start_point(P, x0)
     y, theta = x, 1.0
@@ -278,8 +260,10 @@ def solve_dr_in_fb(
         w = spec.smooth_gradient(y)
         w *= gstep
         np.subtract(y, w, out=w)
-        budget = 1 if exact else opts.budget(k - 1)
-        x_next, _ = _constrained_l1_prox_dr(w, thresh, P.C, budget, opts.tau)
+        if on_ball:
+            x_next = direction_minimizer(-w, thresh, 1.0, P.C)
+        else:
+            x_next = _constrained_l1_prox_dr(w, thresh, P.C)
         move = x_next - x
         theta, beta = fista_momentum(theta, (y - x_next).dot(move))
         y = x_next + beta * move if beta else x_next

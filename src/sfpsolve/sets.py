@@ -177,18 +177,6 @@ class L1Ball(ConvexSet):
         return f"L1Ball(radius={self.radius}, dim={self.dim})"
 
 
-def projected_shrink_is_prox(S: ConvexSet) -> bool:
-    """Whether ``P_S(soft_threshold(a, t))`` is the prox of ``t*||.||_1 + i_S`` at ``a``.
-
-    It is for every ``a`` and ``t >= 0`` on the full space, the orthant, a
-    box, an l1 ball and a ball centred at the origin (Yu, "On decomposing
-    the proximal map", 2013), and on a radius-0 ball, whose projection is
-    its centre.  An off-centre ball of positive radius is the one exception.
-    ``dr-in-fb`` reads it to decide whether one DR iteration gives its prox.
-    """
-    return not (isinstance(S, Ball) and S.radius > 0.0 and np.any(S.center))
-
-
 def _finite_bounds(S: ConvexSet):
     """The finite componentwise bounds of a separable set, else None.
 

@@ -495,3 +495,7 @@ def test_dr_in_fb_and_dca_do_not_depend_on_kappa(kappa):
     objective = solve_dca(P, inst.x0).trace[-1].objective
     opts = DcaOptions(inner=InnerOptions(kappa=kappa))
     assert solve_dca(P, inst.x0, opts).trace[-1].objective == objective
+
+
+def test_l1_ball_multiplier_is_zero_on_an_empty_support():
+    assert dca._l1_ball_multiplier(np.array([-3.0, 2.0]), np.zeros(2), 0.5) == 0.0

@@ -14,6 +14,7 @@ from sfpsolve.inner import (
     solve_dr_in_fb,
     solve_fb_in_dr,
 )
+from sfpsolve.linops import inflated_op_norm
 from sfpsolve.minefuku import direction_minimizer
 from sfpsolve.oracles import grid_minimize
 from sfpsolve.problem import ProblemSpec, Status
@@ -25,7 +26,6 @@ from sfpsolve.sets import (
     L1Ball,
     NonnegativeOrthant,
     Singleton,
-    projected_shrink_is_prox,
 )
 
 TIGHT = InnerOptions(tol=1e-8, outer_max=10000)
@@ -128,17 +128,6 @@ def test_infeasible_start_projected(name):
     assert P.C.contains(r.x, 1e-9)
 
 
-def test_inner_dr_early_exit_is_a_fixed_point():
-    # Once the driver sequence stops moving, extra iterations leave the half
-    # point unchanged; verified by rerunning with a larger budget.
-    anchor = np.array([1.3, -0.2, 0.05, 0.8])
-    C = NonnegativeOrthant(4)
-    y1, used1 = _constrained_l1_prox_dr(anchor, 0.3, C, budget=200, tau=1.0)
-    assert used1 < 200  # early exit fired
-    y2, _ = _constrained_l1_prox_dr(anchor, 0.3, C, budget=used1 + 50, tau=1.0)
-    assert np.linalg.norm(y1 - y2) <= 1e-12
-
-
 def test_inner_options_validation():
     with pytest.raises(ValueError):
         InnerOptions(tau=2.0)
@@ -173,6 +162,13 @@ def test_subproblem_dimension_check():
     P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.zeros(2)), gamma=0.5)
     with pytest.raises(ValueError):
         SubproblemSpec(base=P, v=np.zeros(3))
+
+
+def test_subproblem_objective_is_inf_outside_c():
+    P = ProblemSpec(A=np.eye(2), C=NonnegativeOrthant(2), Q=Singleton(np.zeros(2)), gamma=0.5)
+    sub = SubproblemSpec(base=P, v=np.zeros(2))
+    assert sub.objective(np.array([1.0, -1.0])) == math.inf
+    assert sub.objective(np.array([1.0, 1.0])) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("name", sorted(INNER_SOLVERS))
@@ -217,7 +213,7 @@ def sparse_subproblem(C, seed=3, gamma=0.2):
 
 
 def _record_prox_calls(monkeypatch):
-    """Patch the DR prox to log ``(budget, projections onto C, shrink active)`` per call."""
+    """Patch the DR prox to log ``(projections onto C, shrink active)`` per call."""
     log, projections = [], [0]
     real_prox = inner._constrained_l1_prox_dr
     real_project = L1Ball.project
@@ -226,11 +222,11 @@ def _record_prox_calls(monkeypatch):
         projections[0] += 1
         return real_project(self, x)
 
-    def logging_prox(anchor, thresh, C, budget, tau):
+    def logging_prox(anchor, thresh, C):
         before = projections[0]
-        out = real_prox(anchor, thresh, C, budget, tau)
+        out = real_prox(anchor, thresh, C)
         active = isinstance(C, L1Ball) and np.abs(soft_threshold(anchor, thresh)).sum() > C.radius
-        log.append((budget, projections[0] - before, active))
+        log.append((projections[0] - before, active))
         return out
 
     monkeypatch.setattr(L1Ball, "project", counting_project)
@@ -240,59 +236,63 @@ def _record_prox_calls(monkeypatch):
 
 def test_dr_in_fb_projects_once_per_prox_on_an_active_l1_ball(monkeypatch):
     # P_C(soft_threshold(a)) is the exact prox on an l1 ball, and it is the
-    # DR loop's first half point: each outer step projects onto C once.
+    # first DR half point: each outer step projects onto C once.
     log = _record_prox_calls(monkeypatch)
     opts = InnerOptions(tol=1e-8, outer_max=300)
     r = solve_dr_in_fb(sparse_subproblem(L1Ball(1.5, 20)), np.zeros(20), opts)
     assert len(log) == r.iterations > 10
-    assert any(active for _, _, active in log)  # the constraint cuts the shrink
-    assert [(budget, projections) for budget, projections, _ in log] == [(1, 1)] * len(log)
+    assert any(active for _, active in log)  # the constraint cuts the shrink
+    assert [projections for projections, _ in log] == [1] * len(log)
 
 
-def test_dr_in_fb_keeps_the_budget_ramp_on_an_off_centre_ball(monkeypatch):
-    C = Ball(np.full(20, 0.05), 1.0)
-    assert not projected_shrink_is_prox(C)
-    log = _record_prox_calls(monkeypatch)
-    opts = InnerOptions(outer_max=8, tol=1e-14)
-    solve_dr_in_fb(sparse_subproblem(C), np.zeros(20), opts)
-    assert [budget for budget, _, _ in log] == [opts.budget(k) for k in range(8)]
+def test_one_dr_in_fb_step_on_an_off_centre_ball_is_the_exact_prox_gradient_step():
+    # The shrink of the gradient step lands outside this ball, where
+    # P_C(soft_threshold(w)) is not the prox: the step must be
+    # direction_minimizer's closed form.
+    C = Ball(np.full(20, 0.05), 0.2)
+    sub = sparse_subproblem(C)
+    opts = InnerOptions(outer_max=1)
+    gstep = opts.step_fraction / inflated_op_norm(sub.base.A) ** 2
+    thresh = gstep * sub.base.gamma
+    w = C.center - gstep * sub.smooth_gradient(C.center)
+    assert not C.contains(soft_threshold(w, thresh))
+    want = direction_minimizer(-w, thresh, 1.0, C)
+    assert np.linalg.norm(C.project(soft_threshold(w, thresh)) - want) > 1e-8
+    r = solve_dr_in_fb(sub, C.center, opts)
+    assert r.iterations == 1
+    assert np.linalg.norm(r.x - want) <= 1e-14
 
 
 def _shrink_sets(n, a, thresh):
-    """Every set kind on which one DR iteration gives the exact prox at ``a``."""
+    """Every set kind but a ball, on each of which one DR iteration gives the exact prox at ``a``."""
     l1_shrunk = float(np.abs(soft_threshold(a, thresh)).sum())
-    centre = np.linspace(-1.0, 1.0, n)
     return {
         "fullspace": FullSpace(n),
         "orthant": NonnegativeOrthant(n),
         "box": Box(np.full(n, -0.4), np.linspace(0.1, 2.0, n)),
         "l1ball-active": L1Ball(0.5 * l1_shrunk, n),
         "l1ball-inactive": L1Ball(2.0 * l1_shrunk, n),
-        "origin-ball": Ball(np.zeros(n), 0.5),
-        "radius-0-ball": Ball(centre, 0.0),
-        "singleton": Singleton(centre),
     }
 
 
-@pytest.mark.parametrize("tau", [1.0, 1.3])
 @pytest.mark.parametrize("kind", sorted(_shrink_sets(3, np.ones(3), 0.0)))
-def test_one_dr_iteration_is_the_exact_constrained_l1_prox(kind, tau):
+def test_one_dr_iteration_is_the_exact_constrained_l1_prox(kind):
     rng = np.random.default_rng(11)
     a = 1.5 * rng.standard_normal(9)
     thresh = 0.3
     C = _shrink_sets(9, a, thresh)[kind]
-    assert projected_shrink_is_prox(C)
-    y_half, used = _constrained_l1_prox_dr(a, thresh, C, 1, tau)
-    assert used == 1
+    y_half = _constrained_l1_prox_dr(a, thresh, C)
     assert np.linalg.norm(y_half - direction_minimizer(-a, thresh, 1.0, C)) <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "C", [L1Ball(1.5, 20), NonnegativeOrthant(20), Ball(np.zeros(20), 0.8)],
-    ids=["l1ball", "orthant", "origin-ball"],
+    "C",
+    [L1Ball(1.5, 20), NonnegativeOrthant(20), Ball(np.zeros(20), 0.8), Ball(np.full(20, 0.05), 1.0)],
+    ids=["l1ball", "orthant", "origin-ball", "off-centre-ball"],
 )
-def test_solvers_agree_where_one_dr_iteration_is_the_prox(C):
-    # Acceptance criterion 5 on the sets whose dr-in-fb prox is one DR iteration.
+def test_solvers_agree_on_constrained_sets(C):
+    # Acceptance criterion 5 on a DR half-point prox (l1 ball, orthant) and
+    # on direction_minimizer's closed form (the balls).
     opts = InnerOptions(tol=1e-6, outer_max=30000)
     sub = sparse_subproblem(C)
     oa = sub.objective(solve_fb_in_dr(sub, np.zeros(20), opts).x)
@@ -347,6 +347,18 @@ def test_exact_solve_matches_the_grid(n, seed, step):
         assert r.status is Status.CONVERGED
         assert sub.objective(r.x) <= grid_val + 1e-12
         assert np.max(np.abs(r.x - grid_x)) <= step
+
+
+def test_exact_solve_along_an_unbounded_null_direction_ends_diverged():
+    # A_S = [1, 1] is singular on S = {0, 1}; along its null direction
+    # (1, -1) from x0 the objective falls as -0.8*t, and no coordinate of
+    # x0 + t*(1, -1) reaches zero.
+    P = ProblemSpec(A=[[1.0, 1.0]], C=FullSpace(2), Q=Singleton([0.0]), gamma=0.1)
+    sub = SubproblemSpec(base=P, v=[-0.5, 0.5])
+    r = _solve_point_lasso(sub, [1.0, -1.0])
+    assert r.status is Status.DIVERGED
+    assert r.message == "no coordinate of a null direction reaches zero"
+    assert r.iterations == 0
 
 
 @pytest.mark.parametrize("seed", range(3))

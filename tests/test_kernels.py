@@ -128,19 +128,9 @@ def _reference_ball_project(C, x):
     return C.center + (C.radius / dist) * d
 
 
-def _reference_constrained_l1_prox_dr(anchor, thresh, C, budget, tau, fixed_point_tol=1e-12):
+def _reference_constrained_l1_prox_dr(anchor, thresh, C):
     y = 2.0 * _reference_soft_threshold(anchor, thresh) - anchor
-    y_half = anchor
-    used = 0
-    for i in range(max(budget, 1)):
-        y_half = C.project(0.5 * (y + anchor))
-        y_next = y + tau * (_reference_soft_threshold(2.0 * y_half - y, thresh) - y_half)
-        used = i + 1
-        if float(np.linalg.norm(y_next - y)) <= fixed_point_tol:
-            y = y_next
-            break
-        y = y_next
-    return y_half, used
+    return C.project(0.5 * (y + anchor))
 
 
 # -- prox ------------------------------------------------------------------
@@ -407,27 +397,24 @@ def test_ball_projection_matches_reference():
 
 # -- inner -----------------------------------------------------------------
 
+# The sets whose dr-in-fb prox is one DR half point; a ball takes
+# direction_minimizer instead.
 DR_SETS = [
     FullSpace(20),
     NonnegativeOrthant(20),
     Box(-0.3 * np.ones(20), 0.4 * np.ones(20)),
     L1Ball(1.5, 20),
-    Ball(np.zeros(20), 1.0),
-    Ball(np.full(20, 0.2), 0.7),
 ]
 
 
 @pytest.mark.parametrize("C", DR_SETS, ids=repr)
-@pytest.mark.parametrize("tau, budget", [(1.0, 1), (1.0, 7), (1.3, 7), (0.6, 12)])
-def test_dr_loop_matches_reference(C, tau, budget):
+def test_dr_loop_matches_reference(C):
     rng = np.random.default_rng(9)
     for _ in range(10):
         anchor = rng.standard_normal(20)
         thresh = float(rng.choice([0.05, 0.3, 1.0]))
-        got = inner._constrained_l1_prox_dr(anchor, thresh, C, budget, tau)
-        want = _reference_constrained_l1_prox_dr(anchor, thresh, C, budget, tau)
-        assert got[1] == want[1]
-        assert _same(got[0], want[0])
+        got = inner._constrained_l1_prox_dr(anchor, thresh, C)
+        assert _same(got, _reference_constrained_l1_prox_dr(anchor, thresh, C))
 
 
 # -- trace columns ----------------------------------------------------------

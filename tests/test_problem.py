@@ -18,6 +18,7 @@ from sfpsolve.problem import (
     iterate,
     has_exact_residual,
     sfp_residual_value,
+    start_point,
     stationarity_residual,
 )
 from sfpsolve.prox import l1_l2, soft_threshold
@@ -61,6 +62,14 @@ def test_problem_validation():
         ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.zeros(3)), gamma=0.5)
     with pytest.raises(ValueError):
         ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.zeros(2)), gamma=0.0)
+
+
+def test_point_of_the_wrong_length_is_rejected():
+    P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.zeros(2)), gamma=0.5)
+    with pytest.raises(ValueError, match="x0 must match"):
+        start_point(P, np.zeros(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        stationarity_residual(P, np.zeros(3))
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf])

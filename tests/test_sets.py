@@ -164,6 +164,8 @@ def test_invalid_constructions():
         Ball(np.zeros(2), -1.0)
     with pytest.raises(ValueError):
         Box([1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="same length"):
+        Box([0.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         L1Ball(0.0, 3)
     with pytest.raises(ValueError):
