@@ -205,12 +205,13 @@ def _run_inner(spec, x, step, scale, opts, message) -> SolveResult:
 
 
 def _constrained_l1_prox_dr(anchor: np.ndarray, thresh: float, C) -> np.ndarray:
-    """``argmin_{x in C} thresh*||x||_1 + 0.5*||x - anchor||^2`` on a set that is not a ball.
+    """``argmin_{x in C} thresh*||x||_1 + 0.5*||x - anchor||^2`` on a set that is not an off-centre ball.
 
     Returns the half point of one Douglas-Rachford iteration,
     ``P_C(soft_threshold(anchor, thresh))`` up to rounding, which is the
-    exact prox on the full space, the orthant, a box and an l1 ball (Yu,
-    "On decomposing the proximal map", 2013).
+    exact prox on the full space, the orthant, a box, an l1 ball and a ball
+    centred at the origin or of radius 0 (Yu, "On decomposing the proximal
+    map", 2013).  :func:`solve_dr_in_fb` calls it on every set but a ball.
     """
     # ROADMAP item 1 replaces this body with direction_minimizer: nothing
     # reads the second soft_threshold below (a FOUND line in CHANGES.md),

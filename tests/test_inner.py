@@ -264,40 +264,60 @@ def test_one_dr_in_fb_step_on_an_off_centre_ball_is_the_exact_prox_gradient_step
 
 
 def _shrink_sets(n, a, thresh):
-    """Every set kind but a ball, on each of which one DR iteration gives the exact prox at ``a``."""
+    """Every set kind on which one DR iteration gives the exact prox at ``a``.
+
+    dr-in-fb takes this prox on the sets that are not balls; on the balls
+    here (centred at the origin, or of radius 0) it is exact too, though
+    dr-in-fb takes direction_minimizer's closed form on every ball.
+    """
     l1_shrunk = float(np.abs(soft_threshold(a, thresh)).sum())
+    centre = np.linspace(-1.0, 1.0, n)
     return {
         "fullspace": FullSpace(n),
         "orthant": NonnegativeOrthant(n),
         "box": Box(np.full(n, -0.4), np.linspace(0.1, 2.0, n)),
         "l1ball-active": L1Ball(0.5 * l1_shrunk, n),
         "l1ball-inactive": L1Ball(2.0 * l1_shrunk, n),
+        "origin-ball": Ball(np.zeros(n), 0.5),
+        "radius-0-ball": Ball(centre, 0.0),
+        "singleton": Singleton(centre),
     }
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.3])
 @pytest.mark.parametrize("kind", sorted(_shrink_sets(3, np.ones(3), 0.0)))
-def test_one_dr_iteration_is_the_exact_constrained_l1_prox(kind):
+def test_one_dr_iteration_is_the_exact_constrained_l1_prox(kind, scale):
+    # ``scale`` multiplies the l1 threshold.
     rng = np.random.default_rng(11)
     a = 1.5 * rng.standard_normal(9)
-    thresh = 0.3
+    thresh = 0.3 * scale
     C = _shrink_sets(9, a, thresh)[kind]
     y_half = _constrained_l1_prox_dr(a, thresh, C)
     assert np.linalg.norm(y_half - direction_minimizer(-a, thresh, 1.0, C)) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "C",
-    [L1Ball(1.5, 20), NonnegativeOrthant(20), Ball(np.zeros(20), 0.8), Ball(np.full(20, 0.05), 1.0)],
-    ids=["l1ball", "orthant", "origin-ball", "off-centre-ball"],
-)
-def test_solvers_agree_on_constrained_sets(C):
-    # Acceptance criterion 5 on a DR half-point prox (l1 ball, orthant) and
-    # on direction_minimizer's closed form (the balls).
+def _assert_solvers_agree(C):
     opts = InnerOptions(tol=1e-6, outer_max=30000)
     sub = sparse_subproblem(C)
     oa = sub.objective(solve_fb_in_dr(sub, np.zeros(20), opts).x)
     ob = sub.objective(solve_dr_in_fb(sub, np.zeros(20), opts).x)
     assert abs(oa - ob) <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "C", [L1Ball(1.5, 20), NonnegativeOrthant(20), Ball(np.zeros(20), 0.8)],
+    ids=["l1ball", "orthant", "origin-ball"],
+)
+def test_solvers_agree_where_one_dr_iteration_is_the_prox(C):
+    # Acceptance criterion 5 on the sets where one DR iteration is the
+    # exact prox (dr-in-fb takes direction_minimizer on the ball).
+    _assert_solvers_agree(C)
+
+
+def test_solvers_agree_on_an_off_centre_ball():
+    # Acceptance criterion 5 where one DR iteration is not the prox:
+    # dr-in-fb's step is direction_minimizer's closed form.
+    _assert_solvers_agree(Ball(np.full(20, 0.05), 1.0))
 
 
 def _kkt_violation(sub, x):

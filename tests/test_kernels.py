@@ -397,21 +397,25 @@ def test_ball_projection_matches_reference():
 
 # -- inner -----------------------------------------------------------------
 
-# The sets whose dr-in-fb prox is one DR half point; a ball takes
-# direction_minimizer instead.
+# dr-in-fb takes the DR half point on every set but a ball; the kernel
+# itself runs on any set.
 DR_SETS = [
     FullSpace(20),
     NonnegativeOrthant(20),
     Box(-0.3 * np.ones(20), 0.4 * np.ones(20)),
     L1Ball(1.5, 20),
+    Ball(np.zeros(20), 1.0),
+    Ball(np.full(20, 0.2), 0.7),
 ]
 
 
 @pytest.mark.parametrize("C", DR_SETS, ids=repr)
-def test_dr_loop_matches_reference(C):
-    rng = np.random.default_rng(9)
+@pytest.mark.parametrize("scale, seed", [(1.0, 1), (1.0, 7), (1.3, 7), (0.6, 12)])
+def test_dr_loop_matches_reference(C, scale, seed):
+    # ``scale`` multiplies the random anchors drawn from ``seed``.
+    rng = np.random.default_rng(seed)
     for _ in range(10):
-        anchor = rng.standard_normal(20)
+        anchor = scale * rng.standard_normal(20)
         thresh = float(rng.choice([0.05, 0.3, 1.0]))
         got = inner._constrained_l1_prox_dr(anchor, thresh, C)
         assert _same(got, _reference_constrained_l1_prox_dr(anchor, thresh, C))
