@@ -462,8 +462,7 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float], M: np.n
 
     Near the boundary of the condition, or when the residual scale is not
     resolved, the trial is left to the exact test, as is any trial whose
-    values are not finite.  ``||xi|| = 0`` with a positive violation is
-    left to it too (it raises there).
+    values are not finite.
     """
     center, radius = P.Q.center, P.Q.radius
     A, t, mu = P.A, float(opts.t), float(opts.mu)
@@ -515,9 +514,7 @@ def _trial_screen(P: ProblemSpec, opts: McqOptions, ladder: list[float], M: np.n
             violation = c0 - alpha * xg
             beta = 0.0
             if violation > 0.0:
-                if xx == 0.0:
-                    yield alpha
-                    continue
+                # xx > 0: xi = 0 means x = 0, so violation = -t < 0 (McqOptions has t > 0).
                 beta = violation / xx
             # ||x - x_bar|| = ||alpha*g + beta*xi||, and a bound on it
             move2 = alpha * alpha * gg + beta * (2.0 * alpha * xg + beta * xx)

@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
 EXIT_CONFIG = 2
 
+# The InnerOptions fields that only fb-in-dr reads.
+_FB_IN_DR_ONLY = ("kappa", "tau", "lambda_relax", "budget_base", "budget_cap")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--inner-solver", choices=sorted(INNER_SOLVERS),
         help="dca subproblem solver, used on every problem; unset, dca solves exactly "
         "(feature-sign search) on C = R^n with a point Q, where of the --inner-* flags "
-        "only --inner-tol and --inner-max apply, and uses dr-in-fb elsewhere",
+        "only --inner-tol and --inner-max apply, and uses dr-in-fb elsewhere; --kappa, "
+        "--inner-tau, --inner-lambda and --inner-budget-* are accepted only with fb-in-dr",
     )
     solver_flag("--kappa", dest="inner_kappa", type=float, help="fb-in-dr DR scale")
     solver_flag("--inner-tol", type=float, help="inner tolerance (the exact solve's column-test slack)")
@@ -122,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _options(solver, args):
     """The solver's options from the flags that were set; the rest keep their defaults.
 
-    A set flag that the solver has no option for is a ConfigurationError.
+    A set flag that the solver has no option for is a ConfigurationError,
+    as is a flag for an ``fb-in-dr``-only field without ``--inner-solver fb-in-dr``.
     """
     given = {k: getattr(args, k) for k in args.solver_flags if getattr(args, k) is not None}
     fields = {f.name for f in dataclasses.fields(solver.options)}
@@ -133,6 +138,10 @@ def _options(solver, args):
     unused = [args.solver_flags[k] for k in given if k not in accepted]
     if unused:
         raise ConfigurationError(f"--algo {args.algo} takes no {', '.join(unused)}")
+    if given.get("inner_solver") != "fb-in-dr":
+        unread = [args.solver_flags[k] for k in given if inner_flags.get(k) in _FB_IN_DR_ONLY]
+        if unread:
+            raise ConfigurationError(f"only --inner-solver fb-in-dr takes {', '.join(unread)}")
     settings = {name: given[name] for name in fields & given.keys()}
     if "max_iter" in given:
         settings[solver.limit] = given["max_iter"]

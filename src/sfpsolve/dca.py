@@ -145,22 +145,22 @@ def dca_step(
     P: ProblemSpec,
     x_k,
     opts: DcaOptions | None = None,
-    zero_tol: float | None = None,
     *,
     _op_norm: float | None = None,
 ) -> SolveResult:
     """One majorize-minimize step from ``x_k``.
 
     Builds the subproblem with linear term ``v = -gamma * x_k / ||x_k||_2``
-    (``v = 0`` when ``||x_k|| <= zero_tol``) and solves it warm-started at
-    ``x_k``.  With the default ``inner_solver`` on C = R^n and a point
-    target ``Q = {b}``, the subproblem is a Lasso, solved exactly on all
-    columns by feature-sign search: pivots from ``supp(x_k)`` and
-    ``sign(x_k)``, each a face solve through a QR factorization of
-    ``A_S``, until no column violates ``|g_j| <= gamma + tol``, capped at
-    ``inner.outer_max`` pivots.  If that solve does not converge (at the
-    cap, or on a non-finite face solve), the step falls back to ``dr-in-fb``
-    from ``x_k``, as below, and its message names the fallback.
+    (``v = 0`` when ``||x_k|| <= opts.zero_tol``, resolved at ``x_k``) and
+    solves it warm-started at ``x_k``.  With the default ``inner_solver``
+    on C = R^n and a point target ``Q = {b}``, the subproblem is a Lasso,
+    solved exactly on all columns by feature-sign search: pivots from
+    ``supp(x_k)`` and ``sign(x_k)``, each a face solve through a QR
+    factorization of ``A_S``, until no column violates
+    ``|g_j| <= gamma + tol``, capped at ``inner.outer_max`` pivots.  If
+    that solve does not converge (at the cap, or on a non-finite face
+    solve), the step falls back to ``dr-in-fb`` from ``x_k``, as below, and
+    its message names the fallback.
 
     Otherwise, on C = R^n, the orthant and an l1 ball the subproblem is
     solved on a working set of columns: ``supp(x_k)`` plus the worst
@@ -191,8 +191,7 @@ def dca_step(
     if opts is None:
         opts = DcaOptions()
     x_k = np.asarray(x_k, dtype=float)
-    if zero_tol is None:
-        zero_tol = opts.resolve_zero_tol(x_k)
+    zero_tol = opts.resolve_zero_tol(x_k)
     norm_x = norm(x_k)
     if norm_x <= zero_tol:
         v = np.zeros_like(x_k)
@@ -258,7 +257,8 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     if opts is None:
         opts = DcaOptions()
     x, message = start_point(P, x0)
-    zero_tol = opts.resolve_zero_tol(x)
+    # One threshold for the run, resolved at its start and handed to every step.
+    opts = replace(opts, zero_tol=opts.resolve_zero_tol(x))
     # ||A|| from the problem's cache (computed at most once per problem),
     # handed to every step's inner solver.
     op_norm = P.op_norm
@@ -266,7 +266,7 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     capped, discarded, fell_back = [], [], []
 
     def step(k, x):
-        inner = dca_step(P, x, opts, zero_tol=zero_tol, _op_norm=op_norm)
+        inner = dca_step(P, x, opts, _op_norm=op_norm)
         if inner.status is Status.MAX_ITERATIONS:
             capped.append(k)
         if _FELL_BACK in inner.message:
@@ -285,7 +285,7 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
             discarded.append(k)
             return None, 0.0, Stop(Status.MAX_ITERATIONS)
         x_next = inner.x
-        if max(norm(x), norm(x_next)) <= zero_tol and P.C.contains(np.zeros_like(x)):
+        if max(norm(x), norm(x_next)) <= opts.zero_tol and P.C.contains(np.zeros_like(x)):
             return np.zeros_like(x), norm(x), Stop(Status.ZERO_STATIONARY)
         return x_next, norm(x_next - x), None
 

@@ -129,6 +129,20 @@ def _rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _instance(A, C, b, gamma: float, x_true: np.ndarray) -> Instance:
+    """The instance ``(A, C, {b}, gamma)`` started at the origin.
+
+    ``t_level`` is ``||x_true||_1``, or 1 for a zero truth.
+    """
+    t_level = float(np.sum(np.abs(x_true)))
+    return Instance(
+        problem=ProblemSpec(A=A, C=C, Q=Singleton(b), gamma=gamma),
+        x_true=x_true,
+        x0=np.zeros(x_true.size),
+        t_level=t_level if t_level != 0.0 else 1.0,
+    )
+
+
 def gen_random_problem(spec: RandomSpec, trial: int, gamma: float = 0.6) -> Instance:
     """Consistent Gaussian system: ``b = A @ x_true`` with ``x_true >= 0``.
 
@@ -141,16 +155,7 @@ def gen_random_problem(spec: RandomSpec, trial: int, gamma: float = 0.6) -> Inst
     rng = _rng(spec.seed, trial)
     A = rng.standard_normal((spec.m, spec.n))
     x_true = np.abs(rng.standard_normal(spec.n))
-    b = A @ x_true
-    problem = ProblemSpec(
-        A=A, C=NonnegativeOrthant(spec.n), Q=Singleton(b), gamma=gamma
-    )
-    return Instance(
-        problem=problem,
-        x_true=x_true,
-        x0=np.zeros(spec.n),
-        t_level=float(np.sum(np.abs(x_true))),
-    )
+    return _instance(A, NonnegativeOrthant(spec.n), A @ x_true, gamma, x_true)
 
 
 def gen_sparse_recovery(spec: SparseSpec, trial: int = 0) -> Instance:
@@ -173,16 +178,7 @@ def gen_sparse_recovery(spec: SparseSpec, trial: int = 0) -> Instance:
         if spec.noise_variance > 0
         else np.zeros(spec.m)
     )
-    b = A @ x_true + noise
-    problem = ProblemSpec(
-        A=A, C=FullSpace(spec.n), Q=Singleton(b), gamma=spec.gamma
-    )
-    t_level = float(np.sum(np.abs(x_true)))
-    if t_level == 0.0:
-        t_level = 1.0
-    return Instance(
-        problem=problem, x_true=x_true, x0=np.zeros(spec.n), t_level=t_level
-    )
+    return _instance(A, FullSpace(spec.n), A @ x_true + noise, spec.gamma, x_true)
 
 
 def recovery_metrics(x_hat, x_true, iterations: int, wall_ms: float) -> RecoveryMetrics:
@@ -410,26 +406,19 @@ def _quantile_csv(traces: list[SolveResult]) -> str:
     aggregates all trials.
     """
     max_len = max(len(r.trace) for r in traces)
-    res = np.empty((len(traces), max_len))
-    obj = np.empty((len(traces), max_len))
-    for i, r in enumerate(traces):
-        rv = np.array([rec.sfp_residual for rec in r.trace])
-        ov = np.array([rec.objective for rec in r.trace])
-        res[i, : rv.size] = rv
-        res[i, rv.size :] = rv[-1]
-        obj[i, : ov.size] = ov
-        obj[i, ov.size :] = ov[-1]
-    header = ["iter"]
-    header += [f"residual_q{int(q * 100)}" for q in QUANTILE_LEVELS]
-    header += [f"objective_q{int(q * 100)}" for q in QUANTILE_LEVELS]
+    header, columns = ["iter"], []
+    for name, label in (("sfp_residual", "residual"), ("objective", "objective")):
+        padded = np.empty((len(traces), max_len))
+        for i, r in enumerate(traces):
+            values = np.array([getattr(rec, name) for rec in r.trace])
+            padded[i, : values.size] = values
+            padded[i, values.size :] = values[-1]
+        header += [f"{label}_q{int(q * 100)}" for q in QUANTILE_LEVELS]
+        columns.append(np.quantile(padded, QUANTILE_LEVELS, axis=0))
+    quantiles = np.vstack(columns)
     lines = [",".join(header)]
-    res_q = np.quantile(res, QUANTILE_LEVELS, axis=0)
-    obj_q = np.quantile(obj, QUANTILE_LEVELS, axis=0)
     for j in range(max_len):
-        row = [str(j)]
-        row += [_fmt(v) for v in res_q[:, j]]
-        row += [_fmt(v) for v in obj_q[:, j]]
-        lines.append(",".join(row))
+        lines.append(",".join([str(j), *(_fmt(v) for v in quantiles[:, j])]))
     return "\n".join(lines) + "\n"
 
 
@@ -453,49 +442,36 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
     for trial in range(cfg.trials):
         inst = instance(trial)
         for algo in sorted(cfg.algos):
+            # A failed solve's row; a solve that returns fills it from its result.
+            row = {"trial": trial, "algo": algo, "status": "error", "iterations": 0,
+                   **dict.fromkeys(_SUMMARY_COLUMNS, float("nan"))}
             t_start = time.perf_counter()
             try:
                 result = _solve_one(algo, inst, options[algo])
             except (ConfigurationError, ValueError, FloatingPointError) as exc:
-                rows.append(
-                    {
-                        "trial": trial,
-                        "algo": algo,
-                        "status": "error",
-                        "iterations": 0,
-                        **dict.fromkeys(_SUMMARY_COLUMNS, float("nan")),
-                        "wall_ms": (time.perf_counter() - t_start) * 1e3,
-                        "message": str(exc),
-                    }
-                )
-                continue
+                result, message = None, str(exc)
             wall_ms = (time.perf_counter() - t_start) * 1e3
-            metrics = recovery_metrics(
-                result.x, inst.x_true, result.iterations, wall_ms
-            )
-            last = result.trace[-1]
-            rows.append(
-                {
-                    "trial": trial,
-                    "algo": algo,
-                    "status": result.status.value,
-                    "iterations": result.iterations,
-                    "objective": last.objective,
-                    "sfp_residual": last.sfp_residual,
-                    "rel_l2_error": metrics.rel_l2_error,
-                    "support_precision": metrics.support_precision,
-                    "support_recall": metrics.support_recall,
-                    "l1_norm": float(np.sum(np.abs(result.x))),
-                    "wall_ms": wall_ms,
-                    "message": result.message,
-                }
-            )
-            traces_by_algo[algo].append(result)
-            if cfg.traces:
-                write_atomic(
-                    os.path.join(cfg.out_dir, f"trace_{algo}_{trial}.csv"),
-                    trace_csv(result),
+            if result is not None:
+                metrics = recovery_metrics(result.x, inst.x_true, result.iterations, wall_ms)
+                last = result.trace[-1]
+                row.update(
+                    status=result.status.value,
+                    iterations=result.iterations,
+                    objective=last.objective,
+                    sfp_residual=last.sfp_residual,
+                    rel_l2_error=metrics.rel_l2_error,
+                    support_precision=metrics.support_precision,
+                    support_recall=metrics.support_recall,
+                    l1_norm=float(np.sum(np.abs(result.x))),
                 )
+                message = result.message
+                traces_by_algo[algo].append(result)
+                if cfg.traces:
+                    write_atomic(
+                        os.path.join(cfg.out_dir, f"trace_{algo}_{trial}.csv"),
+                        trace_csv(result),
+                    )
+            rows.append({**row, "wall_ms": wall_ms, "message": message})
     header = ("trial", "algo", "status", "iterations", *_SUMMARY_COLUMNS, "message", "wall_ms")
     lines = [",".join(header)]
     for r in rows:

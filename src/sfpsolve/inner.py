@@ -188,20 +188,24 @@ def solve_fb_in_dr(
         y = y_next
         return x_in, move, None
 
-    return _run_inner(spec, y_half, step, kappa, opts, message)
+    return _run_inner(spec, y_half, step, opts, message, lambda move: move / kappa, opts.tol * kappa)
 
 
-def _run_inner(spec, x, step, scale, opts, message) -> SolveResult:
-    """Drive an inner solver to ``move <= opts.tol * scale``; its residual column is ``move / scale``."""
+def _run_inner(spec, x, step, opts, message, residual, step_tol=None) -> SolveResult:
+    """Drive an inner solver for up to ``opts.outer_max`` steps, recording only the last iterate.
+
+    The record's ``grad_residual`` is ``residual(move)``; with ``step_tol``
+    the run converges once ``move <= step_tol``.
+    """
 
     def monitor(k, x, move):
         return {
             "objective": spec.objective(x),
-            "grad_residual": move / scale,
+            "grad_residual": residual(move),
             "sfp_residual": sfp_residual_value(spec.base, x),
         }
 
-    return iterate(x, step, monitor, opts.outer_max, opts.tol * scale, record_trace=False, message=message)
+    return iterate(x, step, monitor, opts.outer_max, step_tol, record_trace=False, message=message)
 
 
 def _constrained_l1_prox_dr(anchor: np.ndarray, thresh: float, C) -> np.ndarray:
@@ -270,7 +274,7 @@ def solve_dr_in_fb(
         y = x_next + beta * move if beta else x_next
         return x_next, norm(move), None
 
-    return _run_inner(spec, x, step, gstep, opts, message)
+    return _run_inner(spec, x, step, opts, message, lambda move: move / gstep, opts.tol * gstep)
 
 
 def _factor_face(A_S: np.ndarray):
@@ -424,14 +428,7 @@ def _solve_point_lasso(
         theta = np.append(theta, -np.sign(g[j]))
         return x_next, move, None
 
-    def monitor(k, x, move):
-        return {
-            "objective": spec.objective(x),
-            "grad_residual": violation,
-            "sfp_residual": sfp_residual_value(P, x),
-        }
-
-    return iterate(x, step, monitor, opts.outer_max, record_trace=False, message=message)
+    return _run_inner(spec, x, step, opts, message, lambda move: violation)
 
 
 INNER_SOLVERS = {

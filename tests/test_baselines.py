@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -568,6 +569,14 @@ class _CountingMatrix(np.ndarray):
     def __rmatmul__(self, other):
         _CountingMatrix.matmuls += 1
         return other @ np.asarray(self)
+
+
+def test_level_set_bound_is_minus_inf_when_the_first_gradient_overflows():
+    # ||A||_F is finite, but the first gradient A'(A*0 - c), 1e350 in its first entry, is not.
+    P = ProblemSpec(A=1e150 * np.eye(2), C=FullSpace(2), Q=Singleton(np.array([1e200, 0.0])), gamma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert baselines.level_set_bound(P, 1.0, 10) == -math.inf
 
 
 @pytest.mark.parametrize("trial", range(3))

@@ -221,9 +221,25 @@ def test_solve_inner_flags_only_reach_dca(instance_files, capsys):
     args = ["solve", "--A", a_path, "--Q", f"singleton:{b_path}", "--gamma", "0.6",
             "--inner-tau", "1.5", "--kappa", "0.3"]
     assert main(args + ["--algo", "mf"]) == 2
-    assert main(args + ["--algo", "dca"]) in (0, 1)
-    assert main(args + ["--algo", "dca", "--inner-tau", "2.5"]) == 2
+    assert main(args + ["--algo", "dca", "--inner-solver", "fb-in-dr"]) in (0, 1)
+    assert main(args + ["--algo", "dca", "--inner-solver", "fb-in-dr", "--inner-tau", "2.5"]) == 2
     assert "tau must lie in (0, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", [[], ["--inner-solver", "dr-in-fb"]], ids=["default", "dr-in-fb"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--kappa", "0.3"), ("--inner-tau", "1.5"), ("--inner-lambda", "0.5"),
+     ("--inner-budget-base", "2"), ("--inner-budget-cap", "60")],
+)
+def test_solve_fb_in_dr_flags_need_fb_in_dr(instance_files, capsys, solver, flag, value):
+    # Only fb-in-dr reads these fields, so with another inner solver the flag would change nothing.
+    a_path, b_path, _ = instance_files
+    args = ["solve", "--algo", "dca", "--A", a_path, "--Q", f"singleton:{b_path}", "--gamma", "0.6",
+            "--C", "orthant:25", *solver, flag, value]
+    assert main(args) == 2
+    assert f"only --inner-solver fb-in-dr takes {flag}\n" in capsys.readouterr().err
+    assert main(args + ["--inner-solver", "fb-in-dr"]) in (0, 1)
 
 
 def test_solve_rejects_flags_the_solver_has_no_option_for(instance_files, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,13 @@ def test_options_reject_nan_and_inf(field, value):
         DcaOptions(**{field: value})
 
 
+def test_explicit_zero_tol_is_used_as_given():
+    x = np.array([3.0, 4.0])
+    assert DcaOptions(zero_tol=0.5).resolve_zero_tol(x) == 0.5
+    assert DcaOptions(zero_tol=0.0).resolve_zero_tol(x) == 0.0
+    assert DcaOptions().resolve_zero_tol(x) == 1e-12 * 6.0
+
+
 def test_both_inner_solvers_reach_same_point():
     b = np.array([1.5, -0.8, 0.2])
     P = unit_problem(b, gamma=0.4)
@@ -169,9 +177,9 @@ def test_message_names_capped_and_discarded_inner_steps(inner_solver, iterations
     assert r.iterations == iterations and len(r.trace) == iterations + 1
     assert r.message == message
     # The report changes nothing: the iterates are the chained dca_step results.
-    x = inst.x0
+    x, step_opts = inst.x0, replace(opts, zero_tol=opts.resolve_zero_tol(inst.x0))
     for _ in range(r.iterations):
-        x = dca_step(P, x, opts, zero_tol=opts.resolve_zero_tol(inst.x0)).x
+        x = dca_step(P, x, step_opts).x
     assert np.array_equal(r.x, x)
 
 

@@ -190,6 +190,13 @@ def test_parse_bench_config_rejects_unknown_key(tmp_path):
         parse_bench_config(cfg_file, "sparse")
 
 
+def test_parse_bench_config_rejects_a_line_without_equals(tmp_path):
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text("seed=1\nm 10\n")
+    with pytest.raises(ValueError, match=r"cfg\.txt:2: expected key=value$"):
+        parse_bench_config(cfg_file, "sparse")
+
+
 @pytest.mark.parametrize("word, value", [("on", True), ("YES", True), ("0", False), ("Off", False)])
 def test_parse_bench_config_reads_each_flag_word(tmp_path, word, value):
     cfg_file = tmp_path / "cfg.txt"
@@ -403,6 +410,13 @@ def test_run_benchmark_reports_solver_errors_and_raises_bugs(tmp_path, monkeypat
     assert [r["status"] for r in errors] == ["error", "error"]
     assert errors[0]["message"] == "bad instance"
     assert all(r["status"] != "error" for r in rows if r["algo"] == "fb")
+    with open(os.path.join(cfg.out_dir, "summary.csv")) as fh:
+        failed = [r for r in csv.DictReader(fh) if r["algo"] == "cq"]
+    assert [r["trial"] for r in failed] == ["0", "1"]
+    for r in failed:
+        assert (r["status"], r["iterations"], r["message"]) == ("error", "0", "bad instance")
+        assert [r[name] for name in harness._SUMMARY_COLUMNS] == ["nan"] * 6
+        assert float(r["wall_ms"]) >= 0.0
 
     monkeypatch.setitem(harness.SOLVERS, "cq", fails_with(TypeError("a bug")))
     with pytest.raises(TypeError, match="a bug"):

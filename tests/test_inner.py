@@ -128,6 +128,14 @@ def test_infeasible_start_projected(name):
     assert P.C.contains(r.x, 1e-9)
 
 
+@pytest.mark.parametrize("name", sorted(INNER_SOLVERS))
+def test_solvers_without_options_take_the_defaults(name):
+    sub = unit_subproblem(np.array([2.0, -1.5, 0.3]))
+    given = INNER_SOLVERS[name](sub, np.zeros(3), InnerOptions())
+    default = INNER_SOLVERS[name](sub, np.zeros(3))
+    assert np.array_equal(default.x, given.x) and default.iterations == given.iterations
+
+
 def test_inner_options_validation():
     with pytest.raises(ValueError):
         InnerOptions(tau=2.0)

@@ -9,6 +9,8 @@ from sfpsolve.fbsplit import FbOptions
 from sfpsolve.harness import BenchConfig, RandomSpec, SparseSpec
 from sfpsolve.inner import InnerOptions
 from sfpsolve.linops import (
+    as_matrix,
+    as_vector,
     check_count,
     check_positive,
     inflated_op_norm,
@@ -122,6 +124,29 @@ def test_read_vector_length_mismatch(tmp_path):
     path.write_text("3\n1 2\n")
     with pytest.raises(ValueError):
         read_vector(path)
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (read_matrix, "3\n1 2 3\n", "expected 'rows cols' header"),
+        (read_matrix, "0 2\n", "dimensions must be positive"),
+        (read_vector, "1 2\n3\n", "expected a single length header"),
+        (read_vector, "0\n", "length must be positive"),
+    ],
+)
+def test_readers_reject_bad_headers(tmp_path, read, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read(path)
+
+
+def test_as_vector_and_as_matrix_check_the_dimension():
+    with pytest.raises(ValueError, match=r"^x must be one-dimensional, got shape \(1, 2\)$"):
+        as_vector([[1.0, 2.0]])
+    with pytest.raises(ValueError, match=r"^A must be two-dimensional, got shape \(2,\)$"):
+        as_matrix([1.0, 2.0])
 
 
 def test_check_positive_keeps_each_range():

@@ -405,6 +405,17 @@ def test_converged_run_has_certificate():
     assert stationarity_residual(inst.problem, r.x) <= 10 * tol
 
 
+def test_explicit_stationarity_tol_is_used_as_given():
+    P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.array([1.0, 0.0])), gamma=0.5)
+    assert MfOptions(stationarity_tol=0.25).resolve_stationarity_tol(P) == 0.25
+
+
+def test_mf_direction_without_options_takes_the_defaults():
+    P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton(np.array([1.0, -2.0])), gamma=0.5)
+    x = np.array([0.5, 0.0])
+    assert np.array_equal(mf_direction(P, x), mf_direction(P, x, MfOptions()))
+
+
 def test_two_dimensional_instance_near_grid_optimum():
     rng = np.random.default_rng(14)
     A = rng.standard_normal((3, 2))

@@ -118,6 +118,12 @@ def test_is_member_examples():
     box = Box(np.zeros(2), np.ones(2))
     assert box.contains([1.0005, 0.5], 1e-3)
     assert not box.contains([1.0005, 0.5], 1e-6)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        box.contains([0.5, 0.5], -1e-9)
+
+
+def test_singleton_repr_names_the_dimension():
+    assert repr(Singleton(np.array([1.0, 2.0, 3.0]))) == "Singleton(dim=3)"
 
 
 @pytest.mark.parametrize("S", ALL_SETS, ids=lambda s: type(s).__name__)
