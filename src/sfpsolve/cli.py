@@ -71,9 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solver_flag("--step", type=float, help="fb/cq step size")
     solver_flag(
         "--inner-solver", choices=sorted(INNER_SOLVERS),
-        help="dca subproblem solver, used on every problem; unset, dca solves exactly "
-        "(feature-sign search) on C = R^n with a point Q, where of the --inner-* flags "
-        "only --inner-tol and --inner-max apply, and uses dr-in-fb elsewhere; --kappa, "
+        help="dca subproblem solver, used on every problem and all columns; unset, dca "
+        "solves exactly (feature-sign search) on C = R^n or l1ball with a point or ball Q, "
+        "where only --inner-tol and --inner-max apply, falling back to dr-in-fb where Ax "
+        "lands in Q or at --inner-max pivots, and uses dr-in-fb elsewhere; --kappa, "
         "--inner-tau, --inner-lambda and --inner-budget-* are accepted only with fb-in-dr",
     )
     solver_flag("--kappa", dest="inner_kappa", type=float, help="fb-in-dr DR scale")

@@ -4,9 +4,9 @@ The objective splits as (convex fidelity + gamma*||.||_1 + indicator of C)
 minus the concave part gamma*||.||_2.  Each step linearizes the concave part
 at the current iterate (subgradient ``x/||x||_2``, zero at the origin) and
 minimizes the resulting convex majorizer with one of the subproblem solvers
-from :mod:`sfpsolve.inner`: exactly on C = R^n with a point target, and
-with ``dr-in-fb`` elsewhere, unless another is named.  The objective
-sequence is monotonically non-increasing.
+from :mod:`sfpsolve.inner`: exactly on C = R^n or an l1 ball with a point or
+ball target, and with ``dr-in-fb`` on all columns elsewhere, unless another
+is named.  The objective sequence is monotonically non-increasing.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .problem import (
     iterate,
     start_point,
 )
-from .sets import Ball, FullSpace, L1Ball, NonnegativeOrthant
+from .sets import Ball, FullSpace, L1Ball
 
 __all__ = ["DcaOptions", "dca_step", "solve_dca"]
 
@@ -39,12 +39,14 @@ class DcaOptions:
     """Outer-loop controls.
 
     ``inner_solver`` names an ``INNER_SOLVERS`` entry, which then solves
-    every subproblem.  The default, ``None``, solves exactly where ``C`` is
-    ``R^n`` and ``Q`` a point (a ball of radius 0, such as a singleton), by
-    feature-sign search (:func:`sfpsolve.inner._solve_point_lasso`), and
-    with ``dr-in-fb`` on every other problem.  ``zero_tol`` decides when an
-    iterate counts as the zero vector for the concave-part subgradient;
-    ``None`` resolves to ``1e-12 * (1 + ||x0||)``.
+    every subproblem on all columns.  The default, ``None``, solves exactly
+    where ``C`` is ``R^n`` or an l1 ball and ``Q`` a ball of any radius (a
+    point, such as a singleton, included), by feature-sign search
+    (:func:`sfpsolve.inner._solve_point_lasso`), and with ``dr-in-fb`` on
+    every other problem.  ``zero_tol`` decides when an iterate counts as the
+    zero vector for the concave-part subgradient; ``None`` resolves to
+    ``1e-12 * (1 + ||x0||)``, with a norm that does not overflow where
+    ``||x0||^2`` does.
     The inner tolerance is tightened to ``min(inner.tol, step_tol / 10)`` so
     the descent property survives inexact subproblem solves.
     """
@@ -69,7 +71,9 @@ class DcaOptions:
     def resolve_zero_tol(self, x: np.ndarray) -> float:
         if self.zero_tol is not None:
             return self.zero_tol
-        return 1e-12 * (1.0 + float(np.linalg.norm(x)))
+        # linops.norm rescales where ||x||^2 overflows; its first try warns.
+        with np.errstate(over="ignore"):
+            return 1e-12 * (1.0 + norm(x))
 
 
 def _resolved_inner(opts: DcaOptions) -> InnerOptions:
@@ -78,67 +82,8 @@ def _resolved_inner(opts: DcaOptions) -> InnerOptions:
 
 
 def _exact_applies(P: ProblemSpec, opts: DcaOptions) -> bool:
-    """Whether :func:`dca_step` solves on ``P`` exactly: the default solver, ``C = R^n`` and a point ``Q``."""
-    return (
-        opts.inner_solver is None
-        and isinstance(P.C, FullSpace)
-        and isinstance(P.Q, Ball)
-        and P.Q.radius == 0.0
-    )
-
-
-def _l1_ball_multiplier(g: np.ndarray, x: np.ndarray, gamma: float) -> float:
-    """The l1 ball's multiplier ``nu`` read off the support of ``x``, where ``g`` is the smooth gradient.
-
-    Where the subproblem's KKT conditions hold on ``supp(x)``, each support
-    coordinate has ``-g_i*sign(x_i) = gamma + nu``; the least of these,
-    clipped at 0, is the estimate.  It is 0 at the origin, inside the ball.
-    """
-    support = np.flatnonzero(x)
-    if not support.size:
-        return 0.0
-    return max(0.0, float(np.min(-g[support] * np.sign(x[support]))) - gamma)
-
-
-def _working_set_solve(spec: SubproblemSpec, x_k: np.ndarray, solve, opts: InnerOptions):
-    """Solve ``spec`` in rounds on working sets of columns, as :func:`dca_step` describes.
-
-    Returns None where the step solves on all columns instead.  ``opts`` is
-    the resolved inner options, whose ``tol`` the column test adds to gamma.
-    """
-    P = spec.base
-    orthant, ball = isinstance(P.C, NonnegativeOrthant), isinstance(P.C, L1Ball)
-    if not (orthant or ball or isinstance(P.C, FullSpace)):
-        return None
-    W = np.flatnonzero(x_k)
-    if 2 * W.size >= P.m:
-        return None
-    x, rounds, nu = x_k, [], 0.0
-    while True:
-        g = spec.smooth_gradient(x)
-        if ball and rounds:
-            nu = _l1_ball_multiplier(g, x, P.gamma)
-        excess = -g if orthant else np.abs(g)
-        excess -= P.gamma + nu + opts.tol
-        excess[W] = 0.0
-        violators = np.flatnonzero(excess > 0.0)
-        if rounds and not violators.size:
-            break
-        worst = violators[np.argsort(-excess[violators], kind="stable")[: max(10, W.size)]]
-        W = np.union1d(W, worst)
-        block = P.A[:, W]
-        if not W.size or 2 * W.size >= P.m or not block.any():
-            return None
-        C_W = L1Ball(P.C.radius, W.size) if ball else type(P.C)(W.size)
-        restricted = SubproblemSpec(base=ProblemSpec(block, C_W, P.Q, P.gamma), v=spec.v[W])
-        rounds.append(solve(restricted, x[W], opts))
-        x = np.zeros_like(x_k)
-        x[W] = rounds[-1].x
-    statuses = {r.status for r in rounds}
-    status = next((s for s in (Status.DIVERGED, Status.MAX_ITERATIONS) if s in statuses), rounds[-1].status)
-    record = replace(rounds[-1].trace[-1], k=sum(r.iterations for r in rounds))
-    message = "; ".join(dict.fromkeys(r.message for r in rounds if r.message))
-    return SolveResult(x=x, status=status, trace=[record], message=message)
+    """Whether :func:`dca_step` solves ``P`` exactly: the default solver, C = R^n or an l1 ball, a ball Q."""
+    return opts.inner_solver is None and isinstance(P.C, (FullSpace, L1Ball)) and isinstance(P.Q, Ball)
 
 
 def dca_step(
@@ -153,36 +98,22 @@ def dca_step(
     Builds the subproblem with linear term ``v = -gamma * x_k / ||x_k||_2``
     (``v = 0`` when ``||x_k|| <= opts.zero_tol``, resolved at ``x_k``) and
     solves it warm-started at ``x_k``.  With the default ``inner_solver``
-    on C = R^n and a point target ``Q = {b}``, the subproblem is a Lasso,
-    solved exactly on all columns by feature-sign search: pivots from
+    on C = R^n or an l1 ball ``||x||_1 <= t``, with a ball target
+    ``Q = B(c, R)`` (``R = 0``, a point, included), the subproblem is solved
+    exactly on all columns by feature-sign search: pivots from
     ``supp(x_k)`` and ``sign(x_k)``, each a face solve through a QR
-    factorization of ``A_S``, until no column violates
-    ``|g_j| <= gamma + tol``, capped at ``inner.outer_max`` pivots.  If
-    that solve does not converge (at the cap, or on a non-finite face
-    solve), the step falls back to ``dr-in-fb`` from ``x_k``, as below, and
-    its message names the fallback.
-
-    Otherwise, on C = R^n, the orthant and an l1 ball the subproblem is
-    solved on a working set of columns: ``supp(x_k)`` plus the worst
-    violators of the per-column optimality test ``|g_j| <= gamma + tol``
-    (``g_j >= -(gamma + tol)`` on the orthant, ``|g_j| <= gamma + nu + tol``
-    on the ball ``||x||_1 <= t``), where ``g = A'(Ax - P_Q(Ax)) + v``,
-    ``tol = min(inner.tol, step_tol/10)`` and ``nu`` is the ball's
-    multiplier: 0 at ``x_k``, and ``max(0, min -g_i*sign(x_i) - gamma)``
-    over the support of each round's result.  Each round runs the inner
-    solver on ``A[:, W]`` (on the ball, the l1 ball of radius ``t`` in
-    ``|W|`` coordinates) with a step from the exact ``||A[:, W]||``, then
-    tests every column outside ``W`` at the embedded point and adds up to
-    ``max(10, |W|)`` of the worst violators, until none is left.  On the
-    100 x 256 desk instances with k = 10, a ``dr-in-fb`` step ran 1-4 rounds
-    of 10-41 columns on R^n and 1-3 rounds of 10-40 columns on an l1 ball.  The
-    returned iterations sum over the rounds, and the status is
-    ``MAX_ITERATIONS`` if any round ran out of ``outer_max``.  The
-    subproblem is solved on all columns instead, as one solve from ``x_k``,
-    when ``C`` is another set (a ball or a box), when ``W`` is empty or its
-    columns are all zero, or when ``W`` reaches ``m/2`` columns (tested on
-    ``supp(x_k)`` before any other work): with supports near ``m`` columns
-    the rounds cost more than one full solve.
+    factorization of ``A_S`` at the face's fidelity scale
+    ``kappa = 1 - R/||Ax - c||`` and, where the l1 ball binds, its
+    multiplier ``nu``, until no column violates
+    ``|g_j| <= gamma + nu + tol`` (``g = A'(Ax - P_Q(Ax)) + v``,
+    ``tol = min(inner.tol, step_tol/10)``), capped at ``inner.outer_max``
+    pivots.  If that solve does not converge (at the cap, where a face's
+    minimizer has ``Ax`` in ``Q``, on a non-finite face solve, or on a
+    null direction it cannot follow), the step falls back to ``dr-in-fb``
+    on all columns from ``x_k``, and its message names the fallback and
+    its reason.  On every other problem the step makes one ``dr-in-fb``
+    solve on all columns from ``x_k``; a named ``inner_solver`` makes that
+    one solve on every problem.
 
     If the inner result fails to improve the majorizer, the step
     returns ``x_k`` unchanged, which keeps the outer objective sequence
@@ -205,10 +136,7 @@ def dca_step(
             note = f"{_FELL_BACK}: {inner.message or 'pivots reached outer_max'}"
             inner = None
     if inner is None:
-        solve = INNER_SOLVERS[opts.inner_solver or "dr-in-fb"]
-        inner = _working_set_solve(spec, x_k, solve, inner_opts)
-        if inner is None:
-            inner = solve(spec, x_k, inner_opts)
+        inner = INNER_SOLVERS[opts.inner_solver or "dr-in-fb"](spec, x_k, inner_opts)
         inner.message = "; ".join(m for m in (note, inner.message) if m)
     # Majorizer safeguard: the subproblem objective dominates the true
     # objective and touches it at x_k, so refusing a non-improving inner
@@ -222,21 +150,13 @@ def dca_step(
 def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult:
     """Run the outer loop from ``x0`` (projected onto ``C`` if needed).
 
-    Each step is a :func:`dca_step`.  With the default ``inner_solver``, on
-    C = R^n with a point target it solves its subproblem exactly by
-    feature-sign search, on all columns and with no ``||A||``; where that
-    solve does not converge (at ``inner.outer_max`` pivots, or on a
-    non-finite face solve) it falls back to ``dr-in-fb``.  Otherwise, on C = R^n, the orthant and an
-    l1 ball it solves its subproblem in rounds on a working set of columns:
-    ``supp(x_k)`` plus the worst violators of ``|g_j| <= gamma + tol``
-    (``g_j >= -(gamma + tol)`` on the orthant; on the ball, ``gamma + nu +
-    tol`` with ``nu`` its multiplier, read off each round's support), each
-    round with the step of the exact norm of its m x |W| block, until no
-    column outside the set violates the test.  It solves on all columns
-    instead on any other ``C``, when the set is empty or its columns are
-    all zero, and when the set reaches ``m/2`` columns.  ``||A||`` is read
-    once, from the problem's cache, for the full-size solves; it is read on
-    every problem, the exact path's included.
+    Each step is a :func:`dca_step`.  With the default ``inner_solver``,
+    on C = R^n or an l1 ball with a point or ball target, it solves its
+    subproblem exactly by feature-sign search, on all columns and with no
+    ``||A||``; where that solve does not converge it falls back to
+    ``dr-in-fb``.  Every other step makes one inner solve on all columns.
+    ``||A||`` is read once, from the problem's cache, for those solves; it
+    is read on every problem, the exact path's included.
 
     Stops when the step norm drops to ``step_tol`` (``CONVERGED``), when two
     consecutive iterates are both zero and ``C`` contains the origin
@@ -250,9 +170,9 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     column test, so rounding made the refusal; the step moves 0 and the run
     ends ``CONVERGED`` at ``x_k``.  Status and iterate are
     :func:`problem.iterate`'s; the message adds the steps whose exact solve
-    fell back to ``dr-in-fb``, the steps whose inner solve (any of its
-    rounds) ran out of ``outer_max`` and the discarded step.  A step's inner
-    iterations sum over its rounds; the exact solve's are pivots.
+    fell back to ``dr-in-fb``, the steps whose inner solve ran out of
+    ``outer_max`` and the discarded step.  The exact solve's inner
+    iterations are pivots.
     """
     if opts is None:
         opts = DcaOptions()

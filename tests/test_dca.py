@@ -328,10 +328,9 @@ def _record_inner_solves(monkeypatch, inner_solver="dr-in-fb"):
 
 @pytest.mark.parametrize("inner_solver", ["dr-in-fb", "fb-in-dr"])
 def test_op_norm_once_per_solve_and_per_bare_step(inner_solver, monkeypatch):
-    # A solve takes the norm of the full A once, from the problem's cache,
-    # and one more for each working-set round, of that round's m x |W| block
-    # with |W| < m/2.  A bare step takes one norm per inner solve: of the
-    # full A for a full-size solve, of the block for a round.
+    # A named inner solver solves every subproblem on all columns: a solve
+    # takes the norm of the full A once, from the problem's cache, and a bare
+    # step takes it once, in its one inner solve.
     inst = gen_sparse_recovery(
         SparseSpec(seed=0, m=20, n=50, sparsity=4, noise_variance=1e-4, gamma=0.6), 0
     )
@@ -340,150 +339,76 @@ def test_op_norm_once_per_solve_and_per_bare_step(inner_solver, monkeypatch):
     calls = _count_op_norms(monkeypatch)
     solves = _record_inner_solves(monkeypatch, inner_solver)
     r = solve_dca(P, inst.x0, opts)
-    rounds = [A.shape for A, _ in solves if A.shape != P.A.shape]
-    assert r.iterations >= 3 and calls == [P.A.shape] + rounds
-    assert all(m == P.m and 2 * size < P.m for m, size in rounds)
-    if inner_solver == "dr-in-fb":
-        # fb-in-dr's half points are dense, so its steps never take one.
-        assert rounds
-    # From the origin the first set holds m/2 violators: one full-size solve.
-    # From dr-in-fb's sparse solution the step solves on working sets.
+    assert r.iterations >= 3 and calls == [P.A.shape]
+    assert len(solves) == r.iterations and all(A is P.A for A, _ in solves)
     for x_k in (inst.x0, r.x):
         calls.clear()
-        solves.clear()
         step = dca_step(P, x_k, opts)
-        assert calls == [A.shape for A, _ in solves]
-        # Handing ||A|| down saves the full A's norm and changes no step.
+        assert calls == [P.A.shape]
+        # Handing ||A|| down saves that norm and changes no step.
         calls.clear()
         given = dca_step(P, x_k, opts, _op_norm=float(np.linalg.norm(P.A, 2)))
-        assert P.A.shape not in calls
+        assert calls == []
         assert given.x.tobytes() == step.x.tobytes()
 
 
-def test_desk_dca_solves_its_subproblems_on_working_sets(monkeypatch):
-    # Solving each subproblem on all 256 columns took 222 inner iterations
-    # in 3 solves; the working sets take 96 in 4 rounds, to the same
-    # objective.
-    inst = gen_sparse_recovery(DESK, 0)
-    solves = _record_inner_solves(monkeypatch)
-    r = solve_dca(inst.problem, inst.x0, DcaOptions(max_outer=1000, step_tol=1e-5))
-    assert r.status is Status.CONVERGED
-    assert sum(result.iterations for _, result in solves) <= 150
-    assert r.trace[-1].objective == pytest.approx(4.100865395968498, rel=1e-12)
+def _binding_l1_ball_problem():
+    """The trial-0 desk instance on the l1 ball of radius ``t_level/2``, which binds, with a noise-ball Q.
 
-
-def test_desk_dca_on_an_l1_ball_solves_its_subproblems_on_working_sets(monkeypatch):
-    # With C = L1Ball(t_level), solving each subproblem on all 256 columns
-    # took 166 inner iterations in 3 solves; the working sets take 96 in 4
-    # rounds, to the same objective.
-    P, x0 = _desk_problem("l1-ball")
-    solves = _record_inner_solves(monkeypatch)
-    r = solve_dca(P, x0, DcaOptions(max_outer=1000, step_tol=1e-5))
-    assert r.status is Status.CONVERGED
-    assert all(2 * A.shape[1] < P.m for A, _ in solves)
-    assert sum(result.iterations for _, result in solves) <= 120
-    assert r.trace[-1].objective == pytest.approx(4.100865395968497, rel=1e-12)
-
-
-def _desk_problem(C_name):
-    """The trial-0 desk matrix; on the orthant, measuring ``|x_true|`` so that the solution is sparse.
-
-    ``l1-ball`` has radius ``t_level``, where the ball does not bind at the
-    subproblems' solutions; ``l1-ball-active`` has half that, where it does.
+    Q is the sparse-l1ball benchmark's noise ball, of radius
+    ``sqrt(m * 1e-4)`` around b.
     """
     inst = gen_sparse_recovery(DESK, 0)
     P = inst.problem
-    if C_name == "full-space":
-        return P, inst.x0
-    if C_name.startswith("l1-ball"):
-        radius = inst.t_level * (0.5 if C_name == "l1-ball-active" else 1.0)
-        return ProblemSpec(A=P.A, C=L1Ball(radius, P.n), Q=P.Q, gamma=P.gamma), inst.x0
-    b = P.A @ np.abs(inst.x_true)
-    return ProblemSpec(A=P.A, C=NonnegativeOrthant(P.n), Q=Singleton(b), gamma=P.gamma), inst.x0
+    C = L1Ball(0.5 * inst.t_level, P.n)
+    return ProblemSpec(A=P.A, C=C, Q=Ball(P.Q.center, 0.1), gamma=P.gamma), inst.x0
 
 
-@pytest.mark.parametrize("start", ["origin", "first-step"])
-@pytest.mark.parametrize("inner_solver", ["dr-in-fb", "fb-in-dr"])
-@pytest.mark.parametrize("C_name", ["full-space", "orthant", "l1-ball", "l1-ball-active"])
-def test_working_set_step_passes_the_column_test_at_the_full_objective(
-    C_name, inner_solver, start, monkeypatch
-):
-    P, x_k = _desk_problem(C_name)
-    if start == "first-step":
-        x_k = dca_step(P, x_k, DcaOptions(inner_solver="dr-in-fb")).x
-    opts = DcaOptions(inner_solver=inner_solver)
-    tol = min(opts.inner.tol, opts.step_tol / 10.0)
-    solve = INNER_SOLVERS[inner_solver]
-    solves = _record_inner_solves(monkeypatch, inner_solver)
-    step = dca_step(P, x_k, opts)
-    # No full-size solve: on the active l1 ball, a test without the ball's
-    # multiplier lets in columns until the set reaches m/2.
-    assert solves and all(2 * A.shape[1] < P.m for A, _ in solves)
-    assert P.C.contains(step.x)
-    column = {P.A[:, j].tobytes(): j for j in range(P.n)}
-    W = [column[a.tobytes()] for a in solves[-1][0].T]
-    outside = np.setdiff1d(np.arange(P.n), W)
-    v = -P.gamma * (x_k / np.linalg.norm(x_k)) if x_k.any() else np.zeros(P.n)
-    spec = SubproblemSpec(base=P, v=v)
-    g = spec.smooth_gradient(step.x)
-    # On the l1 ball the test adds the ball's multiplier, read off supp(x).
-    support, nu = np.flatnonzero(step.x), 0.0
-    if C_name.startswith("l1-ball") and support.size:
-        nu = max(0.0, np.min(-g[support] * np.sign(step.x[support])) - P.gamma)
-    assert not step.x[outside].any()
-    g = g[outside]
-    assert np.max(-g if C_name == "orthant" else np.abs(g)) <= P.gamma + nu + tol
-    # A plain full solve: dr-in-fb's reaches the subproblem's minimum, and
-    # fb-in-dr's, dense, stops up to 1e-5 relative above it.
-    full = spec.objective(solve(spec, x_k, InnerOptions(tol=tol)).x)
-    assert spec.objective(step.x) <= full + 1e-10 * abs(full)
-    if inner_solver == "dr-in-fb":
-        assert spec.objective(step.x) == pytest.approx(full, rel=1e-10)
+def test_dca_on_a_binding_l1_ball_takes_the_ball_multiplier_to_dr_in_fb_objective(monkeypatch):
+    # With t = t_level/2 the ball binds: the first step's result has
+    # ||x||_1 = t, and on its support -g_i*sign(x_i) = gamma + nu with
+    # nu > 0, while every column off it passes |g_j| <= gamma + nu.
+    P, x0 = _binding_l1_ball_problem()
+    solves = {name: _record_inner_solves(monkeypatch, name) for name in INNER_SOLVERS}
+    step = dca_step(P, x0)
+    assert step.status is Status.CONVERGED and step.message == ""
+    assert np.abs(step.x).sum() == pytest.approx(P.C.radius, rel=1e-12)
+    g = SubproblemSpec(base=P, v=np.zeros(P.n)).smooth_gradient(step.x)
+    support = np.flatnonzero(step.x)
+    nu = -g[support] * np.sign(step.x[support]) - P.gamma
+    assert nu.min() > 0.0 and nu.max() - nu.min() <= 1e-10 * nu.max()
+    off = np.delete(np.abs(g), support)
+    assert off.max() <= P.gamma + nu.min() + DcaOptions().inner.tol
+    exact = solve_dca(P, x0)
+    assert exact.status is Status.CONVERGED and exact.message == ""
+    assert not any(solves.values())
+    named = solve_dca(P, x0, DcaOptions(inner_solver="dr-in-fb"))
+    assert named.status is Status.CONVERGED
+    assert exact.trace[-1].objective == pytest.approx(named.trace[-1].objective, rel=1e-10)
 
 
-def test_a_column_missing_from_the_first_set_takes_another_round(monkeypatch):
-    P, x0 = _desk_problem("full-space")
-    solves = _record_inner_solves(monkeypatch)
-    step = dca_step(P, x0, DcaOptions(inner_solver="dr-in-fb"))
-    assert len(solves) >= 2 and step.iterations == sum(r.iterations for _, r in solves)
-    first = {a.tobytes() for a in solves[0][0].T}
-    assert any(P.A[:, j].tobytes() not in first for j in np.flatnonzero(step.x))
+def test_a_step_whose_minimizer_has_ax_in_q_falls_back_to_dr_in_fb():
+    # x_k = (1, 0) gives v = (-0.5, 0): on the face S = {0} the linear term
+    # vanishes, and the face's minimizer, x_k itself, has Ax at Q's centre.
+    for C in (FullSpace(2), L1Ball(2.0, 2)):
+        P = ProblemSpec(A=np.eye(2), C=C, Q=Ball([1.0, 0.0], 0.5), gamma=0.5)
+        x_k = np.array([1.0, 0.0])
+        step = dca_step(P, x_k)
+        assert step.message == "exact inner solve fell back to dr-in-fb: Ax lands in Q"
+        named = dca_step(P, x_k, DcaOptions(inner_solver="dr-in-fb"))
+        assert step.x.tobytes() == named.x.tobytes() and step.status is named.status
+        r = solve_dca(P, x_k)
+        assert r.status is Status.CONVERGED
+        assert r.message == "exact inner solve fell back at steps 1"
 
 
-def _off_centre_ball_case():
-    P, x0 = _desk_problem("full-space")
-    return ProblemSpec(A=P.A, C=Ball(np.full(P.n, 0.01), 1.0), Q=P.Q, gamma=P.gamma), x0
-
-
-def _half_support_case():
-    P, _ = _desk_problem("full-space")
-    x_k = np.zeros(P.n)
-    x_k[: P.m // 2] = 0.1
-    return P, x_k
-
-
-def _empty_set_case():
-    # Q = {0}: the origin solves the subproblem and no column violates.
-    A = np.random.default_rng(0).standard_normal((6, 8))
-    return ProblemSpec(A=A, C=FullSpace(8), Q=Singleton(np.zeros(6)), gamma=0.5), np.zeros(8)
-
-
-def _zero_block_case():
-    # W = supp(x_k) = {0}, a zero column; the other column does not violate.
-    A = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
-    return ProblemSpec(A=A, C=FullSpace(2), Q=Singleton(np.zeros(3)), gamma=0.5), np.array([1.0, 0.0])
-
-
-@pytest.mark.parametrize(
-    "case",
-    [_off_centre_ball_case, _half_support_case, _empty_set_case, _zero_block_case],
-    ids=["off-centre-ball", "support-of-m/2", "empty-set", "zero-block"],
-)
-def test_step_without_a_working_set_makes_one_full_size_solve(case, monkeypatch):
-    P, x_k = case()
-    solves = _record_inner_solves(monkeypatch)
-    dca_step(P, x_k, DcaOptions(inner_solver="dr-in-fb"))
-    assert [A.shape for A, _ in solves] == [P.A.shape]
+def test_a_start_whose_norm_overflows_ends_diverged_at_iteration_0():
+    # ||x0||^2 overflows a float, ||x0|| does not: the default zero_tol
+    # resolves to a finite threshold and the first record diverges.
+    P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton([1.0, 0.0]), gamma=0.5)
+    assert DcaOptions().resolve_zero_tol(np.array([1e200, 0.0])) == 1e-12 * (1.0 + 1e200)
+    r = solve_dca(P, [1e200, 0.0])
+    assert r.status is Status.DIVERGED and r.iterations == 0
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.5])
@@ -503,7 +428,3 @@ def test_dr_in_fb_and_dca_do_not_depend_on_kappa(kappa):
     objective = solve_dca(P, inst.x0).trace[-1].objective
     opts = DcaOptions(inner=InnerOptions(kappa=kappa))
     assert solve_dca(P, inst.x0, opts).trace[-1].objective == objective
-
-
-def test_l1_ball_multiplier_is_zero_on_an_empty_support():
-    assert dca._l1_ball_multiplier(np.array([-3.0, 2.0]), np.zeros(2), 0.5) == 0.0

@@ -354,6 +354,34 @@ def test_exact_solve_passes_the_kkt_test_on_the_first_desk_subproblem():
     assert sub.objective(r.x) <= tight + 1e-12 * abs(tight)
 
 
+def _noise_ball_subproblem():
+    """The first dca subproblem of the sparse-l1ball benchmark's seed-0 trial 0, from the origin.
+
+    C is the l1 ball of radius ``t_level`` and Q the noise ball of radius
+    ``sqrt(m * 1e-4)`` around b.
+    """
+    inst = gen_sparse_recovery(
+        SparseSpec(seed=0, m=100, n=256, sparsity=10, noise_variance=1e-4, gamma=0.6), 0
+    )
+    P = inst.problem
+    P = ProblemSpec(A=P.A, C=L1Ball(inst.t_level, P.n), Q=Ball(P.Q.center, 0.1), gamma=P.gamma)
+    return SubproblemSpec(base=P, v=np.zeros(P.n)), inst.x0
+
+
+def test_exact_solve_passes_the_kkt_test_on_the_first_noise_ball_subproblem():
+    sub, x0 = _noise_ball_subproblem()
+    P = sub.base
+    r = _solve_point_lasso(sub, x0, InnerOptions(tol=1e-6))
+    assert r.status is Status.CONVERGED and r.message == ""
+    # The fidelity is active and the l1 ball does not bind here, so the
+    # optimality conditions are those on C = R^n.
+    assert np.linalg.norm(P.A @ r.x - P.Q.center) > P.Q.radius
+    assert np.abs(r.x).sum() < P.C.radius
+    assert _kkt_violation(sub, r.x) <= 1e-10 * P.gamma
+    tight = sub.objective(solve_dr_in_fb(sub, x0, InnerOptions(tol=1e-12, outer_max=100000)).x)
+    assert sub.objective(r.x) <= tight + 1e-12 * abs(tight)
+
+
 @pytest.mark.parametrize("n, seed, step", [(2, 1, 2e-3), (3, 0, 2.5e-2)], ids=["2-D", "3-D"])
 def test_exact_solve_matches_the_grid(n, seed, step):
     # A DCA-shaped linear term, v = -gamma*x_k/||x_k||, on an (n+1) x n design.
@@ -377,6 +405,47 @@ def test_exact_solve_matches_the_grid(n, seed, step):
         assert np.max(np.abs(r.x - grid_x)) <= step
 
 
+@pytest.mark.parametrize("C_name", ["full-space", "l1-ball"])
+@pytest.mark.parametrize("n, seed, step", [(2, 1, 2e-3), (3, 0, 2.5e-2)], ids=["2-D", "3-D"])
+def test_exact_solve_with_a_ball_target_matches_the_grid(n, seed, step, C_name):
+    # The grid test's instances with Q the ball of radius 0.3 around b; the
+    # l1 ball of radius 0.3 binds at both minimizers.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n + 1, n))
+    b = rng.standard_normal(n + 1)
+    x_k = rng.standard_normal(n)
+    gamma, radius = 0.4, 0.3
+    C = FullSpace(n) if C_name == "full-space" else L1Ball(0.3, n)
+    P = ProblemSpec(A=A, C=C, Q=Ball(b, radius), gamma=gamma)
+    sub = SubproblemSpec(base=P, v=-gamma * x_k / np.linalg.norm(x_k))
+
+    def objective_batch(V):
+        distance = np.maximum(np.linalg.norm(A @ V - b[:, None], axis=0) - radius, 0.0)
+        return 0.5 * distance**2 + sub.v @ V + gamma * np.sum(np.abs(V), axis=0)
+
+    grid_x, grid_val = grid_minimize(objective_batch, C, [-1.0] * n, [1.0] * n, step)
+    for x0 in (np.zeros(n), C.project(x_k)):
+        r = _solve_point_lasso(sub, x0, InnerOptions(tol=1e-10))
+        assert r.status is Status.CONVERGED
+        assert np.linalg.norm(A @ r.x - b) > radius
+        if C_name == "l1-ball":
+            assert np.abs(r.x).sum() == pytest.approx(0.3, rel=1e-12)
+        assert sub.objective(r.x) <= grid_val + 1e-12
+        assert np.max(np.abs(r.x - grid_x)) <= step
+
+
+def test_exact_solve_ends_short_where_ax_lands_in_q():
+    # x_k = (1, 0) gives v = (-0.5, 0): on the face S = {0} the linear term
+    # v_0 + gamma vanishes, and the face's minimizer, x = (1, 0), has Ax at
+    # the centre of Q.
+    P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Ball([1.0, 0.0], 0.5), gamma=0.5)
+    sub = SubproblemSpec(base=P, v=[-0.5, 0.0])
+    r = _solve_point_lasso(sub, [1.0, 0.0])
+    assert r.status is Status.MAX_ITERATIONS
+    assert r.message == "Ax lands in Q"
+    assert r.iterations == 0
+
+
 def test_exact_solve_along_an_unbounded_null_direction_ends_diverged():
     # A_S = [1, 1] is singular on S = {0, 1}; along its null direction
     # (1, -1) from x0 the objective falls as -0.8*t, and no coordinate of
@@ -386,6 +455,17 @@ def test_exact_solve_along_an_unbounded_null_direction_ends_diverged():
     r = _solve_point_lasso(sub, [1.0, -1.0])
     assert r.status is Status.DIVERGED
     assert r.message == "no coordinate of a null direction reaches zero"
+    assert r.iterations == 0
+
+
+def test_exact_solve_along_a_null_direction_out_of_the_l1_ball_ends_short():
+    # The instance above on the l1 ball of radius 2, which x0 touches: the
+    # ball bounds the objective along (1, -1), and the step would leave it.
+    P = ProblemSpec(A=[[1.0, 1.0]], C=L1Ball(2.0, 2), Q=Singleton([0.0]), gamma=0.1)
+    sub = SubproblemSpec(base=P, v=[-0.5, 0.5])
+    r = _solve_point_lasso(sub, [1.0, -1.0])
+    assert r.status is Status.MAX_ITERATIONS
+    assert r.message == "a null direction reaches the l1 ball's boundary"
     assert r.iterations == 0
 
 
