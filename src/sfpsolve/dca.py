@@ -3,10 +3,10 @@
 The objective splits as (convex fidelity + gamma*||.||_1 + indicator of C)
 minus the concave part gamma*||.||_2.  Each step linearizes the concave part
 at the current iterate (subgradient ``x/||x||_2``, zero at the origin) and
-minimizes the resulting convex majorizer with one of the subproblem solvers
-from :mod:`sfpsolve.inner`: exactly on C = R^n or an l1 ball with a point or
-ball target, and with ``dr-in-fb`` on all columns elsewhere, unless another
-is named.  The objective sequence is monotonically non-increasing.
+minimizes the resulting convex majorizer: exactly (:mod:`sfpsolve.face`) on
+C = R^n or an l1 ball with a point or ball target, and with the
+:mod:`sfpsolve.inner` solver ``dr-in-fb`` on all columns elsewhere, unless
+another is named.  The objective sequence is monotonically non-increasing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .inner import INNER_SOLVERS, InnerOptions, SubproblemSpec, _solve_point_lasso
+from .face import Face, _solve_point_lasso
+from .inner import INNER_SOLVERS, InnerOptions, SubproblemSpec
 from .linops import check_count, check_positive, norm
 from .problem import (
     ProblemSpec,
@@ -24,6 +25,7 @@ from .problem import (
     Stop,
     columns_and_gradient,
     iterate,
+    overflow_stop,
     start_point,
 )
 from .sets import Ball, FullSpace, L1Ball
@@ -42,7 +44,7 @@ class DcaOptions:
     every subproblem on all columns.  The default, ``None``, solves exactly
     where ``C`` is ``R^n`` or an l1 ball and ``Q`` a ball of any radius (a
     point, such as a singleton, included), by feature-sign search
-    (:func:`sfpsolve.inner._solve_point_lasso`), and with ``dr-in-fb`` on
+    (:func:`sfpsolve.face._solve_point_lasso`), and with ``dr-in-fb`` on
     every other problem.  ``zero_tol`` decides when an iterate counts as the
     zero vector for the concave-part subgradient; ``None`` resolves to
     ``1e-12 * (1 + ||x0||)``, with a norm that does not overflow where
@@ -92,6 +94,7 @@ def dca_step(
     opts: DcaOptions | None = None,
     *,
     _op_norm: float | None = None,
+    _face: Face | None = None,
 ) -> SolveResult:
     """One majorize-minimize step from ``x_k``.
 
@@ -101,27 +104,41 @@ def dca_step(
     on C = R^n or an l1 ball ``||x||_1 <= t``, with a ball target
     ``Q = B(c, R)`` (``R = 0``, a point, included), the subproblem is solved
     exactly on all columns by feature-sign search: pivots from
-    ``supp(x_k)`` and ``sign(x_k)``, each a face solve through a QR
-    factorization of ``A_S`` at the face's fidelity scale
+    ``supp(x_k)`` and ``sign(x_k)``, each a face solve through the QR
+    factor of ``A_S`` at the face's fidelity scale
     ``kappa = 1 - R/||Ax - c||`` and, where the l1 ball binds, its
     multiplier ``nu``, until no column violates
     ``|g_j| <= gamma + nu + tol`` (``g = A'(Ax - P_Q(Ax)) + v``,
     ``tol = min(inner.tol, step_tol/10)``), capped at ``inner.outer_max``
-    pivots.  If that solve does not converge (at the cap, where a face's
-    minimizer has ``Ax`` in ``Q``, on a non-finite face solve, or on a
-    null direction it cannot follow), the step falls back to ``dr-in-fb``
-    on all columns from ``x_k``, and its message names the fallback and
-    its reason.  On every other problem the step makes one ``dr-in-fb``
-    solve on all columns from ``x_k``; a named ``inner_solver`` makes that
-    one solve on every problem.
+    pivots.  The factor is bordered when a column joins the face and
+    downdated when columns leave it (:class:`~sfpsolve.face.Face`).  If
+    that solve does not converge (at the cap, where a face's minimizer has
+    ``Ax`` in ``Q``, on a non-finite face solve, or on a null direction it
+    cannot follow), the step falls back to ``dr-in-fb`` on all columns
+    from ``x_k``, and its message names the fallback and its reason.  On
+    every other problem the step makes one ``dr-in-fb`` solve on all
+    columns from ``x_k``; a named ``inner_solver`` makes that one solve on
+    every problem.
 
     If the inner result fails to improve the majorizer, the step
     returns ``x_k`` unchanged, which keeps the outer objective sequence
-    non-increasing unconditionally.
+    non-increasing unconditionally.  A finite ``x_k`` whose squared norm
+    overflows a float is returned ``DIVERGED`` at once
+    (:func:`~sfpsolve.problem.overflow_stop`).
+
+    ``_face``, from :func:`solve_dca`, is the face the last step's exact
+    solve converged on.  The exact solve starts on its factor where its
+    columns are ``supp(x_k)``, with ``theta = sign(x_k)`` read anew, and
+    leaves in it the face it ends on.  A fallback or a discarded result
+    empties it, so the next step factors its face anew.  A bare step
+    factors its own.
     """
     if opts is None:
         opts = DcaOptions()
     x_k = np.asarray(x_k, dtype=float)
+    stop = overflow_stop(x_k)
+    if stop is not None:
+        return SolveResult(x=x_k.copy(), status=stop.status, message=stop.message)
     zero_tol = opts.resolve_zero_tol(x_k)
     norm_x = norm(x_k)
     if norm_x <= zero_tol:
@@ -131,7 +148,7 @@ def dca_step(
     spec = SubproblemSpec(base=P, v=v, _op_norm=_op_norm)
     inner_opts, inner, note = _resolved_inner(opts), None, ""
     if _exact_applies(P, opts):
-        inner = _solve_point_lasso(spec, x_k, inner_opts)
+        inner = _solve_point_lasso(spec, x_k, inner_opts, _face)
         if inner.status is not Status.CONVERGED:
             note = f"{_FELL_BACK}: {inner.message or 'pivots reached outer_max'}"
             inner = None
@@ -141,9 +158,13 @@ def dca_step(
     # Majorizer safeguard: the subproblem objective dominates the true
     # objective and touches it at x_k, so refusing a non-improving inner
     # result preserves monotone descent.
-    if spec.objective(inner.x) > spec.objective(x_k):
+    stands = spec.objective(inner.x) <= spec.objective(x_k)
+    if not stands:
         inner.x = x_k.copy()
         inner.message = "; ".join(m for m in (inner.message, _DISCARDED) if m)
+    if _face is not None and (note or not stands):
+        # Only the face of an exact result that stands goes on to the next step.
+        _face.clear()
     return inner
 
 
@@ -154,7 +175,11 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     on C = R^n or an l1 ball with a point or ball target, it solves its
     subproblem exactly by feature-sign search, on all columns and with no
     ``||A||``; where that solve does not converge it falls back to
-    ``dr-in-fb``.  Every other step makes one inner solve on all columns.
+    ``dr-in-fb``.  Each exact solve hands the QR factor of the face it
+    converged on to the next step, which starts on that face, since its
+    columns are ``supp(x_k)``: a run factors a whole face only at its
+    first step, after a fallback, or where the column that leaves a face
+    is its first.  Every other step makes one inner solve on all columns.
     ``||A||`` is read once, from the problem's cache, for those solves; it
     is read on every problem, the exact path's included.
 
@@ -183,10 +208,12 @@ def solve_dca(P: ProblemSpec, x0, opts: DcaOptions | None = None) -> SolveResult
     # handed to every step's inner solver.
     op_norm = P.op_norm
     exact = _exact_applies(P, opts)
+    # The face each exact solve converges on, which the next step starts on.
+    face = Face(P.A) if exact else None
     capped, discarded, fell_back = [], [], []
 
     def step(k, x):
-        inner = dca_step(P, x, opts, _op_norm=op_norm)
+        inner = dca_step(P, x, opts, _op_norm=op_norm, _face=face)
         if inner.status is Status.MAX_ITERATIONS:
             capped.append(k)
         if _FELL_BACK in inner.message:

@@ -33,6 +33,7 @@ from .problem import (
     _smooth_gradient,
     columns_and_gradient,
     iterate,
+    overflow_stop,
     start_point,
 )
 from .prox import soft_threshold
@@ -178,10 +179,17 @@ def direction_minimizer(w, gamma: float, mu: float, C) -> np.ndarray:
 
 
 def mf_direction(P: ProblemSpec, x_k, opts: MfOptions | None = None) -> np.ndarray:
-    """Minimizer of the shifted direction subproblem at ``x_k``."""
+    """Minimizer of the shifted direction subproblem at ``x_k``.
+
+    Raises ValueError where ``x_k``'s squared norm overflows a float, from
+    which :func:`solve_mf` ends ``DIVERGED`` (:func:`~sfpsolve.problem.overflow_stop`).
+    """
     if opts is None:
         opts = MfOptions()
     x_k = np.asarray(x_k, dtype=float)
+    stop = overflow_stop(x_k)
+    if stop is not None:
+        raise ValueError(f"x_k is too large: {stop.message}")
     mu = opts.resolve_mu(P)
     return direction_minimizer(_smooth_gradient(P, x_k) - mu * x_k, P.gamma, mu, P.C)
 

@@ -158,6 +158,22 @@ def start_point(P: ProblemSpec, x0, project: bool = True) -> tuple[np.ndarray, s
     return P.C.project(x), "x0 projected onto C before start"
 
 
+def overflow_stop(x: np.ndarray) -> Stop | None:
+    """``DIVERGED`` where ``x`` is finite but ``x.x`` overflows a float, else None.
+
+    The one rule for a start that large: :func:`iterate` ends such a run at
+    iteration 0 (after the start's own record, if any), a bare
+    :func:`~sfpsolve.dca.dca_step` returns such an ``x_k`` with this
+    status, and :func:`~sfpsolve.minefuku.mf_direction`, which returns no
+    status, raises ValueError with its message.
+    """
+    with np.errstate(over="ignore"):
+        square = x.dot(x)
+    if square == math.inf and np.isfinite(x).all():
+        return Stop(Status.DIVERGED, "the start's squared norm overflows a float")
+    return None
+
+
 def iterate(
     x: np.ndarray,
     step: Callable[[int, np.ndarray], tuple[np.ndarray | None, float, Stop | None]],
@@ -186,9 +202,11 @@ def iterate(
     with that record as the trace.  Without it only the last iterate is
     recorded, so the stationarity test, which reads each record, does not
     apply; that record is kept as the run's only one, and a non-finite
-    column in it still ends the run as ``DIVERGED``.  A stop's message is
-    joined to ``message``.  The returned status and iterate are final:
-    solvers only add to the message.
+    column in it still ends the run as ``DIVERGED``.  A finite start whose
+    squared norm overflows ends the run as ``DIVERGED`` at iteration 0 too
+    (:func:`overflow_stop`).  A stop's message is joined to ``message``.
+    The returned status and iterate are final: solvers only add to the
+    message.
     """
     t0 = time.perf_counter()
 
@@ -209,6 +227,7 @@ def iterate(
         if record_trace:
             rec, stop = record(0, x, 0.0)
             trace.append(rec)
+        stop = stop or overflow_stop(x)
         for k in range(1, max_iter + 1) if stop is None else ():
             x_next, move, stop = step(k, x)
             # A NaN or infinite entry makes x.x NaN or inf, so only a finite

@@ -251,7 +251,7 @@ def test_a_refused_exact_result_ends_the_run_converged(monkeypatch):
     P = unit_problem([1.0, -2.0, 0.5])
     x_k = np.array([0.3, -1.2, 0.0])
 
-    def stub(spec, x0, opts):
+    def stub(spec, x0, opts, face):
         x = x0.copy()
         while spec.objective(x) <= spec.objective(x0):
             x[0] = np.nextafter(x[0], np.inf)
@@ -428,3 +428,13 @@ def test_dr_in_fb_and_dca_do_not_depend_on_kappa(kappa):
     objective = solve_dca(P, inst.x0).trace[-1].objective
     opts = DcaOptions(inner=InnerOptions(kappa=kappa))
     assert solve_dca(P, inst.x0, opts).trace[-1].objective == objective
+
+
+@pytest.mark.parametrize("inner_solver", [None, "dr-in-fb"])
+def test_a_bare_step_from_a_point_whose_squared_norm_overflows_ends_diverged(inner_solver):
+    # The rule solve_dca follows from the same start: diverged, with x_k kept.
+    P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton([1.0, 0.0]), gamma=0.5)
+    step = dca_step(P, [1e200, 0.0], DcaOptions(inner_solver=inner_solver))
+    assert step.status is Status.DIVERGED and step.iterations == 0
+    assert step.message == "the start's squared norm overflows a float"
+    assert np.array_equal(step.x, [1e200, 0.0])

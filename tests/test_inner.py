@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from sfpsolve import inner
+from sfpsolve.face import Face, _solve_point_lasso
 from sfpsolve.harness import RandomSpec, SparseSpec, gen_random_problem, gen_sparse_recovery
 from sfpsolve.inner import (
     INNER_SOLVERS,
     InnerOptions,
     SubproblemSpec,
     _constrained_l1_prox_dr,
-    _solve_point_lasso,
     solve_dr_in_fb,
     solve_fb_in_dr,
 )
@@ -475,14 +475,13 @@ def test_exact_solve_from_a_support_wider_than_m_steps_along_null_directions(see
     # singular: the solve steps along their null directions, where the
     # objective is linear, instead of failing.
     nulls = []
-    for name in ("_factor_face", "_grow_face"):
+    for name in ("_factor", "grow"):
 
-        def recording(*args, factor=getattr(inner, name)):
-            Q, F = factor(*args)
-            nulls.append(Q is None)
-            return Q, F
+        def recording(self, *args, change=getattr(Face, name)):
+            change(self, *args)
+            nulls.append(self.null is not None)
 
-        monkeypatch.setattr(inner, name, recording)
+        monkeypatch.setattr(Face, name, recording)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((3, 5))
     x0 = rng.standard_normal(5)
@@ -493,3 +492,15 @@ def test_exact_solve_from_a_support_wider_than_m_steps_along_null_directions(see
     assert sum(nulls) >= 2
     tight = sub.objective(solve_dr_in_fb(sub, x0, InnerOptions(tol=1e-12, outer_max=100000)).x)
     assert sub.objective(r.x) == pytest.approx(tight, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["exact", *sorted(INNER_SOLVERS)])
+@pytest.mark.parametrize("scale", [1.0, 1e-200], ids=["objective-overflows", "objective-finite"])
+def test_an_inner_solve_from_a_start_whose_squared_norm_overflows_ends_diverged(name, scale):
+    # Whether or not the start's objective is finite, the run ends at the start.
+    P = ProblemSpec(A=scale * np.eye(2), C=FullSpace(2), Q=Singleton([1.0, 0.0]), gamma=0.5)
+    sub = SubproblemSpec(base=P, v=[0.1, 0.0], _op_norm=1.0)
+    solve = _solve_point_lasso if name == "exact" else INNER_SOLVERS[name]
+    r = solve(sub, [1e200, 0.0])
+    assert r.status is Status.DIVERGED and r.iterations == 0
+    assert np.array_equal(r.x, [1e200, 0.0])

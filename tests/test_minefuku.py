@@ -797,3 +797,13 @@ def test_line_search_with_the_records_image_returns_the_same_step(C, target):
             steps.append(lam)
     # The searches end at several distinct steps, the zero step included.
     assert 0.0 in steps and len(set(steps)) > 3
+
+
+def test_mf_direction_refuses_a_point_whose_squared_norm_overflows():
+    # ||x_k||^2 overflows a float, ||x_k|| does not; solve_mf from the same
+    # point ends diverged at iteration 0.
+    P = ProblemSpec(A=np.eye(2), C=FullSpace(2), Q=Singleton([1.0, 0.0]), gamma=0.5)
+    with pytest.raises(ValueError, match="x_k is too large: the start's squared norm overflows a float"):
+        mf_direction(P, [1e200, 0.0])
+    r = solve_mf(P, [1e200, 0.0])
+    assert r.status is Status.DIVERGED and r.iterations == 0
